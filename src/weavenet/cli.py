@@ -9,22 +9,10 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import bench as bench_mod
 from .config import RunConfig, apply_overrides, load_config
-from .detect import (
-    AnchorSpec,
-    Detection,
-    decode_box,
-    generate_anchors,
-    head_forward,
-    init_head_params,
-    nms_greedy,
-    refine_boxes,
-)
 from .errors import EquivalenceError, ValidationError
-from .evaluation import ALL_STRATA, DetectionRecord, evaluate
+from .evaluation import ALL_STRATA, evaluate
 from .fixtures import make_raw_pyramid, write_fixtures
 from .formats import (
     format_table,
@@ -33,6 +21,7 @@ from .formats import (
     write_csv,
     write_detections,
 )
+from .pipeline import run_demo
 from .weave import compare_outputs, init_params, weave_forward
 
 SWEEP_K = (16, 32, 64)
@@ -116,72 +105,10 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _run_demo_pipeline(
-    config: RunConfig, refine: bool, mode: str = "simplified"
-) -> list[DetectionRecord]:
-    weave_cfg = config.weave_config()
-    params = init_params(weave_cfg)
-    pyramid = make_raw_pyramid(config)
-    states = weave_forward(pyramid, weave_cfg, params, mode, corrupt_block=config.corrupt_block)
-
-    spec = AnchorSpec.for_mode(config.anchor_mode, num_scales=len(config.pyramid_sizes))
-    anchors = generate_anchors(spec, config.pyramid_sizes, config.input_size)
-    per_cell = [spec.anchors_per_cell(i) for i in range(len(config.pyramid_sizes))]
-    state_channels = [
-        weave_cfg.state_channels(i, config.iterations) for i in range(len(config.pyramid_sizes))
-    ]
-    heads = init_head_params(state_channels, per_cell, config.num_classes, config.seed)
-
-    offset_blocks = []
-    score_blocks = []
-    for i, state in enumerate(states):
-        loc_kernel, conf_kernel = heads[i]
-        offsets, scores = head_forward(state, loc_kernel, conf_kernel, per_cell[i], config.num_classes)
-        offset_blocks.append(offsets)
-        score_blocks.append(scores)
-    all_offsets = np.vstack(offset_blocks)
-    all_scores = np.vstack(score_blocks)
-    if all_offsets.shape[0] != len(anchors):
-        raise ValidationError(
-            f"head rows ({all_offsets.shape[0]}) disagree with anchor count ({len(anchors)})"
-        )
-
-    decoded: dict[int, object] = {}
-
-    def box_for(n: int):
-        if n not in decoded:
-            decoded[n] = decode_box(anchors[n], all_offsets[n], config.input_size)
-        return decoded[n]
-
-    kept_all: list[Detection] = []
-    pool: list[Detection] = []
-    for cls in range(config.num_classes):
-        col = all_scores[:, cls + 1]
-        candidate_idx = np.nonzero(col > config.score_floor)[0]
-        candidates = [
-            Detection(box=box_for(int(n)), score=float(col[n]), class_id=cls)
-            for n in candidate_idx
-        ]
-        candidates.sort(key=lambda d: (-d.score, d.box.xmin, d.box.ymin))
-        candidates = candidates[: config.pre_nms_top_k]
-        pool.extend(candidates)
-        kept_all.extend(nms_greedy(candidates, config.nms_iou_threshold))
-
-    kept_all.sort(key=lambda d: (-d.score, d.class_id, d.box.xmin, d.box.ymin))
-    kept_all = kept_all[: config.keep_top_k]
-    if refine and kept_all:
-        kept_all = refine_boxes(kept_all, pool, config.refine_iou_threshold)
-
-    return [
-        DetectionRecord(image_id="synthetic-0", box=d.box, score=d.score, class_id=d.class_id)
-        for d in kept_all
-    ]
-
-
 def cmd_demo(args) -> int:
     config = _load(args)
     mode = args.mode or "simplified"
-    records = _run_demo_pipeline(config, refine=not args.no_refine, mode=mode)
+    records = run_demo(config, refine=not args.no_refine, mode=mode)
     write_detections(args.out, records)
     by_class: dict[int, int] = {}
     for r in records:

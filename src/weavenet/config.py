@@ -78,14 +78,35 @@ class RunConfig:
 
 
 _TUPLE_KEYS = {"pyramid_sizes", "raw_channels", "woven_scales", "corrupt_block"}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_type(key: str, value) -> None:
+    """Reject JSON values whose type does not match the field; bools are not numbers."""
+    kind = _FIELD_TYPES[key]
+    if kind == "int":
+        ok, want = _is_int(value), "an integer"
+    elif kind == "float":
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif kind == "bool":
+        ok, want = isinstance(value, bool), "true or false"
+    elif key in _TUPLE_KEYS:  # None is left to RunConfig, which accepts it only for corrupt_block
+        ok, want = value is None or all(_is_int(v) for v in value), "a list of integers"
+    else:
+        return
+    if not ok:
+        raise ValidationError(f"config key {key} must be {want}, got {json.dumps(value)}")
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from parsed JSON, rejecting unknown keys."""
+    """Build a RunConfig from parsed JSON, rejecting unknown keys and mistyped values."""
     if not isinstance(raw, dict):
         raise ValidationError(f"config root must be a JSON object, got {type(raw).__name__}")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_FIELD_TYPES))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     kwargs = {}
@@ -93,9 +114,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key in _TUPLE_KEYS and value is not None:
             if not isinstance(value, list):
                 raise ValidationError(f"config key {key} must be a list, got {value!r}")
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+            value = tuple(value)
+        _check_type(key, value)
+        kwargs[key] = value
     try:
         return RunConfig(**kwargs)
     except TypeError as err:
@@ -109,6 +130,8 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValidationError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+        except UnicodeDecodeError as err:
+            raise ValidationError(f"{path}: not valid UTF-8: {err.reason}") from err
     return config_from_dict(raw)
 
 

@@ -123,16 +123,17 @@ class AnchorSpec:
         return len(self.ratios[scale]) + int(self.extra_geometric_mean_box)
 
 
-def generate_anchors(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_size: int) -> list[BBox]:
-    """All anchors, ordered scale-major, then row-major over cells, then ratio.
+def anchor_array(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_size: int) -> np.ndarray:
+    """All anchors as an (N, 4) array of (xmin, ymin, xmax, ymax) rows.
 
+    Rows are ordered scale-major, then row-major over cells, then ratio.
     Each cell's anchors are the listed ratios in order followed by the extra
     geometric-mean square box; anchors are centered at cell centers and are
     not clipped.
     """
     if len(pyramid_sizes) != len(spec.scale_fractions):
         raise ValidationError("pyramid_sizes and anchor spec scale counts differ")
-    anchors: list[BBox] = []
+    blocks = [np.empty((0, 4))]
     fractions = spec.scale_fractions
     for scale, fm in enumerate(pyramid_sizes):
         s = fractions[scale]
@@ -144,13 +145,17 @@ def generate_anchors(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_siz
         if spec.extra_geometric_mean_box:
             side = math.sqrt(s * s_next) * input_size
             shapes.append((side, side))
-        for y in range(fm):
-            cy = (y + 0.5) / fm * input_size
-            for x in range(fm):
-                cx = (x + 0.5) / fm * input_size
-                for w, h in shapes:
-                    anchors.append(BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
-    return anchors
+        half_w, half_h = np.array(shapes).T / 2
+        centers = (np.arange(fm) + 0.5) / fm * input_size
+        cy, cx = centers[:, None, None], centers[None, :, None]
+        corners = np.broadcast_arrays(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+        blocks.append(np.stack(corners, axis=-1).reshape(-1, 4))
+    return np.concatenate(blocks)
+
+
+def generate_anchors(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_size: int) -> list[BBox]:
+    """anchor_array as one BBox per anchor, in the same order."""
+    return [BBox(*row) for row in anchor_array(spec, pyramid_sizes, input_size).tolist()]
 
 
 def init_head_params(
@@ -218,23 +223,69 @@ def head_forward(
     return offsets, scores
 
 
-def decode_box(anchor: BBox, offsets, input_size: int) -> BBox:
-    """Center-size decoding against an anchor, clipped to the image square."""
-    dx, dy, dw, dh = (float(v) for v in offsets)
-    if not all(math.isfinite(v) for v in (dx, dy, dw, dh)):
-        raise ValidationError(f"offsets must be finite, got {(dx, dy, dw, dh)}")
+def _exp(values: np.ndarray) -> np.ndarray:
+    """math.exp of every value of a 1-D array, inf where it overflows.
+
+    np.exp differs from math.exp in the last bit for a few percent of
+    inputs, which would move decoded coordinates, so math.exp stays.
+    """
+    out = []
+    for v in values.tolist():
+        try:
+            out.append(math.exp(v))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out, dtype=np.float64)
+
+
+def _clip(v: np.ndarray, hi: float) -> np.ndarray:
+    # min(max(v, 0.0), hi) with Python's tie rule, so signed zeros survive as before
+    v = np.where(0.0 > v, 0.0, v)
+    return np.where(hi < v, hi, v)
+
+
+def decode_boxes(anchors: np.ndarray, offsets: np.ndarray, input_size: int, rows=None) -> np.ndarray:
+    """Center-size decoding of anchors[rows] by offsets[rows], clipped to the image square.
+
+    anchors and offsets are (N, 4) arrays; rows (default: all) selects the
+    anchors to decode, and the result has one (xmin, ymin, xmax, ymax) row
+    per selected anchor. Every value is computed with the same IEEE
+    operations, in the same order, as the scalar formula
+    cx = acx + dx*vx*aw, w = aw*exp(dw*vw) on BBox.center and BBox.width.
+    Non-finite offsets and decodes that overflow raise ValidationError
+    naming the anchor index.
+    """
+    if rows is None:
+        rows = np.arange(len(anchors))
+    a = anchors[rows]
+    o = np.asarray(offsets, dtype=np.float64)[rows]
+
+    def fail(bad: np.ndarray, what: str):
+        k = int(np.argmax(bad))
+        raise ValidationError(f"anchor {int(rows[k])}: {what}, offsets {tuple(o[k].tolist())}")
+
+    bad = ~np.isfinite(o).all(axis=1)
+    if bad.any():
+        fail(bad, "offsets must be finite")
     vx, vy, vw, vh = BOX_VARIANCES
-    acx, acy = anchor.center
-    aw, ah = anchor.width, anchor.height
-    cx = acx + dx * vx * aw
-    cy = acy + dy * vy * ah
-    w = aw * math.exp(dw * vw)
-    h = ah * math.exp(dh * vh)
+    xmin, ymin, xmax, ymax = a.T
+    aw, ah = xmax - xmin, ymax - ymin
+    with np.errstate(over="ignore"):  # overflow is reported below, by anchor
+        cx = (xmin + xmax) / 2.0 + o[:, 0] * vx * aw
+        cy = (ymin + ymax) / 2.0 + o[:, 1] * vy * ah
+        w = aw * _exp(o[:, 2] * vw)
+        h = ah * _exp(o[:, 3] * vh)
+    bad = ~np.isfinite(np.stack((cx, cy, w, h), axis=1)).all(axis=1)
+    if bad.any():
+        fail(bad, "decoded box overflows")
+    corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+    return np.stack([_clip(c, float(input_size)) for c in corners], axis=1)
 
-    def clip(v: float) -> float:
-        return min(max(v, 0.0), float(input_size))
 
-    return BBox(clip(cx - w / 2), clip(cy - h / 2), clip(cx + w / 2), clip(cy + h / 2))
+def decode_box(anchor: BBox, offsets, input_size: int) -> BBox:
+    """decode_boxes for a single anchor."""
+    offsets = np.asarray(offsets, dtype=np.float64).reshape(1, 4)
+    return BBox(*decode_boxes(np.array([anchor.coords()]), offsets, input_size)[0].tolist())
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -248,11 +299,46 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def _nms_order(dets: list[Detection]) -> list[int]:
-    return sorted(
-        range(len(dets)),
-        key=lambda i: (-dets[i].score, dets[i].box.xmin, dets[i].box.ymin, i),
-    )
+def iou_row(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """iou(box, b) for every row b of boxes, in iou's operation order."""
+    iw = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
+    ih = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area = (box[2] - box[0]) * (box[3] - box[1])
+    union = area + (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def nms_rows(boxes: np.ndarray, iou_threshold: float, classes: np.ndarray | None = None) -> np.ndarray:
+    """Greedy suppression over (N, 4) boxes already in priority order.
+
+    Returns the kept row indices, ascending. Row p is suppressed when its
+    overlap with an earlier kept row (of the same class when classes is
+    given) strictly exceeds the threshold.
+    """
+    alive = np.ones(len(boxes), dtype=bool)
+    kept = []
+    for p in range(len(boxes)):
+        if not alive[p]:
+            continue
+        kept.append(p)
+        rest = p + 1 + np.flatnonzero(alive[p + 1 :])
+        if classes is not None:
+            rest = rest[classes[rest] == classes[p]]
+        alive[rest[iou_row(boxes[p], boxes[rest]) > iou_threshold]] = False
+    return np.array(kept, dtype=np.intp)
+
+
+def priority_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Stable order by (score desc, xmin asc, ymin asc); ties keep input order."""
+    return np.lexsort((boxes[:, 1], boxes[:, 0], -scores))
+
+
+def _columns(dets: list[Detection]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    boxes = np.array([d.box.coords() for d in dets], dtype=np.float64).reshape(-1, 4)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    classes = np.array([d.class_id for d in dets], dtype=np.int64)
+    return boxes, scores, classes
 
 
 def nms_greedy(dets: list[Detection], iou_threshold: float = 0.45, per_class: bool = True) -> list[Detection]:
@@ -263,23 +349,49 @@ def nms_greedy(dets: list[Detection], iou_threshold: float = 0.45, per_class: bo
     the threshold. Ties are broken by (score desc, xmin asc, ymin asc,
     input index asc).
     """
-    order = _nms_order(dets)
-    suppressed = [False] * len(dets)
-    kept: list[Detection] = []
-    for pos, i in enumerate(order):
-        if suppressed[i]:
+    boxes, scores, classes = _columns(dets)
+    order = priority_order(boxes, scores)
+    kept = nms_rows(boxes[order], iou_threshold, classes[order] if per_class else None)
+    return [dets[i] for i in order[kept].tolist()]
+
+
+def refine_rows(
+    kept_boxes: np.ndarray,
+    kept_scores: np.ndarray,
+    kept_classes: np.ndarray,
+    own: list,
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    classes: np.ndarray,
+    iou_threshold: float,
+) -> np.ndarray:
+    """Refined (K, 4) coordinates of K kept boxes against a pool of N candidates.
+
+    Kept box i is averaged, weighted by score, with every pool row of its
+    class whose overlap with it strictly exceeds the threshold, except the
+    pool rows own[i] (an index or index array) that are the kept box
+    itself; its own term is counted once. The sums start from the kept
+    box's own term and add one neighbor at a time in pool order, as a
+    scalar loop would. A box without neighbors, or with a non-positive
+    total weight, keeps its coordinates.
+    """
+    out = np.array(kept_boxes, dtype=np.float64)
+    weighted = boxes * scores[:, None]
+    for i in range(len(out)):
+        near = classes == kept_classes[i]
+        near[own[i]] = False
+        hood = np.flatnonzero(near)
+        hood = hood[iou_row(out[i], boxes[hood]) > iou_threshold]
+        if len(hood) == 0:
             continue
-        d = dets[i]
-        kept.append(d)
-        for j in order[pos + 1 :]:
-            if suppressed[j]:
-                continue
-            other = dets[j]
-            if per_class and other.class_id != d.class_id:
-                continue
-            if iou(d.box, other.box) > iou_threshold:
-                suppressed[j] = True
-    return kept
+        score = kept_scores[i]
+        # add.accumulate sums strictly left to right; np.sum would pair terms up
+        weight = np.add.accumulate(np.concatenate(([score], scores[hood])))[-1]
+        if weight <= 0.0:
+            continue
+        total = np.add.accumulate(np.vstack((out[i] * score, weighted[hood])), axis=0)[-1]
+        out[i] = total / weight
+    return out
 
 
 def refine_boxes(
@@ -293,21 +405,12 @@ def refine_boxes(
     """
     if not candidates:
         raise ValidationError("refinement requires a non-empty candidate pool")
-    refined: list[Detection] = []
-    for b in kept:
-        total = np.array(b.box.coords()) * b.score
-        weight = b.score
-        neighbors = 0
-        for c in candidates:
-            if c is b or c.class_id != b.class_id:
-                continue
-            if iou(c.box, b.box) > iou_threshold:
-                total += np.array(c.box.coords()) * c.score
-                weight += c.score
-                neighbors += 1
-        if neighbors == 0 or weight <= 0.0:
-            refined.append(b)
-            continue
-        coords = total / weight
-        refined.append(Detection(box=BBox(*coords), score=b.score, class_id=b.class_id))
+    kept_boxes, kept_scores, kept_classes = _columns(kept)
+    own = [np.flatnonzero([c is b for c in candidates]) for b in kept]
+    coords = refine_rows(kept_boxes, kept_scores, kept_classes, own, *_columns(candidates), iou_threshold)
+    refined = []
+    for b, row in zip(kept, coords.tolist()):
+        if tuple(row) != b.box.coords():
+            b = Detection(box=BBox(*row), score=b.score, class_id=b.class_id)
+        refined.append(b)
     return refined

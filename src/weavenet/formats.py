@@ -91,47 +91,52 @@ def _parse_image_id(path: str, lineno: int, obj: dict) -> str:
     return v
 
 
+def _lines(path: str):
+    """(line number, line) for every non-blank line of a UTF-8 text file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as err:
+            raise ValidationError(f"{path}: not valid UTF-8: {err.reason}") from err
+
+
 def read_detections(path: str) -> list[DetectionRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _parse_line(path, lineno, line, DETECTION_KEYS)
-            score = obj["score"]
-            if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
-                raise ValidationError(f"{path}:{lineno}: score must be a finite number, got {score!r}")
-            records.append(
-                DetectionRecord(
-                    image_id=_parse_image_id(path, lineno, obj),
-                    box=_parse_box(path, lineno, obj),
-                    score=float(score),
-                    class_id=_parse_class_id(path, lineno, obj),
-                )
+    for lineno, line in _lines(path):
+        obj = _parse_line(path, lineno, line, DETECTION_KEYS)
+        score = obj["score"]
+        if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
+            raise ValidationError(f"{path}:{lineno}: score must be a finite number, got {score!r}")
+        records.append(
+            DetectionRecord(
+                image_id=_parse_image_id(path, lineno, obj),
+                box=_parse_box(path, lineno, obj),
+                score=float(score),
+                class_id=_parse_class_id(path, lineno, obj),
             )
+        )
     return records
 
 
 def read_ground_truth(path: str) -> list[GroundTruth]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _parse_line(path, lineno, line, GROUND_TRUTH_KEYS)
-            try:
-                records.append(
-                    GroundTruth(
-                        image_id=_parse_image_id(path, lineno, obj),
-                        box=_parse_box(path, lineno, obj),
-                        class_id=_parse_class_id(path, lineno, obj),
-                    )
+    for lineno, line in _lines(path):
+        obj = _parse_line(path, lineno, line, GROUND_TRUTH_KEYS)
+        try:
+            records.append(
+                GroundTruth(
+                    image_id=_parse_image_id(path, lineno, obj),
+                    box=_parse_box(path, lineno, obj),
+                    class_id=_parse_class_id(path, lineno, obj),
                 )
-            except ValidationError as err:
-                msg = str(err)
-                if not msg.startswith(path):
-                    msg = f"{path}:{lineno}: {msg}"
-                raise ValidationError(msg) from err
+            )
+        except ValidationError as err:
+            msg = str(err)
+            if not msg.startswith(path):
+                msg = f"{path}:{lineno}: {msg}"
+            raise ValidationError(msg) from err
     return records
 
 

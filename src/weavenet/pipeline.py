@@ -1,0 +1,109 @@
+"""The single-image detection pipeline behind `weavenet demo`.
+
+Weave the synthetic pyramid, run the per-scale heads, then post-process:
+decode the candidate anchors, per-class greedy NMS, a global top-k, and
+optional score-weighted refinement. Boxes stay (N, 4) float64 arrays of
+(xmin, ymin, xmax, ymax) throughout; DetectionRecords are built only for
+the rows that are returned.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .config import RunConfig
+from .detect import (
+    AnchorSpec,
+    BBox,
+    anchor_array,
+    decode_boxes,
+    head_forward,
+    init_head_params,
+    nms_rows,
+    priority_order,
+    refine_rows,
+)
+from .errors import ValidationError
+from .evaluation import DetectionRecord
+from .fixtures import make_raw_pyramid
+from .weave import init_params, weave_forward
+
+IMAGE_ID = "synthetic-0"
+
+
+def run_demo(config: RunConfig, refine: bool = True, mode: str = "simplified") -> list[DetectionRecord]:
+    """Detections for the seeded synthetic image that `config` describes."""
+    weave_cfg = config.weave_config()
+    params = init_params(weave_cfg)
+    pyramid = make_raw_pyramid(config)
+    states = weave_forward(pyramid, weave_cfg, params, mode, corrupt_block=config.corrupt_block)
+
+    num_scales = len(config.pyramid_sizes)
+    spec = AnchorSpec.for_mode(config.anchor_mode, num_scales=num_scales)
+    anchors = anchor_array(spec, config.pyramid_sizes, config.input_size)
+    per_cell = [spec.anchors_per_cell(i) for i in range(num_scales)]
+    state_channels = [weave_cfg.state_channels(i, config.iterations) for i in range(num_scales)]
+    heads = init_head_params(state_channels, per_cell, config.num_classes, config.seed)
+
+    outputs = [
+        head_forward(state, loc, conf, per_cell[i], config.num_classes)
+        for i, (state, (loc, conf)) in enumerate(zip(states, heads))
+    ]
+    offsets = np.vstack([o for o, _ in outputs])
+    scores = np.vstack([s for _, s in outputs])
+    if offsets.shape[0] != anchors.shape[0]:
+        raise ValidationError(
+            f"head rows ({offsets.shape[0]}) disagree with anchor count ({anchors.shape[0]})"
+        )
+    return postprocess(anchors, offsets, scores, config, refine)
+
+
+def postprocess(
+    anchors: np.ndarray, offsets: np.ndarray, scores: np.ndarray, config: RunConfig, refine: bool
+) -> list[DetectionRecord]:
+    """Detections from per-anchor offsets (N, 4) and class scores (N, C+1).
+
+    Column 0 of scores is background. Per class, the anchors scoring above
+    score_floor are ordered by (score desc, xmin asc, ymin asc, anchor
+    index), cut to pre_nms_top_k and suppressed greedily; the survivors of
+    all classes are ordered by (score desc, class, xmin, ymin) and cut to
+    keep_top_k. Refinement averages each survivor with its same-class
+    neighbors in the pool of cut candidates.
+    """
+    foreground = scores[:, 1 : config.num_classes + 1]
+    boxes = np.full_like(anchors, np.nan)
+    rows = np.flatnonzero((foreground > config.score_floor).any(axis=1))
+    boxes[rows] = decode_boxes(anchors, offsets, config.input_size, rows)
+
+    pool_rows, pool_classes, kept = [], [], []
+    start = 0
+    for cls in range(config.num_classes):
+        col = foreground[:, cls]
+        idx = np.flatnonzero(col > config.score_floor)
+        idx = idx[priority_order(boxes[idx], col[idx])][: config.pre_nms_top_k]
+        kept.append(start + nms_rows(boxes[idx], config.nms_iou_threshold))
+        pool_rows.append(idx)
+        pool_classes.append(np.full(len(idx), cls))
+        start += len(idx)
+
+    pool_rows = np.concatenate(pool_rows)
+    pool_classes = np.concatenate(pool_classes)
+    pool_boxes = boxes[pool_rows]
+    pool_scores = foreground[pool_rows, pool_classes]
+    kept = np.concatenate(kept)
+    k_boxes = pool_boxes[kept]
+    top = np.lexsort((k_boxes[:, 1], k_boxes[:, 0], pool_classes[kept], -pool_scores[kept]))
+    kept = kept[top[: config.keep_top_k]]
+
+    out_boxes = pool_boxes[kept]
+    if refine and len(kept):
+        out_boxes = refine_rows(
+            out_boxes, pool_scores[kept], pool_classes[kept], kept,
+            pool_boxes, pool_scores, pool_classes, config.refine_iou_threshold,
+        )
+    return [
+        DetectionRecord(image_id=IMAGE_ID, box=BBox(*box), score=score, class_id=cls)
+        for box, score, cls in zip(
+            out_boxes.tolist(), pool_scores[kept].tolist(), pool_classes[kept].tolist()
+        )
+    ]

@@ -77,6 +77,28 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="object"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "raw,fragment",
+        [
+            ({"iterations": 1.5}, "iterations must be an integer, got 1.5"),
+            ({"iterations": 1.0}, "iterations must be an integer"),
+            ({"k": True}, "k must be an integer, got true"),
+            ({"seed": "3"}, "seed must be an integer"),
+            ({"keep_top_k": None}, "keep_top_k must be an integer, got null"),
+            ({"nms_iou_threshold": True}, "nms_iou_threshold must be a number, got true"),
+            ({"score_floor": "0.1"}, "score_floor must be a number"),
+            ({"enable_top_down": 1}, "enable_top_down must be true or false, got 1"),
+            ({"pyramid_sizes": [40, 20.0, 10, 5, 3, 1]}, "pyramid_sizes must be a list of integers"),
+            ({"corrupt_block": [1, True]}, "corrupt_block must be a list of integers"),
+        ],
+    )
+    def test_rejects_mistyped_values(self, raw, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            config_from_dict(raw)
+
+    def test_integers_accepted_for_float_fields(self):
+        assert config_from_dict({"score_floor": 0, "nms_iou_threshold": 1}).nms_iou_threshold == 1
+
     def test_apply_overrides(self):
         cfg = RunConfig()
         out = apply_overrides(cfg, seed=9, anchors="B", top_down_only=True)
@@ -383,6 +405,36 @@ class TestExitCodes:
         path.write_text('{"mystery": 1}')
         assert main(["verify", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"iterations": 1.5}', '{"k": true}'])
+    def test_mistyped_config_value_is_one_line_error(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["demo", "--config", str(path), "--out", str(tmp_path / "d.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'\xff\xfe{"k": 4}')
+        assert main(["verify", "--config", str(path)]) == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["dets", "gt"])
+    def test_non_utf8_jsonl_is_validation_error(self, tmp_path, capsys, which):
+        files = {
+            "dets": b'{"image_id": "a", "class_id": 0, "score": 0.5, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2}\n',
+            "gt": b'{"image_id": "a", "class_id": 0, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2}\n',
+        }
+        files[which] = b"\xff\xfe" + files[which]
+        paths = {}
+        for name, data in files.items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_bytes(data)
+        assert main(["eval", str(paths["dets"]), str(paths["gt"])]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[which]}: not valid UTF-8: invalid start byte\n"
 
     def test_bad_flag_is_validation_error(self, capsys):
         assert main(["demo", "--mode", "fast"]) == 1

@@ -2,21 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from weavenet.config import RunConfig
 from weavenet.detect import (
     AnchorSpec,
     BBox,
     BOX_VARIANCES,
     Detection,
+    anchor_array,
     decode_box,
+    decode_boxes,
     generate_anchors,
     head_forward,
     init_head_params,
     iou,
+    iou_row,
     nms_greedy,
     refine_boxes,
 )
 from weavenet.errors import ValidationError
+from weavenet.pipeline import postprocess
 from weavenet.tensor_core import ConvKernel, Tensor
 
 SIZES = (40, 20, 10, 5, 3, 1)
@@ -229,6 +236,24 @@ class TestDecodeBox:
         with pytest.raises(ValidationError):
             decode_box(self.ANCHOR, (math.nan, 0.0, 0.0, 0.0), 320)
 
+    def test_overflow_is_validation_error(self):
+        with pytest.raises(ValidationError, match="anchor 0: decoded box overflows"):
+            decode_box(self.ANCHOR, (0, 0, 1e4, 0), 320)
+        with pytest.raises(ValidationError, match="anchor 0: decoded box overflows"):
+            decode_box(self.ANCHOR, (1e308, 0, 0, 0), 320)
+
+    def test_errors_name_the_anchor_index(self):
+        anchors = np.array([self.ANCHOR.coords()] * 4)
+        offsets = np.zeros((4, 4))
+        offsets[2, 3] = 1e4
+        offsets[3, 0] = math.inf
+        # the bad rows are skipped unless selected
+        assert decode_boxes(anchors, offsets, 320, np.array([0, 1])).shape == (2, 4)
+        with pytest.raises(ValidationError, match="anchor 2: decoded box overflows"):
+            decode_boxes(anchors, offsets, 320, np.array([1, 2]))
+        with pytest.raises(ValidationError, match="anchor 3: offsets must be finite"):
+            decode_boxes(anchors, offsets, 320)
+
     def test_encode_decode_round_trip(self):
         vx, vy, vw, vh = BOX_VARIANCES
 
@@ -417,3 +442,224 @@ class TestRefineBoxes:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValidationError):
             refine_boxes([det(0, 0, 1, 1, 0.5)], [])
+
+
+# Property tests: the array code against scalar restatements of each step.
+
+coord = st.one_of(st.integers(-4, 12).map(float), st.floats(-50.0, 400.0, width=64))
+side = st.one_of(st.just(0.0), st.integers(1, 6).map(float), st.floats(0.0, 120.0, width=64))
+score = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0, width=64))
+
+
+@st.composite
+def boxes(draw):
+    x0, y0 = draw(coord), draw(coord)
+    return BBox(x0, y0, x0 + draw(side), y0 + draw(side))
+
+
+@st.composite
+def cluster(draw, center=None):
+    """Jittered copies of one box: many overlaps, with inexact float arithmetic."""
+    if center is None:
+        x0, y0 = draw(st.floats(0.0, 100.0)), draw(st.floats(0.0, 100.0))
+        center = BBox(x0, y0, x0 + draw(st.floats(5.0, 60.0)), y0 + draw(st.floats(5.0, 60.0)))
+    jitter = st.floats(-2.0, 2.0, width=64)
+    out = []
+    for _ in range(draw(st.integers(1, 16))):
+        x0, y0 = center.xmin + draw(jitter), center.ymin + draw(jitter)
+        out.append(BBox(x0, y0, x0 + max(center.width + draw(jitter), 0.0),
+                        y0 + max(center.height + draw(jitter), 0.0)))
+    return out
+
+
+@st.composite
+def detections(draw, max_size=14):
+    """Sparse or clustered lists with score ties, zero-area boxes and
+    equal-but-distinct duplicates."""
+    if draw(st.booleans()):
+        box_list = draw(st.lists(boxes(), max_size=max_size))
+    else:
+        box_list = [b for c in draw(st.lists(cluster(), min_size=1, max_size=3)) for b in c]
+    classes = st.integers(0, 2) if len(box_list) <= max_size else st.sampled_from([0, 0, 0, 1])
+    dets = [Detection(b, draw(score), draw(classes)) for b in box_list]
+    if dets:
+        extra = draw(st.lists(st.sampled_from(dets), max_size=4))
+        dets = draw(st.permutations(dets + [Detection(d.box, d.score, d.class_id) for d in extra]))
+    return dets
+
+
+def bits(rows) -> bytes:
+    return np.array(rows, dtype=np.float64).tobytes()
+
+
+def scalar_decode(anchor: BBox, offsets, input_size):
+    dx, dy, dw, dh = offsets
+    vx, vy, vw, vh = BOX_VARIANCES
+    acx, acy = anchor.center
+    aw, ah = anchor.width, anchor.height
+    cx = acx + dx * vx * aw
+    cy = acy + dy * vy * ah
+    w = aw * math.exp(dw * vw)
+    h = ah * math.exp(dh * vh)
+
+    def clip(v):
+        return min(max(v, 0.0), float(input_size))
+
+    return clip(cx - w / 2), clip(cy - h / 2), clip(cx + w / 2), clip(cy + h / 2)
+
+
+def scalar_refine(kept, candidates, iou_threshold):
+    out = []
+    for b in kept:
+        total = np.array(b.box.coords()) * b.score
+        weight = b.score
+        neighbors = 0
+        for c in candidates:
+            if c is b or c.class_id != b.class_id:
+                continue
+            if iou(c.box, b.box) > iou_threshold:
+                total += np.array(c.box.coords()) * c.score
+                weight += c.score
+                neighbors += 1
+        out.append(b.box.coords() if neighbors == 0 or weight <= 0.0 else tuple(total / weight))
+    return out
+
+
+def scalar_anchors(spec, pyramid_sizes, input_size):
+    out = []
+    fractions = spec.scale_fractions
+    for scale, fm in enumerate(pyramid_sizes):
+        s = fractions[scale]
+        s_next = fractions[scale + 1] if scale + 1 < len(fractions) else 1.0
+        shapes = [(s * input_size * math.sqrt(r), s * input_size / math.sqrt(r)) for r in spec.ratios[scale]]
+        if spec.extra_geometric_mean_box:
+            shapes.append((math.sqrt(s * s_next) * input_size,) * 2)
+        for y in range(fm):
+            cy = (y + 0.5) / fm * input_size
+            for x in range(fm):
+                cx = (x + 0.5) / fm * input_size
+                for w, h in shapes:
+                    out.append((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+    return out
+
+
+class TestArrayProperties:
+    @settings(deadline=None)
+    @given(
+        dets=detections(),
+        thr=st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 0.5]), st.floats(0.0, 1.0)),
+        per_class=st.booleans(),
+    )
+    def test_nms_matches_reference_idempotent_subset(self, dets, thr, per_class):
+        kept = nms_greedy(dets, thr, per_class)
+        want = reference_nms(dets, thr, per_class)
+        assert len(kept) == len(want) and all(a is b for a, b in zip(kept, want))
+        positions = [next(i for i, d in enumerate(dets) if d is k) for k in kept]
+        assert len(set(positions)) == len(positions)
+        again = nms_greedy(kept, thr, per_class)
+        assert len(again) == len(kept) and all(a is b for a, b in zip(again, kept))
+
+    @settings(deadline=None)
+    @given(dets=detections(), data=st.data(), thr=st.floats(0.0, 1.0) | st.floats(0.0, 0.3))
+    def test_refine_matches_scalar_loop_bit_for_bit(self, dets, data, thr):
+        assume(dets)
+        kept = data.draw(st.lists(st.sampled_from(dets), max_size=5))
+        # a kept box outside the pool still counts its own term once
+        kept += data.draw(st.lists(
+            st.builds(Detection, box=boxes(), score=score, class_id=st.integers(0, 2)), max_size=2
+        ))
+        got = [d.box.coords() for d in refine_boxes(kept, dets, thr)]
+        assert bits(got) == bits(scalar_refine(kept, dets, thr))
+
+    @settings(deadline=None)
+    @given(
+        anchors=st.lists(boxes(), min_size=1, max_size=20),
+        data=st.data(),
+        input_size=st.integers(1, 400),
+    )
+    def test_decode_matches_scalar_formula_bit_for_bit(self, anchors, data, input_size):
+        offset = st.one_of(st.integers(-3, 3).map(float), st.floats(-6.0, 6.0, width=64))
+        offsets = data.draw(st.lists(st.tuples(offset, offset, offset, offset),
+                                     min_size=len(anchors), max_size=len(anchors)))
+        got = decode_boxes(np.array([a.coords() for a in anchors]), np.array(offsets), input_size)
+        want = [scalar_decode(a, o, input_size) for a, o in zip(anchors, offsets)]
+        assert bits(got) == bits(want)
+
+    @settings(deadline=None)
+    @given(a=boxes(), data=st.data())
+    def test_iou_row_matches_iou(self, a, data):
+        rows = data.draw(st.lists(boxes(), max_size=5)) + data.draw(cluster(a))
+        got = iou_row(np.array(a.coords()), np.array([b.coords() for b in rows]))
+        assert bits(got) == bits([iou(a, b) for b in rows])
+
+    @settings(deadline=None)
+    @given(
+        levels=st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.lists(st.floats(0.2, 5.0), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        extra=st.booleans(),
+        input_size=st.integers(1, 512),
+    )
+    def test_anchor_array_matches_scalar_loop(self, levels, extra, input_size):
+        spec = AnchorSpec(
+            mode="B",
+            scale_fractions=tuple(0.1 * (i + 1) for i in range(len(levels))),
+            ratios=tuple(tuple(r) for _, r in levels),
+            extra_geometric_mean_box=extra,
+        )
+        sizes = tuple(fm for fm, _ in levels)
+        arr = anchor_array(spec, sizes, input_size)
+        want = scalar_anchors(spec, sizes, input_size)
+        assert arr.shape == (len(want), 4)
+        assert bits(arr) == bits(want)
+        assert [b.coords() for b in generate_anchors(spec, sizes, input_size)] == [tuple(r) for r in want]
+
+    @settings(deadline=None)
+    @given(
+        anchors=st.lists(boxes(), min_size=1, max_size=25),
+        data=st.data(),
+        num_classes=st.integers(1, 3),
+        pre_nms_top_k=st.integers(1, 8),
+        keep_top_k=st.integers(1, 8),
+        nms_thr=st.floats(0.0, 1.0),
+        refine_thr=st.floats(0.0, 1.0),
+        refine=st.booleans(),
+    )
+    def test_postprocess_matches_scalar_pipeline(
+        self, anchors, data, num_classes, pre_nms_top_k, keep_top_k, nms_thr, refine_thr, refine
+    ):
+        n = len(anchors)
+        offset = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, width=64))
+        offsets = np.array(data.draw(st.lists(st.tuples(*[offset] * 4), min_size=n, max_size=n)))
+        prob = st.one_of(st.sampled_from([0.0, 0.01, 0.2, 0.5]), st.floats(0.0, 1.0, width=64))
+        scores = np.array(data.draw(
+            st.lists(st.tuples(*[prob] * (num_classes + 1)), min_size=n, max_size=n)
+        ))
+        config = RunConfig(
+            num_classes=num_classes, pre_nms_top_k=pre_nms_top_k, keep_top_k=keep_top_k,
+            nms_iou_threshold=nms_thr, refine_iou_threshold=refine_thr,
+        )
+        got = postprocess(np.array([a.coords() for a in anchors]), offsets, scores, config, refine)
+
+        kept, pool = [], []
+        for cls in range(num_classes):
+            col = scores[:, cls + 1]
+            candidates = [
+                Detection(BBox(*scalar_decode(anchors[i], offsets[i].tolist(), 320)), float(col[i]), cls)
+                for i in np.nonzero(col > config.score_floor)[0]
+            ]
+            candidates.sort(key=lambda d: (-d.score, d.box.xmin, d.box.ymin))
+            candidates = candidates[:pre_nms_top_k]
+            pool.extend(candidates)
+            kept.extend(reference_nms(candidates, nms_thr, True))
+        kept.sort(key=lambda d: (-d.score, d.class_id, d.box.xmin, d.box.ymin))
+        kept = kept[:keep_top_k]
+        coords = scalar_refine(kept, pool, refine_thr) if refine else [d.box.coords() for d in kept]
+
+        assert [(r.score, r.class_id) for r in got] == [(d.score, d.class_id) for d in kept]
+        assert bits([r.box.coords() for r in got]) == bits(coords)
