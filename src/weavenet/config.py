@@ -38,6 +38,12 @@ class RunConfig:
     corrupt_block: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _TUPLE_KEYS and isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            _check_type(f.name, f.type, value)
         if self.input_size < 1:
             raise ValidationError(f"input_size must be positive, got {self.input_size}")
         for name in ("nms_iou_threshold", "refine_iou_threshold", "score_floor"):
@@ -78,49 +84,46 @@ class RunConfig:
 
 
 _TUPLE_KEYS = {"pyramid_sizes", "raw_channels", "woven_scales", "corrupt_block"}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_type(key: str, value) -> None:
-    """Reject JSON values whose type does not match the field; bools are not numbers."""
-    kind = _FIELD_TYPES[key]
+def _show(value) -> str:
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def _check_type(key: str, kind: str, value) -> None:
+    """Reject a field value whose type does not match; bools are not numbers."""
     if kind == "int":
         ok, want = _is_int(value), "an integer"
     elif kind == "float":
         ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
     elif kind == "bool":
         ok, want = isinstance(value, bool), "true or false"
-    elif key in _TUPLE_KEYS:  # None is left to RunConfig, which accepts it only for corrupt_block
-        ok, want = value is None or all(_is_int(v) for v in value), "a list of integers"
+    elif key in _TUPLE_KEYS:
+        optional = value is None and kind.endswith("| None")
+        ok = optional or (isinstance(value, tuple) and all(_is_int(v) for v in value))
+        want = "a list of integers"
     else:
         return
     if not ok:
-        raise ValidationError(f"config key {key} must be {want}, got {json.dumps(value)}")
+        raise ValidationError(f"config key {key} must be {want}, got {_show(value)}")
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, rejecting unknown keys and mistyped values."""
     if not isinstance(raw, dict):
         raise ValidationError(f"config root must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    unknown = sorted(set(raw) - _FIELD_NAMES)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _TUPLE_KEYS and value is not None:
-            if not isinstance(value, list):
-                raise ValidationError(f"config key {key} must be a list, got {value!r}")
-            value = tuple(value)
-        _check_type(key, value)
-        kwargs[key] = value
-    try:
-        return RunConfig(**kwargs)
-    except TypeError as err:
-        raise ValidationError(f"bad config value types: {err}") from err
+    return RunConfig(**raw)
 
 
 def load_config(path: str) -> RunConfig:

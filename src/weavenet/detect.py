@@ -27,7 +27,12 @@ _MODE_B_RATIOS = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box in input-image coordinates."""
+    """Axis-aligned box in input-image coordinates.
+
+    Width, height and twice the area must be finite: IoU adds two areas, so
+    a larger box would give an infinite union and an IoU of 0 (or NaN) with
+    an identical box.
+    """
 
     xmin: float
     ymin: float
@@ -40,6 +45,8 @@ class BBox:
             raise ValidationError(f"box coordinates must be finite, got {coords}")
         if self.xmin > self.xmax or self.ymin > self.ymax:
             raise ValidationError(f"box corners out of order: {coords}")
+        if not (math.isfinite(self.width) and math.isfinite(self.height) and math.isfinite(2.0 * self.area)):
+            raise ValidationError(f"box too large: its width, height or twice its area overflows, got {coords}")
 
     @property
     def width(self) -> float:
@@ -201,6 +208,10 @@ def head_forward(
     rows are ordered row-major over cells then by anchor, matching
     generate_anchors within the scale. Scores are the normalized
     exponential of the confidence logits per anchor.
+
+    Both kernels run as one convolution stacked along the output axis;
+    conv3x3 computes output channels independently, so this is bit-exact
+    with two separate convolutions and lays out the input windows once.
     """
     a, c = anchors_per_cell, num_classes + 1
     if loc_kernel.out_channels != 4 * a:
@@ -211,9 +222,17 @@ def head_forward(
         raise ValidationError(
             f"confidence kernel emits {conf_kernel.out_channels} channels, expected {c * a}"
         )
+    if loc_kernel.in_channels != conf_kernel.in_channels:
+        raise ValidationError(
+            f"location kernel reads {loc_kernel.in_channels} channels but confidence "
+            f"kernel reads {conf_kernel.in_channels}"
+        )
     h, w = state.height, state.width
-    loc = conv3x3(state, loc_kernel).data
-    conf = conv3x3(state, conf_kernel).data
+    stacked = ConvKernel(
+        np.concatenate([loc_kernel.weights, conf_kernel.weights]),
+        np.concatenate([loc_kernel.bias, conf_kernel.bias]),
+    )
+    loc, conf = np.split(conv3x3(state, stacked).data, [4 * a])
     # channels are anchor-major: anchor i owns channels [i*4, i*4+4) / [i*c, i*c+c)
     offsets = loc.reshape(a, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
     logits = conf.reshape(a, c, h, w).transpose(2, 3, 0, 1).reshape(-1, c)

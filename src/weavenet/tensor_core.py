@@ -4,6 +4,24 @@ Everything here is pure and deterministic: float64 throughout, and conv3x3
 accumulates its terms in a fixed (channel, then kernel row, then kernel
 column) order so that downstream equivalence checks can use tight
 tolerances. Tensors are immutable after construction.
+
+conv3x3 lowers the convolution to one matrix product per chunk of output
+rows, ``np.einsum("ok,kp->op", wm, cols, optimize=False)``, where ``wm`` is
+the kernel as a (cout, 1 + 9*cin) matrix with the bias in column 0 and
+``cols`` holds a row of ones over the 9*cin shifted input windows. The
+unoptimised einsum keeps the documented summation order bit for bit:
+
+- NumPy's iterator puts the spatial axis ``p`` innermost (only ``cols``
+  and the output have a stride along it, and both are contiguous there),
+  so every output element is built as 0.0 + bias*1.0, then one rounded
+  product added per tap, in tap order. 0.0 + bias is the bias itself
+  (ConvKernel stores no -0.0 bias), and bias*1.0 is exact.
+- einsum's sum-of-products loops are compiled for NumPy's x86-64 baseline,
+  which has no fused multiply-add, so each product is rounded before it
+  is added, as in the elementwise reference.
+- ``optimize=False`` must stay: ``optimize=True`` routes a two-operand
+  contraction to tensordot, i.e. BLAS, whose blocked and fused sums change
+  the bits (and break the stacked-kernel identity the weave relies on).
 """
 
 from __future__ import annotations
@@ -11,6 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError
 
@@ -64,13 +83,17 @@ class Tensor:
 
 
 class ConvKernel:
-    """3x3 convolution weights (out x in x 3 x 3) with a per-output bias."""
+    """3x3 convolution weights (out x in x 3 x 3) with a per-output bias.
+
+    A -0.0 bias is stored as +0.0: conv3x3 starts every sum at +0.0, so the
+    two would otherwise give differently signed zeros.
+    """
 
     __slots__ = ("weights", "bias")
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         w = np.ascontiguousarray(weights, dtype=np.float64)
-        b = np.ascontiguousarray(bias, dtype=np.float64)
+        b = np.ascontiguousarray(bias, dtype=np.float64) + 0.0  # a new array, -0.0 -> +0.0
         if w.ndim != 4 or w.shape[2:] != (3, 3):
             raise ValidationError(f"kernel weights must be (out, in, 3, 3), got {w.shape}")
         if w.shape[0] < 1 or w.shape[1] < 1:
@@ -81,8 +104,6 @@ class ConvKernel:
             raise ValidationError("kernel contains non-finite values")
         if w is weights:
             w = w.copy()
-        if b is bias:
-            b = b.copy()
         w.flags.writeable = False
         b.flags.writeable = False
         self.weights = w
@@ -100,6 +121,11 @@ class ConvKernel:
         return f"ConvKernel(out={self.out_channels}, in={self.in_channels})"
 
 
+# Upper bound on the bytes of conv3x3's column buffer, so memory stays flat
+# however wide the input; a single output row may exceed it.
+CONV_CHUNK_BYTES = 1 << 20
+
+
 def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
@@ -107,6 +133,19 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     windows in (channel, kernel row, kernel column) order. Output channels
     are computed independently of one another, so stacking kernels along
     the output axis is bit-exact with concatenating separate results.
+
+    The input is zero-padded into flat per-channel planes of row stride
+    wp = w + 2 with one extra zero row at the bottom, (h + 3)*wp values
+    each. Output pixel (y, x) then reads the taps at flat offsets
+    (y + dy)*wp + x + dx, so the windows of a chunk of n output rows
+    starting at y0 are one as_strided view of shape (cin, 3, 3, n*wp) with
+    strides (plane, wp, 1, 1). Its last read in a plane is at
+    (y0 + n + 2)*wp + 1, and (y0 + n + 2)*wp + 2 <= (h + 3)*wp because
+    y0 + n <= h and wp >= 2, so the view stays inside each plane. The 2
+    wrap-around columns per output row are computed and dropped. A chunk
+    holds as many rows as fit in CONV_CHUNK_BYTES of columns (at least
+    one) and is one unoptimised einsum; the module docstring gives the
+    argument that its sums follow the reference order.
     """
     if x.channels != kernel.in_channels:
         raise ValidationError(
@@ -114,22 +153,34 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
         )
     cin, h, w = x.shape
     cout = kernel.out_channels
-    padded = np.zeros((cin, h + 2, w + 2), dtype=np.float64)
-    padded[:, 1:-1, 1:-1] = x.data
+    wp = w + 2
+    taps = 1 + 9 * cin
+    padded = np.zeros((cin, h + 3, wp), dtype=np.float64)
+    padded[:, 1 : h + 1, 1 : w + 1] = x.data
+    flat = padded.reshape(-1)
+    step = flat.itemsize
 
-    acc = np.empty((cout, h, w), dtype=np.float64)
-    acc[:] = kernel.bias[:, None, None]
-    term = np.empty_like(acc)
-    weights = kernel.weights
-    for c in range(cin):
-        plane = padded[c]
-        for dy in range(3):
-            rows = plane[dy : dy + h]
-            for dx in range(3):
-                window = rows[:, dx : dx + w]
-                np.multiply(weights[:, c, dy, dx, None, None], window, out=term)
-                np.add(acc, term, out=acc)
-    return Tensor(acc)
+    wm = np.empty((cout, taps), dtype=np.float64)
+    wm[:, 0] = kernel.bias
+    wm[:, 1:] = kernel.weights.reshape(cout, taps - 1)
+
+    rows_per_chunk = max(1, CONV_CHUNK_BYTES // (taps * wp * step))
+    out = np.empty((cout, h, wp), dtype=np.float64)
+    for y0 in range(0, h, rows_per_chunk):
+        n = min(rows_per_chunk, h - y0)
+        span = n * wp
+        windows = as_strided(
+            flat[y0 * wp :],
+            shape=(cin, 3, 3, span),
+            strides=((h + 3) * wp * step, wp * step, step, step),
+            writeable=False,
+        )
+        cols = np.empty((taps, span), dtype=np.float64)
+        cols[0] = 1.0
+        cols[1:].reshape(cin, 3, 3, span)[...] = windows
+        product = np.einsum("ok,kp->op", wm, cols, optimize=False)
+        out[:, y0 : y0 + n] = product.reshape(cout, n, wp)
+    return Tensor(out[:, :, :w])
 
 
 def relu(x: Tensor) -> Tensor:

@@ -39,6 +39,11 @@ MODES = ("naive", "simplified")
 DEFAULT_PYRAMID_SIZES = (40, 20, 10, 5, 3, 1)
 DEFAULT_WOVEN_SCALES = (0, 1, 2, 3)
 
+# Largest state width raw + k*d*T (d = directions a scale receives) a config
+# may ask for. Every block and head convolves the full state, so the width
+# sets the memory of a pass; the default config peaks at 192 channels.
+MAX_STATE_CHANNELS = 4096
+
 
 @dataclass(frozen=True)
 class WeaveConfig:
@@ -77,6 +82,12 @@ class WeaveConfig:
                     f"woven scales {i} and {i + 1} must differ spatially by a factor of 2, "
                     f"got sizes {self.pyramid_sizes[i]} and {self.pyramid_sizes[i + 1]}"
                 )
+        widest = max(self.state_channels(i, self.iterations) for i in range(len(self.pyramid_sizes)))
+        if widest > MAX_STATE_CHANNELS:
+            raise ValidationError(
+                f"largest state width raw + k*d*T is {widest} channels, above the cap of "
+                f"{MAX_STATE_CHANNELS}; lower k, iterations or raw_channels"
+            )
 
     def is_woven(self, scale: int) -> bool:
         return scale in self.woven_scales

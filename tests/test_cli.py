@@ -1,7 +1,11 @@
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weavenet.cli import main
 from weavenet.config import RunConfig, apply_overrides, config_from_dict, load_config
@@ -16,6 +20,8 @@ from weavenet.formats import (
     write_detections,
     write_ground_truth,
 )
+from weavenet.pipeline import run_demo
+from weavenet.weave import MAX_STATE_CHANNELS
 
 TINY = {
     "input_size": 64,
@@ -95,6 +101,60 @@ class TestRunConfig:
     def test_rejects_mistyped_values(self, raw, fragment):
         with pytest.raises(ValidationError, match=fragment):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "kwargs,fragment",
+        [
+            ({"iterations": 1.5}, "iterations must be an integer, got 1.5"),
+            ({"k": True}, "k must be an integer, got true"),
+            ({"score_floor": "0.1"}, "score_floor must be a number"),
+            ({"enable_bottom_up": 0}, "enable_bottom_up must be true or false"),
+            ({"raw_channels": (32, 32, 32, 32, 32, 32.0)}, "raw_channels must be a list of integers"),
+            ({"pyramid_sizes": "abc"}, "pyramid_sizes must be a list of integers"),
+            ({"seed": np.int64(3)}, "seed must be an integer"),
+            ({"raw_channels": None}, "raw_channels must be a list of integers, got null"),
+        ],
+    )
+    def test_direct_construction_checks_types(self, kwargs, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            RunConfig(**kwargs)
+
+    def test_direct_construction_turns_lists_into_tuples(self):
+        cfg = RunConfig(raw_channels=[8] * 6, corrupt_block=[1, 2])
+        assert cfg.raw_channels == (8,) * 6 and cfg.corrupt_block == (1, 2)
+        assert cfg == config_from_dict({"raw_channels": [8] * 6, "corrupt_block": [1, 2]})
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        key=st.sampled_from(["iterations", "k", "seed", "keep_top_k", "score_floor",
+                             "enable_top_down", "raw_channels", "woven_scales"]),
+        value=st.one_of(st.booleans(), st.floats(allow_nan=True), st.text(max_size=3),
+                        st.none(), st.lists(st.floats(), max_size=3)),
+    )
+    def test_run_demo_never_ends_in_a_bare_type_error(self, key, value):
+        try:
+            config = replace(RunConfig(iterations=0), **{key: value})
+        except ValidationError:
+            return
+        run_demo(config)
+
+    def test_state_width_cap_rejected_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="above the cap of 4096"):
+                RunConfig(k=10**12, iterations=10**12)
+            with pytest.raises(ValidationError, match="above the cap"):
+                config_from_dict({"raw_channels": [10**15] * 6, "iterations": 0})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_state_width_at_cap_accepted(self):
+        # scale 1 receives both directions: 32 + 16*2*T
+        assert RunConfig(iterations=(MAX_STATE_CHANNELS - 32) // 32).weave_config()
+        with pytest.raises(ValidationError, match="cap"):
+            RunConfig(iterations=(MAX_STATE_CHANNELS - 32) // 32 + 1)
 
     def test_integers_accepted_for_float_fields(self):
         assert config_from_dict({"score_floor": 0, "nms_iou_threshold": 1}).nms_iou_threshold == 1
@@ -301,6 +361,20 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert ":1:" in err
+
+    def test_overflowing_box_is_one_line_error(self, tmp_path, capsys):
+        # a perfect detection of this box used to score AP 0.000000 with exit 0
+        box = '"xmin": -1e308, "ymin": -1e308, "xmax": 1e308, "ymax": 1e308'
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text('{"image_id": "a", "class_id": 0, ' + box + "}\n")
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text('{"image_id": "a", "class_id": 0, "score": 0.9, ' + box + "}\n")
+        code = main(["eval", str(dets), str(gt)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {dets}:1: box too large")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"

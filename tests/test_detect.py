@@ -24,7 +24,7 @@ from weavenet.detect import (
 )
 from weavenet.errors import ValidationError
 from weavenet.pipeline import postprocess
-from weavenet.tensor_core import ConvKernel, Tensor
+from weavenet.tensor_core import ConvKernel, Tensor, conv3x3
 
 SIZES = (40, 20, 10, 5, 3, 1)
 
@@ -155,6 +155,27 @@ class TestHeadForward:
             head_forward(state, loc, conf, anchors_per_cell=3, num_classes=5)
         with pytest.raises(ValidationError):
             head_forward(state, ConvKernel(np.zeros((8, 8, 3, 3)), np.zeros(8)), ConvKernel(np.zeros((11, 8, 3, 3)), np.zeros(11)), 2, 5)
+
+    def test_rejects_kernels_reading_different_widths(self):
+        state = Tensor(np.zeros((8, 4, 4)))
+        loc = ConvKernel(np.zeros((8, 8, 3, 3)), np.zeros(8))
+        conf = ConvKernel(np.zeros((6, 7, 3, 3)), np.zeros(6))
+        with pytest.raises(ValidationError, match="reads 8 channels"):
+            head_forward(state, loc, conf, anchors_per_cell=2, num_classes=2)
+
+    def test_stacked_conv_equals_separate_convs(self):
+        rng = np.random.default_rng(21)
+        state = Tensor(rng.normal(size=(24, 5, 7)))
+        a, classes = 4, 3
+        ((loc, conf),) = init_head_params([24], [a], classes, seed=9)
+        offsets, scores = head_forward(state, loc, conf, a, classes)
+        loc_out = conv3x3(state, loc).data
+        conf_out = conv3x3(state, conf).data
+        want_offsets = loc_out.reshape(a, 4, 5, 7).transpose(2, 3, 0, 1).reshape(-1, 4)
+        logits = conf_out.reshape(a, classes + 1, 5, 7).transpose(2, 3, 0, 1).reshape(-1, classes + 1)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert offsets.tobytes() == want_offsets.tobytes()
+        assert scores.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
     def test_zero_logits_give_uniform_scores(self):
         state = Tensor(np.random.default_rng(0).normal(size=(4, 3, 3)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weavenet.detect import BBox, iou
 from weavenet.errors import ValidationError
@@ -341,3 +343,48 @@ class TestEvaluate:
         assert report.positives["medium"][0] == 2
         assert report.positives["large"][0] == 1
         assert report.positives["overall"][0] == 4
+
+
+# a box on an integer grid times a power of ten, so magnitudes span 1e-100
+# to 2e153 while twice the area stays finite
+grid_box = st.builds(
+    lambda x, y, w, h, e: (x * 10.0**e, y * 10.0**e, (x + w) * 10.0**e, (y + h) * 10.0**e),
+    st.integers(-1000, 1000), st.integers(-1000, 1000),
+    st.integers(1, 1000), st.integers(1, 1000), st.integers(-100, 150),
+)
+
+
+class TestBoxMagnitudes:
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            (-1e308, -1e308, 1e308, 1e308),  # infinite width and area
+            (0.0, 0.0, 1e200, 1e200),  # finite sides, infinite area
+            (0.0, 0.0, 1e154, 1e154),  # area 1e308, but twice it overflows
+        ],
+    )
+    def test_overflowing_box_rejected(self, coords):
+        with pytest.raises(ValidationError, match="too large"):
+            BBox(*coords)
+
+    def test_largest_boxes_still_match_themselves(self):
+        side = 0.7e154  # area 4.9e307, twice that still finite
+        gt = GroundTruth("img0", BBox(-side / 2, -side / 2, side / 2, side / 2), 0)
+        assert iou(gt.box, gt.box) == 1.0
+        assert evaluate([det_on(gt, 0.9)], [gt]).mean_ap["overall"] == 1.0
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        boxes=st.lists(
+            st.tuples(grid_box, st.sampled_from(["a", "b"]), st.integers(0, 2)),
+            min_size=1, max_size=12,
+        ),
+        scores=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+    )
+    def test_perfect_detections_give_ap_one(self, boxes, scores):
+        gts = [GroundTruth(image, BBox(*coords), cls) for coords, image, cls in boxes]
+        dets = [det_on(g, score) for g, score in zip(gts, scores)]
+        report = evaluate(dets, gts)
+        for stratum in ALL_STRATA:
+            assert all(ap in (None, 1.0) for ap in report.ap[stratum].values())
+        assert report.mean_ap["overall"] == 1.0

@@ -1,14 +1,18 @@
 """Tests for the dense tensor type and neural primitives.
 
-conv3x3 is checked against a scalar nested-loop reference that accumulates
-in the same documented order, so agreement is expected to be bit-exact.
+conv3x3 is checked against a scalar nested-loop reference and against the
+elementwise loop it replaced, both accumulating in the same documented
+order, so agreement is expected to be bit-exact.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weavenet.errors import ValidationError
 from weavenet.tensor_core import (
+    CONV_CHUNK_BYTES,
     ConvKernel,
     Tensor,
     concat_channels,
@@ -37,6 +41,41 @@ def conv3x3_reference(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> n
                                 acc += float(x[c, yy, xs]) * float(weights[o, c, dy, dx])
                 out[o, y, xx] = acc
     return out
+
+
+def conv3x3_loop(x: Tensor, kernel: ConvKernel) -> np.ndarray:
+    """The former conv3x3: 9*cin elementwise multiply-adds over whole planes."""
+    cin, h, w = x.shape
+    cout = kernel.out_channels
+    padded = np.zeros((cin, h + 2, w + 2), dtype=np.float64)
+    padded[:, 1:-1, 1:-1] = x.data
+
+    acc = np.empty((cout, h, w), dtype=np.float64)
+    acc[:] = kernel.bias[:, None, None]
+    term = np.empty_like(acc)
+    weights = kernel.weights
+    for c in range(cin):
+        plane = padded[c]
+        for dy in range(3):
+            rows = plane[dy : dy + h]
+            for dx in range(3):
+                window = rows[:, dx : dx + w]
+                np.multiply(weights[:, c, dy, dx, None, None], window, out=term)
+                np.add(acc, term, out=acc)
+    return acc
+
+
+def spread_values(rng, shape):
+    """Signed magnitudes spread over 1e-6..1e6, with some +0.0 and -0.0."""
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+    zeros = rng.random(shape) < 0.05
+    values[zeros] = np.copysign(0.0, values[zeros])
+    return values
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def random_tensor(rng, channels, height, width):
@@ -139,6 +178,53 @@ class TestConv3x3:
         a = conv3x3(x, k)
         b = conv3x3(x, k)
         assert np.array_equal(a.data, b.data)
+
+
+class TestConv3x3MatchesLoop:
+    """conv3x3 is byte-identical to conv3x3_loop, sign of zero included."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        cin=st.integers(1, 41),
+        cout=st.integers(1, 41),
+        h=st.integers(1, 41),
+        w=st.integers(1, 41),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(cin=1, cout=1, h=1, w=1, seed=0)
+    @example(cin=3, cout=2, h=1, w=37, seed=1)
+    @example(cin=3, cout=2, h=37, w=1, seed=2)
+    @example(cin=160, cout=16, h=41, w=40, seed=3)  # many row chunks, the last one partial
+    def test_bytes_equal_loop(self, cin, cout, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(spread_values(rng, (cin, h, w)))
+        k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
+        assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
+
+    def test_example_spans_several_chunks_with_a_partial_last(self):
+        rows = CONV_CHUNK_BYTES // (8 * (1 + 9 * 160) * (40 + 2))
+        assert 1 < rows < 41 and 41 % rows != 0
+
+    def test_row_wider_than_chunk_cap(self):
+        cin, w = 1200, 16
+        assert 8 * (1 + 9 * cin) * (w + 2) > CONV_CHUNK_BYTES
+        rng = np.random.default_rng(12)
+        x = Tensor(spread_values(rng, (cin, 3, w)))
+        k = ConvKernel(spread_values(rng, (2, cin, 3, 3)), spread_values(rng, 2))
+        assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
+
+    def test_negative_zero_bias_is_stored_as_positive_zero(self):
+        k = ConvKernel(np.full((2, 1, 3, 3), -0.0), np.array([-0.0, 0.0]))
+        assert not np.signbit(k.bias).any()
+        out = conv3x3(Tensor(np.zeros((1, 2, 3))), k).data
+        assert_same_bits(out, conv3x3_loop(Tensor(np.zeros((1, 2, 3))), k))
+        assert not np.signbit(out).any()
+
+    def test_negative_zero_terms_keep_their_sign_after_a_positive_zero_bias(self):
+        # +0.0 + (-0.0) is +0.0 in both implementations
+        k = ConvKernel(np.full((1, 1, 3, 3), 2.0), np.zeros(1))
+        x = Tensor(np.full((1, 2, 2), -0.0))
+        assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
 
 
 class TestRelu:
