@@ -8,52 +8,13 @@ backed by analytic FLOP accounting, SSD-style post-processing, and
 size-stratified AP evaluation.
 """
 
-from .bench import BenchReport, ModeComparison, compare_modes, run_bench
 from .config import RunConfig, load_config
-from .detect import (
-    AnchorSpec,
-    BBox,
-    Detection,
-    decode_box,
-    generate_anchors,
-    head_forward,
-    init_head_params,
-    iou,
-    nms_greedy,
-    refine_boxes,
-)
-from .errors import EquivalenceError, MismatchLocation, ValidationError
-from .evaluation import (
-    DetectionRecord,
-    EvalReport,
-    GroundTruth,
-    average_precision_11pt,
-    evaluate,
-    match_detections,
-    stratify_by_area,
-)
-from .tensor_core import (
-    ConvKernel,
-    Tensor,
-    concat_channels,
-    conv3x3,
-    maxpool_2x2_s2,
-    relu,
-    split_channels,
-    upsample_bilinear_x2,
-)
+from .errors import EquivalenceError, ValidationError
 from .weave import (
-    BlockParams,
-    ScaleState,
     WeaveConfig,
-    WeaveFlops,
-    block_naive,
-    block_simplified,
     compare_outputs,
-    conv_flops,
     flops_weave,
     init_params,
-    precompute_sources,
     weave_forward,
     weave_states,
 )
@@ -61,51 +22,14 @@ from .weave import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSpec",
-    "BBox",
-    "BenchReport",
-    "BlockParams",
-    "ConvKernel",
-    "Detection",
-    "DetectionRecord",
     "EquivalenceError",
-    "EvalReport",
-    "GroundTruth",
-    "MismatchLocation",
-    "ModeComparison",
     "RunConfig",
-    "ScaleState",
-    "Tensor",
     "ValidationError",
     "WeaveConfig",
-    "WeaveFlops",
-    "average_precision_11pt",
-    "block_naive",
-    "block_simplified",
-    "compare_modes",
     "compare_outputs",
-    "concat_channels",
-    "conv3x3",
-    "conv_flops",
-    "decode_box",
-    "evaluate",
     "flops_weave",
-    "generate_anchors",
-    "head_forward",
-    "init_head_params",
     "init_params",
-    "iou",
     "load_config",
-    "match_detections",
-    "maxpool_2x2_s2",
-    "nms_greedy",
-    "precompute_sources",
-    "refine_boxes",
-    "relu",
-    "run_bench",
-    "split_channels",
-    "stratify_by_area",
-    "upsample_bilinear_x2",
     "weave_forward",
     "weave_states",
 ]

@@ -8,12 +8,13 @@ precomputation included) on seeded synthetic pyramids.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EquivalenceError, ValidationError
-from .tensor_core import Tensor
+from .fixtures import make_raw_pyramid
+from .tensor_core import ConvKernel, Tensor
 from .weave import (
     BlockParams,
     WeaveConfig,
@@ -37,13 +38,8 @@ def masks_label(config: WeaveConfig) -> str:
     return "none"
 
 
-def bench_pyramid(config: WeaveConfig) -> list[Tensor]:
-    """Seeded standard-normal raw pyramid used by every benchmark run."""
-    rng = np.random.default_rng([config.seed, 4])
-    return [
-        Tensor(rng.normal(size=(config.raw_channels[i], s, s)))
-        for i, s in enumerate(config.pyramid_sizes)
-    ]
+# seed stream of the standard-normal raw pyramid every benchmark run uses
+BENCH_STREAM = 4
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def run_bench(
     if params is None:
         params = init_params(config)
     if pyramid is None:
-        pyramid = bench_pyramid(config)
+        pyramid = make_raw_pyramid(config, BENCH_STREAM)
 
     for _ in range(warmup):
         weave_forward(pyramid, config, params, mode)
@@ -158,6 +154,38 @@ class ModeComparison:
         return self.naive.mean_time / self.simplified.mean_time
 
 
+def corrupt_partition(
+    params: dict[int, BlockParams], block: tuple[int, int]
+) -> dict[int, BlockParams]:
+    """A copy of params whose simplified pass misplaces one raw column.
+
+    Iteration t's kernel of scale `block = (scale, t)` gets its columns
+    permuted so that the ordinary message/raw split moves the raw group one
+    column right (the first raw column joins the messages), or one column
+    left when the scale receives no down-messages. The naive pass reads the
+    full state in canonical order and so is unaffected. Blocks the params
+    do not hold, such as an iteration beyond the last, are left alone.
+    """
+    scale, t = block
+    p = params.get(scale)
+    if p is None or t > len(p.kernels):
+        return params
+    up, raw, down = p.state_layout(t - 1)
+    kernel = p.kernel_for(t)
+    cols = list(range(kernel.in_channels))
+    if down >= 1:
+        cols[up : up + raw + 1] = cols[up + 1 : up + raw + 1] + [up]
+    elif up >= 1:
+        cols[up - 1 : up + raw] = [up + raw - 1] + cols[up - 1 : up + raw - 1]
+    else:
+        raise ValidationError(
+            f"cannot corrupt partition of scale {scale} iteration {t}: no message columns"
+        )
+    kernels = list(p.kernels)
+    kernels[t - 1] = ConvKernel(kernel.weights[:, cols], kernel.bias)
+    return {**params, scale: replace(p, kernels=tuple(kernels))}
+
+
 def compare_modes(
     config: WeaveConfig,
     warmup: int = 3,
@@ -172,11 +200,10 @@ def compare_modes(
     the worst-mismatch location.
     """
     params = init_params(config)
-    pyramid = bench_pyramid(config)
+    pyramid = make_raw_pyramid(config, BENCH_STREAM)
     naive_out = weave_forward(pyramid, config, params, "naive")
-    simplified_out = weave_forward(
-        pyramid, config, params, "simplified", corrupt_block=corrupt_block
-    )
+    checked = params if corrupt_block is None else corrupt_partition(params, corrupt_block)
+    simplified_out = weave_forward(pyramid, config, checked, "simplified")
     worst = compare_outputs(naive_out, simplified_out)
     if worst.deviation > EQUIVALENCE_TOL:
         raise EquivalenceError(

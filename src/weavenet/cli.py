@@ -22,7 +22,7 @@ from .formats import (
     write_detections,
 )
 from .pipeline import run_demo
-from .weave import compare_outputs, init_params, weave_forward
+from .weave import compare_outputs, conv_flops, init_params, weave_forward
 
 SWEEP_K = (16, 32, 64)
 SWEEP_T = (1, 3, 5)
@@ -76,9 +76,9 @@ def cmd_verify(args) -> int:
         cfg = replace(base, k=k, iterations=t, enable_top_down=td, enable_bottom_up=bu)
         params = init_params(cfg)
         naive = weave_forward(pyramid, cfg, params, "naive")
-        simplified = weave_forward(
-            pyramid, cfg, params, "simplified", corrupt_block=config.corrupt_block
-        )
+        if config.corrupt_block is not None:
+            params = bench_mod.corrupt_partition(params, config.corrupt_block)
+        simplified = weave_forward(pyramid, cfg, params, "simplified")
         worst = compare_outputs(naive, simplified)
         ok = worst.deviation <= tol
         failures += 0 if ok else 1
@@ -175,7 +175,7 @@ def cmd_bench(args) -> int:
                 data_rows.append(bench_mod.data_row(report, ratio, cmp.worst_deviation))
                 timing_rows.append(bench_mod.timing_row(report))
 
-    baseline_flops = 2 * BASELINE_CHANNELS * BASELINE_CHANNELS * 9 * BASELINE_SIZE * BASELINE_SIZE
+    baseline_flops = conv_flops(BASELINE_CHANNELS, BASELINE_CHANNELS, BASELINE_SIZE, BASELINE_SIZE)
     data_rows.append(
         [
             "baseline-3x3-256",

@@ -5,28 +5,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 
-from .detect import ANCHOR_MODES
+from .detect import ANCHOR_MODES, AnchorSpec
 from .errors import ValidationError
-from .weave import DEFAULT_PYRAMID_SIZES, DEFAULT_WOVEN_SCALES, WeaveConfig
+from .weave import WeaveConfig
+
+
+# Widest confidence head a config may ask for: (num_classes + 1) scores for
+# each anchor of a cell. The defaults need 4 * 6 = 24 output channels.
+MAX_HEAD_CHANNELS = 4096
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs to reproduce a run.
+class RunConfig(WeaveConfig):
+    """Everything a command needs to reproduce a run: the weave geometry it
+    inherits plus the detection and evaluation settings.
 
-    corrupt_block is a debug knob: [scale, iteration] shifts that block's
-    kernel partition by one channel in the simplified path only, to give
-    the equivalence gate something real to catch.
+    corrupt_block is a debug knob for `verify` and `bench`: [scale,
+    iteration] shifts that block's kernel partition by one channel in the
+    simplified path only (see bench.corrupt_partition), to give the
+    equivalence gate something real to catch.
     """
 
     input_size: int = 320
-    pyramid_sizes: tuple[int, ...] = DEFAULT_PYRAMID_SIZES
-    raw_channels: tuple[int, ...] = (32,) * 6
-    k: int = 16
-    iterations: int = 1
-    woven_scales: tuple[int, ...] = DEFAULT_WOVEN_SCALES
-    enable_top_down: bool = True
-    enable_bottom_up: bool = True
     anchor_mode: str = "A"
     nms_iou_threshold: float = 0.45
     refine_iou_threshold: float = 0.6
@@ -34,16 +34,10 @@ class RunConfig:
     pre_nms_top_k: int = 400
     keep_top_k: int = 200
     num_classes: int = 3
-    seed: int = 0
     corrupt_block: tuple[int, int] | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _TUPLE_KEYS and isinstance(value, list):
-                value = tuple(value)
-                object.__setattr__(self, f.name, value)
-            _check_type(f.name, f.type, value)
+        super().__post_init__()
         if self.input_size < 1:
             raise ValidationError(f"input_size must be positive, got {self.input_size}")
         for name in ("nms_iou_threshold", "refine_iou_threshold", "score_floor"):
@@ -56,6 +50,13 @@ class RunConfig:
             )
         if self.num_classes < 1:
             raise ValidationError(f"num_classes must be positive, got {self.num_classes}")
+        spec = AnchorSpec.for_mode(self.anchor_mode)  # the default scales hold the widest cell
+        head = (self.num_classes + 1) * max(map(spec.anchors_per_cell, range(len(spec.ratios))))
+        if head > MAX_HEAD_CHANNELS:
+            raise ValidationError(
+                f"head width (num_classes + 1) x anchors per cell is {head}, above the cap of "
+                f"{MAX_HEAD_CHANNELS}; lower num_classes"
+            )
         if self.pre_nms_top_k < 1 or self.keep_top_k < 1:
             raise ValidationError("pre_nms_top_k and keep_top_k must be positive")
         if self.corrupt_block is not None:
@@ -68,52 +69,12 @@ class RunConfig:
                 raise ValidationError(
                     f"corrupt_block iteration must be >= 2 (iteration {t} has no message columns)"
                 )
-        self.weave_config()  # surfaces pyramid/woven geometry violations
 
     def weave_config(self) -> WeaveConfig:
-        return WeaveConfig(
-            k=self.k,
-            iterations=self.iterations,
-            woven_scales=self.woven_scales,
-            raw_channels=self.raw_channels,
-            pyramid_sizes=self.pyramid_sizes,
-            enable_top_down=self.enable_top_down,
-            enable_bottom_up=self.enable_bottom_up,
-            seed=self.seed,
-        )
+        return WeaveConfig(**{f.name: getattr(self, f.name) for f in fields(WeaveConfig)})
 
 
-_TUPLE_KEYS = {"pyramid_sizes", "raw_channels", "woven_scales", "corrupt_block"}
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _show(value) -> str:
-    try:
-        return json.dumps(value)
-    except (TypeError, ValueError):
-        return repr(value)
-
-
-def _check_type(key: str, kind: str, value) -> None:
-    """Reject a field value whose type does not match; bools are not numbers."""
-    if kind == "int":
-        ok, want = _is_int(value), "an integer"
-    elif kind == "float":
-        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    elif kind == "bool":
-        ok, want = isinstance(value, bool), "true or false"
-    elif key in _TUPLE_KEYS:
-        optional = value is None and kind.endswith("| None")
-        ok = optional or (isinstance(value, tuple) and all(_is_int(v) for v in value))
-        want = "a list of integers"
-    else:
-        return
-    if not ok:
-        raise ValidationError(f"config key {key} must be {want}, got {_show(value)}")
 
 
 def config_from_dict(raw: dict) -> RunConfig:

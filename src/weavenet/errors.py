@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+from dataclasses import dataclass
+
 
 class ValidationError(ValueError):
     """A precondition or schema violation. Maps to CLI exit code 1."""
@@ -13,20 +15,12 @@ class EquivalenceError(RuntimeError):
         self.worst = worst
 
 
+@dataclass(frozen=True)
 class MismatchLocation:
     """Worst-deviation coordinates reported by an equivalence check."""
 
-    __slots__ = ("scale", "channel", "y", "x", "deviation")
-
-    def __init__(self, scale: int, channel: int, y: int, x: int, deviation: float):
-        self.scale = scale
-        self.channel = channel
-        self.y = y
-        self.x = x
-        self.deviation = deviation
-
-    def __repr__(self) -> str:
-        return (
-            f"MismatchLocation(scale={self.scale}, channel={self.channel}, "
-            f"y={self.y}, x={self.x}, deviation={self.deviation:.3e})"
-        )
+    scale: int
+    channel: int
+    y: int
+    x: int
+    deviation: float

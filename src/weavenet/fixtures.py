@@ -17,15 +17,17 @@ from .errors import ValidationError
 from .evaluation import DetectionRecord, GroundTruth
 from .formats import write_detections, write_ground_truth
 from .tensor_core import Tensor
+from .weave import WeaveConfig
 
 FIXTURE_IMAGES = 3
 FIXTURE_CLASSES = 2
 BOXES_PER_CLASS = 12
 
 
-def make_raw_pyramid(config: RunConfig) -> list[Tensor]:
-    """Standard-normal raw features for every scale, seeded from the config."""
-    rng = np.random.default_rng([config.seed, 1])
+def make_raw_pyramid(config: WeaveConfig, stream: int = 1) -> list[Tensor]:
+    """Standard-normal raw features for every scale, from seed stream
+    (config.seed, stream): 1 for `demo`, `verify` and fixtures, 4 for `bench`."""
+    rng = np.random.default_rng([config.seed, stream])
     return [
         Tensor(rng.normal(size=(config.raw_channels[i], s, s)))
         for i, s in enumerate(config.pyramid_sizes)

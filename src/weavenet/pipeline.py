@@ -33,16 +33,14 @@ IMAGE_ID = "synthetic-0"
 
 def run_demo(config: RunConfig, refine: bool = True, mode: str = "simplified") -> list[DetectionRecord]:
     """Detections for the seeded synthetic image that `config` describes."""
-    weave_cfg = config.weave_config()
-    params = init_params(weave_cfg)
     pyramid = make_raw_pyramid(config)
-    states = weave_forward(pyramid, weave_cfg, params, mode, corrupt_block=config.corrupt_block)
+    states = weave_forward(pyramid, config, init_params(config), mode)
 
     num_scales = len(config.pyramid_sizes)
     spec = AnchorSpec.for_mode(config.anchor_mode, num_scales=num_scales)
     anchors = anchor_array(spec, config.pyramid_sizes, config.input_size)
     per_cell = [spec.anchors_per_cell(i) for i in range(num_scales)]
-    state_channels = [weave_cfg.state_channels(i, config.iterations) for i in range(num_scales)]
+    state_channels = [config.state_channels(i, config.iterations) for i in range(num_scales)]
     heads = init_head_params(state_channels, per_cell, config.num_classes, config.seed)
 
     outputs = [

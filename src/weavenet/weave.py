@@ -18,7 +18,8 @@ directions a scale never receives contribute nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +44,38 @@ DEFAULT_WOVEN_SCALES = (0, 1, 2, 3)
 # may ask for. Every block and head convolves the full state, so the width
 # sets the memory of a pass; the default config peaks at 192 channels.
 MAX_STATE_CHANNELS = 4096
+# Largest state tensor, width times size squared, over all scales: 2**24
+# float64 elements are 128 MiB. The default config peaks at 76,800.
+MAX_STATE_ELEMENTS = 2**24
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _show(value) -> str:
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def _check_type(key: str, kind: str, value) -> None:
+    """Reject a field value whose type does not match; bools are not numbers."""
+    if kind == "int":
+        ok, want = _is_int(value), "an integer"
+    elif kind == "float":
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif kind == "bool":
+        ok, want = isinstance(value, bool), "true or false"
+    elif kind.startswith("tuple"):
+        optional = value is None and kind.endswith("| None")
+        ok = optional or (isinstance(value, tuple) and all(_is_int(v) for v in value))
+        want = "a list of integers"
+    else:
+        return
+    if not ok:
+        raise ValidationError(f"config key {key} must be {want}, got {_show(value)}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +92,13 @@ class WeaveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # type checks cover the fields of subclasses too; lists become tuples
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("tuple") and isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            _check_type(f.name, f.type, value)
         if self.k < 1:
             raise ValidationError(f"k must be positive, got {self.k}")
         if self.iterations < 0:
@@ -87,6 +127,14 @@ class WeaveConfig:
             raise ValidationError(
                 f"largest state width raw + k*d*T is {widest} channels, above the cap of "
                 f"{MAX_STATE_CHANNELS}; lower k, iterations or raw_channels"
+            )
+        largest = max(
+            self.state_channels(i, self.iterations) * s * s for i, s in enumerate(self.pyramid_sizes)
+        )
+        if largest > MAX_STATE_ELEMENTS:
+            raise ValidationError(
+                f"largest state tensor (channels x size^2) has {largest} elements, above the cap "
+                f"of {MAX_STATE_ELEMENTS}; lower pyramid_sizes, raw_channels, k or iterations"
             )
 
     def is_woven(self, scale: int) -> bool:
@@ -151,33 +199,18 @@ class BlockParams:
             raise ValidationError(f"no kernel for iteration {t} (have {len(self.kernels)})")
         return self.kernels[t - 1]
 
-    def split_columns(self, t: int, corrupt: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
+    def split_columns(self, t: int) -> tuple[np.ndarray | None, np.ndarray]:
         """Partition iteration t's kernel columns into (message slice, raw slice).
 
         The message slice concatenates the up-message and down-message column
         groups with the raw group removed; shapes follow state_layout(t - 1).
-        With corrupt=True the partition boundary is shifted by one channel,
-        which is only possible when message columns exist (t >= 2).
         """
-        kernel = self.kernel_for(t)
+        w = self.kernel_for(t).weights
         up, raw, down = self.state_layout(t - 1)
-        shift = 0
-        if corrupt:
-            if down >= 1:
-                shift = 1
-            elif up >= 1:
-                shift = -1
-            else:
-                raise ValidationError(
-                    f"cannot corrupt partition of scale {self.scale} iteration {t}: no message columns"
-                )
-        w = kernel.weights
-        lo, hi = up + shift, up + raw + shift
-        raw_cols = w[:, lo:hi]
+        raw_cols = w[:, up : up + raw]
         if up + down == 0:
             return None, raw_cols
-        msg_cols = np.concatenate([w[:, :lo], w[:, hi:]], axis=1)
-        return msg_cols, raw_cols
+        return np.concatenate([w[:, :up], w[:, up + raw :]], axis=1), raw_cols
 
 
 @dataclass(frozen=True)
@@ -272,7 +305,6 @@ def block_simplified(
     source_slice: Tensor,
     params: BlockParams,
     t: int,
-    corrupt: bool = False,
 ) -> tuple[Tensor | None, Tensor | None]:
     """One block step from message channels plus the precomputed raw source.
 
@@ -292,7 +324,7 @@ def block_simplified(
             f"scale {params.scale} iteration {t}: source slice has {source_slice.channels} "
             f"channels, block emits {params.out_channels}"
         )
-    msg_cols, _ = params.split_columns(t, corrupt=corrupt)
+    msg_cols, _ = params.split_columns(t)
     if messages is None or msg_cols is None or msg_cols.shape[1] == 0:
         pre = kernel.bias[:, None, None] + source_slice.data
     else:
@@ -306,7 +338,6 @@ def precompute_sources(
     raw: dict[int, Tensor],
     params: dict[int, BlockParams],
     iterations: int,
-    corrupt_block: tuple[int, int] | None = None,
 ) -> dict[int, Tensor]:
     """Grouped raw-feature products, one convolution per scale.
 
@@ -318,12 +349,7 @@ def precompute_sources(
     for scale, p in params.items():
         if iterations == 0:
             continue
-        slices = []
-        for t in range(1, iterations + 1):
-            corrupt = corrupt_block == (scale, t)
-            _, raw_cols = p.split_columns(t, corrupt=corrupt)
-            slices.append(raw_cols)
-        stacked = np.concatenate(slices, axis=0)
+        stacked = np.concatenate([p.split_columns(t)[1] for t in range(1, iterations + 1)], axis=0)
         if stacked.shape[1] != raw[scale].channels:
             raise ValidationError(
                 f"scale {scale}: raw features have {raw[scale].channels} channels, "
@@ -363,7 +389,6 @@ def weave_states(
     config: WeaveConfig,
     params: dict[int, BlockParams],
     mode: str = "simplified",
-    corrupt_block: tuple[int, int] | None = None,
 ) -> list[dict[int, ScaleState]]:
     """Run the forward pass, returning woven-scale states after each iteration.
 
@@ -379,7 +404,7 @@ def weave_states(
     sources = None
     if mode == "simplified":
         raw = {i: pyramid[i] for i in params}
-        sources = precompute_sources(raw, params, config.iterations, corrupt_block=corrupt_block)
+        sources = precompute_sources(raw, params, config.iterations)
 
     history: list[dict[int, ScaleState]] = []
     for t in range(1, config.iterations + 1):
@@ -389,10 +414,7 @@ def weave_states(
             if mode == "naive":
                 down, up = block_naive(states[i], p, t)
             else:
-                corrupt = corrupt_block == (i, t)
-                down, up = block_simplified(
-                    states[i].messages(), source_slice(sources, i, t, p), p, t, corrupt=corrupt
-                )
+                down, up = block_simplified(states[i].messages(), source_slice(sources, i, t, p), p, t)
             if down is not None:
                 msg_down[i] = down
             if up is not None:
@@ -420,10 +442,9 @@ def weave_forward(
     config: WeaveConfig,
     params: dict[int, BlockParams],
     mode: str = "simplified",
-    corrupt_block: tuple[int, int] | None = None,
 ) -> list[Tensor]:
     """Final per-scale feature maps; unwoven scales pass through unchanged."""
-    history = weave_states(pyramid, config, params, mode, corrupt_block=corrupt_block)
+    history = weave_states(pyramid, config, params, mode)
     final = history[-1] if history else {i: ScaleState(scale=i, t=0, raw=pyramid[i]) for i in config.woven_scales}
     return [final[i].full() if i in final else pyramid[i] for i in range(len(pyramid))]
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from weavenet.bench import (
+    BENCH_STREAM,
     EQUIVALENCE_TOL,
     DATA_COLUMNS,
     BenchReport,
     ModeComparison,
-    bench_pyramid,
     compare_modes,
     data_row,
     masks_label,
@@ -14,6 +14,7 @@ from weavenet.bench import (
     timing_row,
 )
 from weavenet.errors import EquivalenceError, ValidationError
+from weavenet.fixtures import make_raw_pyramid
 from weavenet.weave import WeaveConfig, flops_weave, init_params, weave_forward
 
 
@@ -52,9 +53,15 @@ class TestRunBench:
     def test_measurement_never_alters_outputs(self):
         cfg = tiny_config()
         report = run_bench(cfg, "naive", warmup=1, reps=2, batch=2)
-        fresh = weave_forward(bench_pyramid(cfg), cfg, init_params(cfg), "naive")
+        fresh = weave_forward(make_raw_pyramid(cfg, BENCH_STREAM), cfg, init_params(cfg), "naive")
         for a, b in zip(report.outputs, fresh):
             assert np.array_equal(a.data, b.data)
+
+    def test_bench_pyramid_keeps_its_seed_stream(self):
+        cfg = tiny_config()
+        rng = np.random.default_rng([cfg.seed, 4])
+        for tensor, c, size in zip(make_raw_pyramid(cfg, BENCH_STREAM), cfg.raw_channels, cfg.pyramid_sizes):
+            assert np.array_equal(tensor.data, rng.normal(size=(c, size, size)))
 
     def test_simplified_flops_lower_at_depth(self):
         cfg = WeaveConfig(k=16, iterations=5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weavenet.cli import main
-from weavenet.config import RunConfig, apply_overrides, config_from_dict, load_config
+from weavenet.config import (
+    MAX_HEAD_CHANNELS,
+    RunConfig,
+    apply_overrides,
+    config_from_dict,
+    load_config,
+)
 from weavenet.detect import BBox
 from weavenet.errors import ValidationError
 from weavenet.evaluation import DetectionRecord, GroundTruth, stratify_by_area
@@ -21,7 +28,7 @@ from weavenet.formats import (
     write_ground_truth,
 )
 from weavenet.pipeline import run_demo
-from weavenet.weave import MAX_STATE_CHANNELS
+from weavenet.weave import MAX_STATE_CHANNELS, MAX_STATE_ELEMENTS, WeaveConfig
 
 TINY = {
     "input_size": 64,
@@ -156,6 +163,44 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="cap"):
             RunConfig(iterations=(MAX_STATE_CHANNELS - 32) // 32 + 1)
 
+    def test_state_size_and_head_width_caps_rejected_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"state tensor .* above the cap of {MAX_STATE_ELEMENTS}"):
+                RunConfig(num_classes=10**9, pyramid_sizes=(10**6, 5 * 10**5, 250000, 125000, 3, 1))
+            with pytest.raises(ValidationError, match=f"head width .* above the cap of {MAX_HEAD_CHANNELS}"):
+                RunConfig(num_classes=10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_state_size_and_head_width_at_cap_accepted(self):
+        # one channel over a 4096 x 4096 plane is exactly MAX_STATE_ELEMENTS
+        assert WeaveConfig(woven_scales=(0,), raw_channels=(1,), pyramid_sizes=(4096,))
+        with pytest.raises(ValidationError, match="state tensor"):
+            WeaveConfig(woven_scales=(0,), raw_channels=(1,), pyramid_sizes=(4097,))
+        # anchor mode B has 6 anchors per cell at every scale
+        assert RunConfig(anchor_mode="B", num_classes=MAX_HEAD_CHANNELS // 6 - 1)
+        with pytest.raises(ValidationError, match="head width"):
+            RunConfig(anchor_mode="B", num_classes=MAX_HEAD_CHANNELS // 6)
+
+    @pytest.mark.parametrize(
+        "raw,fragment",
+        [
+            ({"pyramid_sizes": [10**6, 5 * 10**5, 250000, 125000, 3, 1]}, "state tensor"),
+            ({"num_classes": 10**9}, "head width"),
+        ],
+    )
+    def test_oversized_config_is_a_one_line_error(self, tmp_path, capsys, raw, fragment):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        code = main(["demo", "--config", str(path), "--out", str(tmp_path / "dets.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+        assert not (tmp_path / "dets.jsonl").exists()
+
     def test_integers_accepted_for_float_fields(self):
         assert config_from_dict({"score_floor": 0, "nms_iou_threshold": 1}).nms_iou_threshold == 1
 
@@ -261,6 +306,50 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in captured
         assert "scale 1" in captured and "iteration 2" in captured
+
+    # SHA-256 of stdout and of the --out CSV, recorded with the former
+    # implementation that shifted the partition inside the fusion core
+    CORRUPT_DIGESTS = {
+        ((1, 2), None): (
+            "e39d79cd52031a2476678ce4e69bd85b30ae8649182b478dbd3ef50ea04945f1",
+            "c10049cbc21106b1ac34d1911de8dc86c574f2494085d001602052238a2e6df6",
+        ),
+        ((1, 2), "--top-down-only"): (
+            "84b46c3957f7e974c7535527a58f93c3fe7d24ae8eff7d8fae0687350daef27b",
+            "8ca67ded2b956deae309fd0162cfd35d38a5c98d217db918fd9e15bfdb2cf8fd",
+        ),
+        ((1, 2), "--bottom-up-only"): (
+            "dbc47b9a9dc1a0b186041b71cf4075ca5d3238eeb06f21ddf66ec0a6358d04da",
+            "c5a5d55c385ee44e985cf3ae5f43a1edeb8bda66c47959ab0045e15aff69b2f9",
+        ),
+        ((2, 3), None): (
+            "f208a7b4b07c7d8291d6bde96f4f62a6544fc057387c376ba5d5690206746ed6",
+            "03a173f8d5c8effa4fed562a5631364037439a76c6373ccc173dbca7ad3649aa",
+        ),
+        ((2, 3), "--top-down-only"): (
+            "3c9822d334e723112cda71834548b3a5ad73fac054532f67283d84f75ea42dd9",
+            "9985e648d6f14dc4d35a8968eba494c4103c53de9367d7adfa3b394eebde38a5",
+        ),
+        ((2, 3), "--bottom-up-only"): (
+            "03d0bb3256b10b4e1f82703c327bd6d6f29484ae33ea1c1e0f89ccb2541ba8c0",
+            "19db35ae12cf218dc126c5ef525b91bb1b6914826fa8a00ca941f6108a374456",
+        ),
+    }
+
+    @pytest.mark.parametrize("block,flag", sorted(CORRUPT_DIGESTS, key=str))
+    def test_corrupted_output_is_pinned(self, tmp_path, monkeypatch, capsys, block, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(TINY, woven_scales=[0, 1, 2, 3], corrupt_block=list(block))
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        flags = [flag] if flag else []
+        code = main(["verify", "--config", "config.json", *flags, "--out", "verify.csv"])
+        out = capsys.readouterr().out
+        assert code == 1
+        digests = (
+            hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest(),
+        )
+        assert digests == self.CORRUPT_DIGESTS[(block, flag)]
 
     def test_zero_iterations_trivially_passes_config_row(self, tmp_path, capsys):
         cfg = dict(TINY)

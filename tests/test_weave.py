@@ -1,6 +1,11 @@
+from dataclasses import dataclass, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weavenet.bench import corrupt_partition
 from weavenet.errors import ValidationError
 from weavenet.tensor_core import (
     ConvKernel,
@@ -48,7 +53,58 @@ def random_pyramid(config: WeaveConfig, seed: int = 3) -> list[Tensor]:
     ]
 
 
+@dataclass(frozen=True)
+class ShiftedPartition(BlockParams):
+    """The former fault injection: at iteration shifted_t the message/raw
+    boundary moves one column right, or left when no down-messages arrive."""
+
+    shifted_t: int
+
+    def split_columns(self, t: int):
+        if t != self.shifted_t:
+            return super().split_columns(t)
+        w = self.kernel_for(t).weights
+        up, raw, down = self.state_layout(t - 1)
+        if down >= 1:
+            shift = 1
+        elif up >= 1:
+            shift = -1
+        else:
+            raise ValidationError(f"scale {self.scale} iteration {t}: no message columns")
+        lo, hi = up + shift, up + raw + shift
+        return np.concatenate([w[:, :lo], w[:, hi:]], axis=1), w[:, lo:hi]
+
+
+def shifted_params(params: dict[int, BlockParams], block: tuple[int, int]) -> dict[int, BlockParams]:
+    scale, t = block
+    if scale not in params:
+        return params
+    p = params[scale]
+    return {**params, scale: ShiftedPartition(**{f.name: getattr(p, f.name) for f in fields(p)}, shifted_t=t)}
+
+
 class TestWeaveConfig:
+    @pytest.mark.parametrize(
+        "kwargs,fragment",
+        [
+            ({"k": True}, "k must be an integer, got true"),
+            ({"iterations": 1.5}, "iterations must be an integer, got 1.5"),
+            ({"seed": np.int64(1)}, "seed must be an integer"),
+            ({"enable_top_down": 1}, "enable_top_down must be true or false, got 1"),
+            ({"woven_scales": (0, 1.0)}, "woven_scales must be a list of integers"),
+            ({"pyramid_sizes": None}, "pyramid_sizes must be a list of integers, got null"),
+            ({"raw_channels": "abc"}, "raw_channels must be a list of integers"),
+        ],
+    )
+    def test_direct_construction_checks_types(self, kwargs, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            WeaveConfig(**kwargs)
+
+    def test_direct_construction_turns_lists_into_tuples(self):
+        cfg = WeaveConfig(woven_scales=[0, 1], raw_channels=[8] * 6)
+        assert cfg.woven_scales == (0, 1) and cfg.raw_channels == (8,) * 6
+        assert cfg == WeaveConfig(woven_scales=(0, 1), raw_channels=(8,) * 6)
+
     def test_default_direction_counts(self):
         cfg = WeaveConfig()
         # ends of the woven range exchange in one direction, interior in two
@@ -236,14 +292,45 @@ class TestEquivalence:
         params = init_params(cfg)
         pyramid = random_pyramid(cfg)
         naive = weave_forward(pyramid, cfg, params, mode="naive")
-        bad = weave_forward(pyramid, cfg, params, mode="simplified", corrupt_block=(1, 2))
+        bad = weave_forward(pyramid, cfg, corrupt_partition(params, (1, 2)), mode="simplified")
         assert compare_outputs(naive, bad).deviation > 1e-9
 
     def test_corruption_requires_message_columns(self):
         cfg = small_config(iterations=2)
         params = init_params(cfg)
-        with pytest.raises(ValidationError):
-            params[1].split_columns(1, corrupt=True)
+        with pytest.raises(ValidationError, match="no message columns"):
+            corrupt_partition(params, (1, 1))
+
+    def test_corruption_copies_and_skips_absent_blocks(self):
+        params = init_params(small_config(iterations=2))
+        weights = params[1].kernels[1].weights.copy()
+        bad = corrupt_partition(params, (1, 2))
+        assert np.array_equal(params[1].kernels[1].weights, weights)
+        assert bad[1] is not params[1] and bad[0] is params[0]
+        assert corrupt_partition(params, (1, 3)) is params
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        k=st.integers(1, 5),
+        iterations=st.integers(0, 4),
+        masks=st.sampled_from([(True, True), (True, False), (False, True), (False, False)]),
+        block=st.tuples(st.integers(0, 2), st.integers(1, 5)),
+        seed=st.integers(0, 3),
+    )
+    def test_permuted_kernel_equals_shifted_partition(self, k, iterations, masks, block, seed):
+        td, bu = masks
+        cfg = small_config(k=k, iterations=iterations, enable_top_down=td, enable_bottom_up=bu, seed=seed)
+        params = init_params(cfg)
+        pyramid = random_pyramid(cfg, seed=seed)
+        try:
+            expected = weave_forward(pyramid, cfg, shifted_params(params, block), "simplified")
+        except ValidationError:
+            with pytest.raises(ValidationError, match="no message columns"):
+                corrupt_partition(params, block)
+            return
+        got = weave_forward(pyramid, cfg, corrupt_partition(params, block), "simplified")
+        for a, b in zip(expected, got):
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestPrecomputedSources:
