@@ -154,6 +154,18 @@ class ModeComparison:
         return self.naive.mean_time / self.simplified.mean_time
 
 
+def lacks_message_columns(params: dict[int, BlockParams], block: tuple[int, int]) -> bool:
+    """Whether params hold block (scale, t) and its kernel reads no message
+    columns, as when the direction masks leave the scale without neighbors;
+    corrupt_partition has nothing to misplace there."""
+    scale, t = block
+    p = params.get(scale)
+    if p is None or t > len(p.kernels):
+        return False
+    up, _raw, down = p.state_layout(t - 1)
+    return up + down == 0
+
+
 def corrupt_partition(
     params: dict[int, BlockParams], block: tuple[int, int]
 ) -> dict[int, BlockParams]:
@@ -170,17 +182,17 @@ def corrupt_partition(
     p = params.get(scale)
     if p is None or t > len(p.kernels):
         return params
+    if lacks_message_columns(params, block):
+        raise ValidationError(
+            f"cannot corrupt partition of scale {scale} iteration {t}: no message columns"
+        )
     up, raw, down = p.state_layout(t - 1)
     kernel = p.kernel_for(t)
     cols = list(range(kernel.in_channels))
     if down >= 1:
         cols[up : up + raw + 1] = cols[up + 1 : up + raw + 1] + [up]
-    elif up >= 1:
-        cols[up - 1 : up + raw] = [up + raw - 1] + cols[up - 1 : up + raw - 1]
     else:
-        raise ValidationError(
-            f"cannot corrupt partition of scale {scale} iteration {t}: no message columns"
-        )
+        cols[up - 1 : up + raw] = [up + raw - 1] + cols[up - 1 : up + raw - 1]
     kernels = list(p.kernels)
     kernels[t - 1] = ConvKernel(kernel.weights[:, cols], kernel.bias)
     return {**params, scale: replace(p, kernels=tuple(kernels))}

@@ -76,8 +76,14 @@ def cmd_verify(args) -> int:
         cfg = replace(base, k=k, iterations=t, enable_top_down=td, enable_bottom_up=bu)
         params = init_params(cfg)
         naive = weave_forward(pyramid, cfg, params, "naive")
+        note = ""
         if config.corrupt_block is not None:
-            params = bench_mod.corrupt_partition(params, config.corrupt_block)
+            if bench_mod.lacks_message_columns(params, config.corrupt_block):
+                note = "  (not corrupted: scale {} iteration {} has no message columns)".format(
+                    *config.corrupt_block
+                )
+            else:
+                params = bench_mod.corrupt_partition(params, config.corrupt_block)
         simplified = weave_forward(pyramid, cfg, params, "simplified")
         worst = compare_outputs(naive, simplified)
         ok = worst.deviation <= tol
@@ -91,7 +97,7 @@ def cmd_verify(args) -> int:
             )
         print(
             f"  [{origin}] k={k:<3d} T={t} masks={masks:<15s}"
-            f" worst={worst.deviation:.3e}  {status}{detail}"
+            f" worst={worst.deviation:.3e}  {status}{detail}{note}"
         )
         rows.append([origin, str(k), str(t), masks, f"{worst.deviation:.3e}", status])
     total = len(combos)

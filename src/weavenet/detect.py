@@ -263,6 +263,19 @@ def _clip(v: np.ndarray, hi: float) -> np.ndarray:
     return np.where(hi < v, hi, v)
 
 
+def _anchor_error(rows: np.ndarray, o: np.ndarray, bad: np.ndarray, what: str) -> ValidationError:
+    k = int(np.argmax(bad))
+    return ValidationError(f"anchor {int(rows[k])}: {what}, offsets {tuple(o[k].tolist())}")
+
+
+def check_offsets(offsets: np.ndarray, rows: np.ndarray) -> None:
+    """Raise ValidationError naming the first anchor of rows whose offsets are not all finite."""
+    o = np.asarray(offsets, dtype=np.float64)[rows]
+    bad = ~np.isfinite(o).all(axis=1)
+    if bad.any():
+        raise _anchor_error(rows, o, bad, "offsets must be finite")
+
+
 def decode_boxes(anchors: np.ndarray, offsets: np.ndarray, input_size: int, rows=None) -> np.ndarray:
     """Center-size decoding of anchors[rows] by offsets[rows], clipped to the image square.
 
@@ -276,16 +289,9 @@ def decode_boxes(anchors: np.ndarray, offsets: np.ndarray, input_size: int, rows
     """
     if rows is None:
         rows = np.arange(len(anchors))
+    check_offsets(offsets, rows)
     a = anchors[rows]
     o = np.asarray(offsets, dtype=np.float64)[rows]
-
-    def fail(bad: np.ndarray, what: str):
-        k = int(np.argmax(bad))
-        raise ValidationError(f"anchor {int(rows[k])}: {what}, offsets {tuple(o[k].tolist())}")
-
-    bad = ~np.isfinite(o).all(axis=1)
-    if bad.any():
-        fail(bad, "offsets must be finite")
     vx, vy, vw, vh = BOX_VARIANCES
     xmin, ymin, xmax, ymax = a.T
     aw, ah = xmax - xmin, ymax - ymin
@@ -296,7 +302,7 @@ def decode_boxes(anchors: np.ndarray, offsets: np.ndarray, input_size: int, rows
         h = ah * _exp(o[:, 3] * vh)
     bad = ~np.isfinite(np.stack((cx, cy, w, h), axis=1)).all(axis=1)
     if bad.any():
-        fail(bad, "decoded box overflows")
+        raise _anchor_error(rows, o, bad, "decoded box overflows")
     corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
     return np.stack([_clip(c, float(input_size)) for c in corners], axis=1)
 
@@ -318,14 +324,29 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def iou_row(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """iou(box, b) for every row b of boxes, in iou's operation order."""
-    iw = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
-    ih = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
+# Elements of one block of pairwise overlaps (8 bytes each); nms_rows and
+# refine_rows take as many rows per block as fit, at least one, so their
+# memory stays flat however many boxes they are given.
+IOU_BLOCK_ELEMENTS = 1 << 16
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise overlaps of (M, 4) and (N, 4) boxes: entry [i, j] is iou(a[i], b[j]).
+
+    Every entry is computed with iou's operations in iou's order, so row i
+    is bit-identical to the scalar iou of a[i] against each row of b.
+    """
+    iw = np.minimum(a[:, 2, None], b[:, 2]) - np.maximum(a[:, 0, None], b[:, 0])
+    ih = np.minimum(a[:, 3, None], b[:, 3]) - np.maximum(a[:, 1, None], b[:, 1])
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area = (box[2] - box[0]) * (box[3] - box[1])
-    union = area + (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]) - inter
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def _block_rows(n: int) -> int:
+    return max(1, IOU_BLOCK_ELEMENTS // max(n, 1))
 
 
 def nms_rows(boxes: np.ndarray, iou_threshold: float, classes: np.ndarray | None = None) -> np.ndarray:
@@ -333,19 +354,25 @@ def nms_rows(boxes: np.ndarray, iou_threshold: float, classes: np.ndarray | None
 
     Returns the kept row indices, ascending. Row p is suppressed when its
     overlap with an earlier kept row (of the same class when classes is
-    given) strictly exceeds the threshold.
+    given) strictly exceeds the threshold. Overlaps come from one
+    iou_matrix call per block of rows against all later rows, a block
+    holding about IOU_BLOCK_ELEMENTS overlaps; the greedy scan then walks
+    the block's rows in order.
     """
-    alive = np.ones(len(boxes), dtype=bool)
-    kept = []
-    for p in range(len(boxes)):
-        if not alive[p]:
+    n = len(boxes)
+    alive = np.ones(n, dtype=bool)
+    step = _block_rows(n)
+    for b0 in range(0, n, step):
+        b1 = min(b0 + step, n)
+        if not alive[b0:b1].any():
             continue
-        kept.append(p)
-        rest = p + 1 + np.flatnonzero(alive[p + 1 :])
+        over = iou_matrix(boxes[b0:b1], boxes[b0:]) > iou_threshold
         if classes is not None:
-            rest = rest[classes[rest] == classes[p]]
-        alive[rest[iou_row(boxes[p], boxes[rest]) > iou_threshold]] = False
-    return np.array(kept, dtype=np.intp)
+            over &= classes[b0:b1, None] == classes[b0:]
+        for p in range(b0, b1):
+            if alive[p]:
+                alive[p + 1 :] &= ~over[p - b0, p + 1 - b0 :]
+    return np.flatnonzero(alive)
 
 
 def priority_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -392,24 +419,35 @@ def refine_rows(
     itself; its own term is counted once. The sums start from the kept
     box's own term and add one neighbor at a time in pool order, as a
     scalar loop would. A box without neighbors, or with a non-positive
-    total weight, keeps its coordinates.
+    total weight, keeps its coordinates. Overlaps come from one iou_matrix
+    call per block of a class's kept boxes against that class's pool rows,
+    a block holding about IOU_BLOCK_ELEMENTS overlaps.
     """
-    out = np.array(kept_boxes, dtype=np.float64)
+    kept_boxes = np.asarray(kept_boxes, dtype=np.float64)
+    out = kept_boxes.copy()
     weighted = boxes * scores[:, None]
-    for i in range(len(out)):
-        near = classes == kept_classes[i]
-        near[own[i]] = False
-        hood = np.flatnonzero(near)
-        hood = hood[iou_row(out[i], boxes[hood]) > iou_threshold]
-        if len(hood) == 0:
-            continue
-        score = kept_scores[i]
-        # add.accumulate sums strictly left to right; np.sum would pair terms up
-        weight = np.add.accumulate(np.concatenate(([score], scores[hood])))[-1]
-        if weight <= 0.0:
-            continue
-        total = np.add.accumulate(np.vstack((out[i] * score, weighted[hood])), axis=0)[-1]
-        out[i] = total / weight
+    for cls in np.unique(kept_classes):
+        members = np.flatnonzero(classes == cls)
+        rank = np.full(len(boxes), -1)  # a pool row's column among members
+        rank[members] = np.arange(len(members))
+        rows = np.flatnonzero(kept_classes == cls)
+        step = _block_rows(len(members))
+        for r0 in range(0, len(rows), step):
+            block = rows[r0 : r0 + step]
+            over = iou_matrix(kept_boxes[block], boxes[members]) > iou_threshold
+            for i, near in zip(block.tolist(), over):
+                own_cols = rank[own[i]]
+                near[own_cols[own_cols >= 0]] = False
+                hood = members[near]
+                if len(hood) == 0:
+                    continue
+                score = kept_scores[i]
+                # add.accumulate sums strictly left to right; np.sum would pair terms up
+                weight = np.add.accumulate(np.concatenate(([score], scores[hood])))[-1]
+                if weight <= 0.0:
+                    continue
+                total = np.add.accumulate(np.vstack((out[i] * score, weighted[hood])), axis=0)[-1]
+                out[i] = total / weight
     return out
 
 

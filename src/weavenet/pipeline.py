@@ -16,6 +16,7 @@ from .detect import (
     AnchorSpec,
     BBox,
     anchor_array,
+    check_offsets,
     decode_boxes,
     head_forward,
     init_head_params,
@@ -56,6 +57,14 @@ def run_demo(config: RunConfig, refine: bool = True, mode: str = "simplified") -
     return postprocess(anchors, offsets, scores, config, refine)
 
 
+def _at_least_kth(rows: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """The rows whose score is at least the k-th highest of scores, ties included."""
+    if len(rows) <= k:
+        return rows
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    return rows[scores >= kth]
+
+
 def postprocess(
     anchors: np.ndarray, offsets: np.ndarray, scores: np.ndarray, config: RunConfig, refine: bool
 ) -> list[DetectionRecord]:
@@ -67,18 +76,30 @@ def postprocess(
     all classes are ordered by (score desc, class, xmin, ymin) and cut to
     keep_top_k. Refinement averages each survivor with its same-class
     neighbors in the pool of cut candidates.
+
+    Only anchors that can make some class's cut are decoded: per class,
+    those scoring at least its pre_nms_top_k-th highest score, ties
+    included, since decoded coordinates break ties. Non-finite offsets
+    raise ValidationError for any anchor above score_floor; a decode that
+    overflows raises it only for the anchors that are decoded.
     """
+    k = config.pre_nms_top_k
     foreground = scores[:, 1 : config.num_classes + 1]
+    above = foreground > config.score_floor
+    check_offsets(offsets, np.flatnonzero(above.any(axis=1)))
+    cut = [
+        _at_least_kth(np.flatnonzero(col), foreground[col, cls], k)
+        for cls, col in enumerate(above.T)
+    ]
+    rows = np.unique(np.concatenate(cut))
     boxes = np.full_like(anchors, np.nan)
-    rows = np.flatnonzero((foreground > config.score_floor).any(axis=1))
     boxes[rows] = decode_boxes(anchors, offsets, config.input_size, rows)
 
     pool_rows, pool_classes, kept = [], [], []
     start = 0
-    for cls in range(config.num_classes):
+    for cls, idx in enumerate(cut):
         col = foreground[:, cls]
-        idx = np.flatnonzero(col > config.score_floor)
-        idx = idx[priority_order(boxes[idx], col[idx])][: config.pre_nms_top_k]
+        idx = idx[priority_order(boxes[idx], col[idx])][:k]
         kept.append(start + nms_rows(boxes[idx], config.nms_iou_threshold))
         pool_rows.append(idx)
         pool_classes.append(np.full(len(idx), cls))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from weavenet.cli import main
@@ -232,6 +232,41 @@ class TestFormats:
         write_ground_truth(path, records)
         assert read_ground_truth(path) == records
 
+    # each example overwrites both files, so sharing tmp_path is safe
+    @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_records_round_trip_bit_for_bit(self, tmp_path, data):
+        # refinement can leave a coordinate one ulp past the image edge
+        value = st.one_of(
+            st.sampled_from([320.00000000000006, 0.0, -0.0, 1.0 / 3.0, 5e-324, -1e150]),
+            st.floats(-1e150, 1e150),
+        )
+
+        @st.composite
+        def box(draw):
+            x = sorted((draw(value), draw(value)))
+            y = sorted((draw(value), draw(value)))
+            assume(x[0] != x[1] and y[0] != y[1] and (x[1] - x[0]) * (y[1] - y[0]) > 0.0)
+            return BBox(x[0], y[0], x[1], y[1])
+
+        image = st.text(min_size=1, max_size=6)
+        cls = st.integers(0, 10**20)
+        dets = data.draw(st.lists(
+            st.builds(DetectionRecord, image, box(), st.floats(allow_nan=False, allow_infinity=False), cls),
+            max_size=5,
+        ))
+        gts = data.draw(st.lists(st.builds(GroundTruth, image, box(), cls), max_size=5))
+
+        def key(r):
+            score = (r.score.hex(),) if isinstance(r, DetectionRecord) else ()
+            return (r.image_id, r.class_id, *score, *(c.hex() for c in r.box.coords()))
+
+        det_path, gt_path = str(tmp_path / "dets.jsonl"), str(tmp_path / "gt.jsonl")
+        write_detections(det_path, dets)
+        write_ground_truth(gt_path, gts)
+        assert [key(r) for r in read_detections(det_path)] == [key(r) for r in dets]
+        assert [key(r) for r in read_ground_truth(gt_path)] == [key(r) for r in gts]
+
     @pytest.mark.parametrize(
         "line,fragment",
         [
@@ -350,6 +385,25 @@ class TestVerifyCommand:
             hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest(),
         )
         assert digests == self.CORRUPT_DIGESTS[(block, flag)]
+
+    def test_corrupt_block_without_message_columns_runs_uncorrupted(self, tmp_path, capsys):
+        # scale 2 is the coarsest woven scale: under --top-down-only it gets no messages
+        cfg = {
+            "pyramid_sizes": [8, 4, 2, 1], "raw_channels": [4, 4, 4, 4], "woven_scales": [0, 1, 2],
+            "corrupt_block": [2, 3], "iterations": 3,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out_csv = tmp_path / "verify.csv"
+        code = main(["verify", "--config", str(path), "--out", str(out_csv)])
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  [")]
+        assert code == 1  # the corrupted combinations still fail
+        assert len(rows) == 28
+        skipped = [r for r in rows if r.endswith("(not corrupted: scale 2 iteration 3 has no message columns)")]
+        # T = 3 and 5 for each of the three k, all top-down-only, all agreeing
+        assert len(skipped) == 6
+        assert all("masks=top-down-only" in r and " PASS " in r for r in skipped)
+        assert len(out_csv.read_text().splitlines()) == 29
 
     def test_zero_iterations_trivially_passes_config_row(self, tmp_path, capsys):
         cfg = dict(TINY)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weavenet import detect
 from weavenet.config import RunConfig
 from weavenet.detect import (
     AnchorSpec,
@@ -18,8 +20,9 @@ from weavenet.detect import (
     head_forward,
     init_head_params,
     iou,
-    iou_row,
+    iou_matrix,
     nms_greedy,
+    nms_rows,
     refine_boxes,
 )
 from weavenet.errors import ValidationError
@@ -396,6 +399,22 @@ class TestNms:
                 if a.class_id == b.class_id:
                     assert iou(a.box, b.box) <= 0.4
 
+    def test_memory_stays_flat_for_many_boxes(self):
+        n = 20_000
+        # 100 disjoint groups of 200 identical boxes: one survivor per group
+        x = np.repeat(np.arange(100) * 10.0, 200)
+        boxes = np.stack([x, x, x + 5.0, x + 5.0], axis=1)
+        for classes in (None, np.zeros(n, dtype=np.int64)):
+            tracemalloc.start()
+            try:
+                kept = nms_rows(boxes, 0.5, classes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(kept, np.arange(0, n, 200))
+            # a full 20,000 x 20,000 overlap matrix would take 3.2 GB
+            assert peak < 4 * 2**20
+
 
 class TestRefineBoxes:
     def test_singleton_unchanged(self):
@@ -463,6 +482,32 @@ class TestRefineBoxes:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValidationError):
             refine_boxes([det(0, 0, 1, 1, 0.5)], [])
+
+
+class TestPostprocessCut:
+    # five identical anchors 40 px wide; offsets shift each decoded box right by 4*dx
+    ANCHORS = np.array([(100.0, 100.0, 140.0, 140.0)] * 5)
+
+    @staticmethod
+    def run(offsets, foreground, pre_nms_top_k):
+        scores = np.column_stack([1.0 - np.array(foreground), foreground])
+        config = RunConfig(num_classes=1, pre_nms_top_k=pre_nms_top_k, nms_iou_threshold=1.0)
+        return postprocess(TestPostprocessCut.ANCHORS, np.array(offsets), scores, config, False)
+
+    def test_ties_at_the_cut_are_broken_by_decoded_xmin(self):
+        # rows 1-4 tie at 0.5; the cut keeps two of them, and decoded xmin
+        # (116, 112, 108, 104) picks rows 4 and 3, the last ones by index
+        offsets = [(5.0, 0, 0, 0), (4.0, 0, 0, 0), (3.0, 0, 0, 0), (2.0, 0, 0, 0), (1.0, 0, 0, 0)]
+        got = self.run(offsets, [0.9, 0.5, 0.5, 0.5, 0.5], pre_nms_top_k=3)
+        assert [(r.score, r.box.xmin) for r in got] == [(0.9, 120.0), (0.5, 104.0), (0.5, 108.0)]
+
+    def test_non_finite_offsets_below_the_cut_still_raise(self):
+        offsets = np.zeros((5, 4))
+        offsets[4, 2] = math.nan
+        with pytest.raises(ValidationError, match="anchor 4: offsets must be finite"):
+            self.run(offsets, [0.9, 0.8, 0.7, 0.6, 0.5], pre_nms_top_k=1)
+        # below score_floor nothing is read
+        assert len(self.run(offsets, [0.9, 0.8, 0.7, 0.6, 0.0], pre_nms_top_k=1)) == 1
 
 
 # Property tests: the array code against scalar restatements of each step.
@@ -607,11 +652,34 @@ class TestArrayProperties:
         assert bits(got) == bits(want)
 
     @settings(deadline=None)
-    @given(a=boxes(), data=st.data())
-    def test_iou_row_matches_iou(self, a, data):
-        rows = data.draw(st.lists(boxes(), max_size=5)) + data.draw(cluster(a))
-        got = iou_row(np.array(a.coords()), np.array([b.coords() for b in rows]))
-        assert bits(got) == bits([iou(a, b) for b in rows])
+    @given(a=st.lists(boxes(), min_size=1, max_size=4), data=st.data())
+    def test_iou_matrix_matches_iou(self, a, data):
+        rows = data.draw(st.lists(boxes(), max_size=5)) + data.draw(cluster(a[0]))
+        got = iou_matrix(np.array([x.coords() for x in a]), np.array([b.coords() for b in rows]))
+        assert got.shape == (len(a), len(rows))
+        for x, row in zip(a, got):
+            assert bits(row) == bits([iou(x, b) for b in rows])
+
+    @settings(deadline=None)
+    @given(
+        dets=detections(),
+        data=st.data(),
+        block=st.integers(1, 48),
+        thr=st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 0.5]), st.floats(0.0, 1.0)),
+        per_class=st.booleans(),
+    )
+    def test_small_iou_blocks_change_nothing(self, dets, data, block, thr, per_class):
+        """Blocks of a few overlaps each: NMS (nms_greedy over nms_rows) and
+        refinement still match the scalar rules bit for bit."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "IOU_BLOCK_ELEMENTS", block)
+            kept = nms_greedy(dets, thr, per_class)
+            want = reference_nms(dets, thr, per_class)
+            assert len(kept) == len(want) and all(a is b for a, b in zip(kept, want))
+            if dets:
+                pool = data.draw(st.lists(st.sampled_from(dets), max_size=6))
+                got = [d.box.coords() for d in refine_boxes(pool, dets, thr)]
+                assert bits(got) == bits(scalar_refine(pool, dets, thr))
 
     @settings(deadline=None)
     @given(

@@ -388,3 +388,37 @@ class TestBoxMagnitudes:
         for stratum in ALL_STRATA:
             assert all(ap in (None, 1.0) for ap in report.ap[stratum].values())
         assert report.mean_ap["overall"] == 1.0
+
+
+class TestApBounds:
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_every_ap_lies_in_unit_interval(self, data):
+        """Arbitrary detections against arbitrary ground truth: duplicates,
+        zero-area detections, classes with no detections or no ground truth."""
+        side = st.one_of(st.just(0.0), st.integers(1, 20).map(float), st.floats(0.0, 50.0))
+        corner = st.one_of(st.integers(0, 30).map(float), st.floats(-10.0, 60.0))
+        image = st.sampled_from(["a", "b"])
+
+        @st.composite
+        def box(draw, min_side=0.0):
+            x, y = draw(corner), draw(corner)
+            w = max(draw(side), min_side)
+            h = max(draw(side), min_side)
+            return BBox(x, y, x + w, y + h)
+
+        gts = data.draw(st.lists(
+            st.builds(GroundTruth, image, box(min_side=0.5), st.integers(0, 2)), min_size=1, max_size=10
+        ))
+        dets = data.draw(st.lists(
+            st.builds(DetectionRecord, image, box(), st.floats(-1.0, 2.0), st.integers(0, 3)),
+            max_size=12,
+        ))
+        # exact copies of drawn detections and detections sitting on ground truth
+        dets += data.draw(st.lists(st.sampled_from(dets), max_size=4)) if dets else []
+        dets += [det_on(g, s) for g, s in zip(gts, data.draw(st.lists(st.floats(0.0, 1.0), max_size=4)))]
+        report = evaluate(dets, gts)
+        for stratum in ALL_STRATA:
+            for ap in report.ap[stratum].values():
+                assert ap is None or 0.0 <= ap <= 1.0
+            assert 0.0 <= report.mean_ap[stratum] <= 1.0
