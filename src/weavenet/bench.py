@@ -154,16 +154,21 @@ class ModeComparison:
         return self.naive.mean_time / self.simplified.mean_time
 
 
-def lacks_message_columns(params: dict[int, BlockParams], block: tuple[int, int]) -> bool:
-    """Whether params hold block (scale, t) and its kernel reads no message
-    columns, as when the direction masks leave the scale without neighbors;
-    corrupt_partition has nothing to misplace there."""
+def uncorruptible(params: dict[int, BlockParams], block: tuple[int, int]) -> str | None:
+    """Why corrupt_partition cannot misplace a column of block (scale, t) in
+    params, or None when it can: the scale runs no block under the direction
+    masks, t is beyond the last iteration, or the block reads no message
+    columns because the scale receives no messages."""
     scale, t = block
     p = params.get(scale)
-    if p is None or t > len(p.kernels):
-        return False
+    if p is None:
+        return f"scale {scale} runs no block"
+    if t > len(p.kernels):
+        return f"scale {scale} has no iteration {t}"
     up, _raw, down = p.state_layout(t - 1)
-    return up + down == 0
+    if up + down == 0:
+        return f"scale {scale} iteration {t} has no message columns"
+    return None
 
 
 def corrupt_partition(
@@ -176,16 +181,16 @@ def corrupt_partition(
     column right (the first raw column joins the messages), or one column
     left when the scale receives no down-messages. The naive pass reads the
     full state in canonical order and so is unaffected. Blocks the params
-    do not hold, such as an iteration beyond the last, are left alone.
+    do not hold, such as an iteration beyond the last, are left alone; a
+    block without message columns raises ValidationError.
     """
     scale, t = block
     p = params.get(scale)
     if p is None or t > len(p.kernels):
         return params
-    if lacks_message_columns(params, block):
-        raise ValidationError(
-            f"cannot corrupt partition of scale {scale} iteration {t}: no message columns"
-        )
+    reason = uncorruptible(params, block)
+    if reason is not None:
+        raise ValidationError(f"cannot corrupt partition: {reason}")
     up, raw, down = p.state_layout(t - 1)
     kernel = p.kernel_for(t)
     cols = list(range(kernel.in_channels))

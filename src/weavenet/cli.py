@@ -78,12 +78,11 @@ def cmd_verify(args) -> int:
         naive = weave_forward(pyramid, cfg, params, "naive")
         note = ""
         if config.corrupt_block is not None:
-            if bench_mod.lacks_message_columns(params, config.corrupt_block):
-                note = "  (not corrupted: scale {} iteration {} has no message columns)".format(
-                    *config.corrupt_block
-                )
-            else:
+            reason = bench_mod.uncorruptible(params, config.corrupt_block)
+            if reason is None:
                 params = bench_mod.corrupt_partition(params, config.corrupt_block)
+            else:
+                note = f"  (not corrupted: {reason})"
         simplified = weave_forward(pyramid, cfg, params, "simplified")
         worst = compare_outputs(naive, simplified)
         ok = worst.deviation <= tol

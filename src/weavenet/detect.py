@@ -18,6 +18,7 @@ from .tensor_core import ConvKernel, Tensor, conv3x3
 DEFAULT_SCALE_FRACTIONS = (0.1, 0.2, 0.375, 0.55, 0.725, 0.9)
 BOX_VARIANCES = (0.1, 0.1, 0.2, 0.2)
 ANCHOR_MODES = ("A", "B")
+BOX_KEYS = ("xmin", "ymin", "xmax", "ymax")
 
 # three ratios on the outermost scales, five on the middle ones
 _MODE_A_SHORT = (1.0, 2.0, 0.5)
@@ -25,10 +26,44 @@ _MODE_A_LONG = (1.0, 2.0, 0.5, 3.0, 1.0 / 3.0)
 _MODE_B_RATIOS = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
 
 
+def finite_float(name: str, value) -> float:
+    """value as a float; ValidationError unless it is a finite real number, not a bool.
+
+    An integer too large for a float is not finite.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_image_id(value) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"image_id must be a non-empty string, got {value!r}")
+
+
+def check_class_id(value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValidationError(f"class_id must be a non-negative integer, got {value!r}")
+
+
+def check_scored(record) -> None:
+    """The checks Detection and DetectionRecord share: class_id is an int >= 0,
+    not a bool, and score a finite real number, stored as a float."""
+    check_class_id(record.class_id)
+    if type(record.score) is not float or not math.isfinite(record.score):
+        object.__setattr__(record, "score", finite_float("score", record.score))
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box in input-image coordinates.
 
+    Coordinates must be finite real numbers and are stored as floats.
     Width, height and twice the area must be finite: IoU adds two areas, so
     a larger box would give an infinite union and an IoU of 0 (or NaN) with
     an identical box.
@@ -40,12 +75,16 @@ class BBox:
     ymax: float
 
     def __post_init__(self):
-        coords = (self.xmin, self.ymin, self.xmax, self.ymax)
-        if not all(math.isfinite(c) for c in coords):
-            raise ValidationError(f"box coordinates must be finite, got {coords}")
-        if self.xmin > self.xmax or self.ymin > self.ymax:
+        coords = self.coords()
+        if not all(type(c) is float and math.isfinite(c) for c in coords):
+            coords = tuple(map(finite_float, BOX_KEYS, coords))
+            for name, value in zip(BOX_KEYS, coords):
+                object.__setattr__(self, name, value)
+        xmin, ymin, xmax, ymax = coords
+        if xmin > xmax or ymin > ymax:
             raise ValidationError(f"box corners out of order: {coords}")
-        if not (math.isfinite(self.width) and math.isfinite(self.height) and math.isfinite(2.0 * self.area)):
+        width, height = xmax - xmin, ymax - ymin  # as the width and height properties
+        if not (math.isfinite(width) and math.isfinite(height) and math.isfinite(2.0 * (width * height))):
             raise ValidationError(f"box too large: its width, height or twice its area overflows, got {coords}")
 
     @property
@@ -75,10 +114,7 @@ class Detection:
     class_id: int
 
     def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValidationError(f"detection score must be finite, got {self.score}")
-        if self.class_id < 0:
-            raise ValidationError(f"class_id must be non-negative, got {self.class_id}")
+        check_scored(self)
 
 
 @dataclass(frozen=True)
@@ -324,9 +360,9 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-# Elements of one block of pairwise overlaps (8 bytes each); nms_rows and
-# refine_rows take as many rows per block as fit, at least one, so their
-# memory stays flat however many boxes they are given.
+# Elements of one block of pairwise overlaps (8 bytes each); nms_rows,
+# refine_rows and evaluation.match_detections take as many rows per block as
+# fit, at least one, so their memory stays flat however many boxes they get.
 IOU_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -345,7 +381,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
-def _block_rows(n: int) -> int:
+def block_rows(n: int) -> int:
+    """Rows of n overlaps each that make one block of about IOU_BLOCK_ELEMENTS, at least one."""
     return max(1, IOU_BLOCK_ELEMENTS // max(n, 1))
 
 
@@ -361,7 +398,7 @@ def nms_rows(boxes: np.ndarray, iou_threshold: float, classes: np.ndarray | None
     """
     n = len(boxes)
     alive = np.ones(n, dtype=bool)
-    step = _block_rows(n)
+    step = block_rows(n)
     for b0 in range(0, n, step):
         b1 = min(b0 + step, n)
         if not alive[b0:b1].any():
@@ -431,7 +468,7 @@ def refine_rows(
         rank = np.full(len(boxes), -1)  # a pool row's column among members
         rank[members] = np.arange(len(members))
         rows = np.flatnonzero(kept_classes == cls)
-        step = _block_rows(len(members))
+        step = block_rows(len(members))
         for r0 in range(0, len(rows), step):
             block = rows[r0 : r0 + step]
             over = iou_matrix(kept_boxes[block], boxes[members]) > iou_threshold

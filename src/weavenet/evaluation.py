@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .detect import BBox, iou
+import numpy as np
+
+from .detect import BBox, block_rows, check_class_id, check_image_id, check_scored, iou_matrix
 from .errors import ValidationError
 
 SIZE_STRATA = ("small", "medium", "large")
@@ -25,8 +27,10 @@ class GroundTruth:
     ignored: bool = False
 
     def __post_init__(self):
-        if self.class_id < 0:
-            raise ValidationError(f"class_id must be non-negative, got {self.class_id}")
+        check_image_id(self.image_id)
+        check_class_id(self.class_id)
+        if not isinstance(self.ignored, bool):
+            raise ValidationError(f"ignored must be a boolean, got {self.ignored!r}")
         if self.box.area <= 0.0:
             raise ValidationError(f"ground-truth box must have positive area, got {self.box}")
 
@@ -39,10 +43,8 @@ class DetectionRecord:
     class_id: int
 
     def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValidationError(f"detection score must be finite, got {self.score}")
-        if self.class_id < 0:
-            raise ValidationError(f"class_id must be non-negative, got {self.class_id}")
+        check_image_id(self.image_id)
+        check_scored(self)
 
 
 @dataclass(frozen=True)
@@ -101,35 +103,42 @@ def match_detections(
 
     Detections are visited by descending score (ties by input order). Each
     one takes the unconsumed same-class, same-image ground-truth box of
-    highest overlap at or above the threshold: a fresh box scores a TP and
-    is consumed, an ignored box absorbs the detection without being
-    consumed, and no match is an FP.
+    highest overlap, the first such box on ties, when that overlap is
+    positive and at or above the threshold: a fresh box scores a TP and is
+    consumed, an ignored box absorbs the detection without being consumed,
+    and no match is an FP. Each (image, class) group reads its overlaps
+    from iou_matrix, one block of detections at a time.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    by_key: dict[tuple[str, int], list[int]] = {}
-    for j, gt in enumerate(gts):
-        by_key.setdefault((gt.image_id, gt.class_id), []).append(j)
-    consumed = [False] * len(gts)
-    labels = [""] * len(dets)
+    det_groups: dict[tuple[str, int], list[int]] = {}
     for i in order:
-        d = dets[i]
-        best_j = -1
-        best_iou = 0.0
-        for j in by_key.get((d.image_id, d.class_id), ()):
-            if consumed[j]:
-                continue
-            v = iou(d.box, gts[j].box)
-            if v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0 and best_iou >= iou_threshold:
-            if gts[best_j].ignored:
-                labels[i] = "ignored"
-            else:
-                labels[i] = "tp"
-                consumed[best_j] = True
-        else:
-            labels[i] = "fp"
+        det_groups.setdefault((dets[i].image_id, dets[i].class_id), []).append(i)
+    gt_groups: dict[tuple[str, int], list[int]] = {}
+    for j, gt in enumerate(gts):
+        gt_groups.setdefault((gt.image_id, gt.class_id), []).append(j)
+    labels = ["fp"] * len(dets)
+    for key, rows in det_groups.items():
+        cols = gt_groups.get(key)
+        if cols is None:
+            continue
+        gt_boxes = np.array([gts[j].box.coords() for j in cols])
+        ignored = [gts[j].ignored for j in cols]
+        consumed = np.zeros(len(cols), dtype=bool)
+        step = block_rows(len(cols))
+        for r0 in range(0, len(rows), step):
+            block = rows[r0 : r0 + step]
+            over = iou_matrix(np.array([dets[i].box.coords() for i in block]), gt_boxes)
+            over[:, consumed] = -1.0  # below any overlap that can match, which is > 0
+            for p, i in enumerate(block):
+                j = int(over[p].argmax())  # the first of equal overlaps
+                best = over[p, j]
+                if best > 0.0 and best >= iou_threshold:
+                    if ignored[j]:
+                        labels[i] = "ignored"
+                    else:
+                        labels[i] = "tp"
+                        consumed[j] = True
+                        over[p + 1 :, j] = -1.0
     return labels
 
 

@@ -1,94 +1,42 @@
 """File interchange: JSON Lines for boxes, CSV and aligned text for reports.
 
 Detections carry keys image_id, class_id, score, xmin, ymin, xmax, ymax;
-ground truth is identical minus score. All files are UTF-8 with LF line
-endings; schema violations are reported with their line number.
+ground truth is identical minus score, plus an optional boolean ignored.
+All files are UTF-8 with LF line endings. The reader checks JSON syntax and
+key sets; the record types check the values. Either kind of violation is
+reported with its line number.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 
-from .detect import BBox
+from .detect import BOX_KEYS, BBox
 from .errors import ValidationError
 from .evaluation import DetectionRecord, GroundTruth
 
-DETECTION_KEYS = ("image_id", "class_id", "score", "xmin", "ymin", "xmax", "ymax")
-GROUND_TRUTH_KEYS = ("image_id", "class_id", "xmin", "ymin", "xmax", "ymax")
+DETECTION_KEYS = ("image_id", "class_id", "score") + BOX_KEYS
+GROUND_TRUTH_KEYS = ("image_id", "class_id") + BOX_KEYS
+
+
+def _write(path: str, records: list, keys: tuple[str, ...]) -> None:
+    """One JSON object per record with the given keys, then `ignored` only
+    when it is set, so files without ignored boxes keep the same bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for r in records:
+            obj = {key: getattr(r.box if key in BOX_KEYS else r, key) for key in keys}
+            if getattr(r, "ignored", False):
+                obj["ignored"] = True
+            fh.write(json.dumps(obj) + "\n")
 
 
 def write_detections(path: str, records: list[DetectionRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            obj = {
-                "image_id": r.image_id,
-                "class_id": r.class_id,
-                "score": r.score,
-                "xmin": r.box.xmin,
-                "ymin": r.box.ymin,
-                "xmax": r.box.xmax,
-                "ymax": r.box.ymax,
-            }
-            fh.write(json.dumps(obj) + "\n")
+    _write(path, records, DETECTION_KEYS)
 
 
 def write_ground_truth(path: str, records: list[GroundTruth]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            obj = {
-                "image_id": r.image_id,
-                "class_id": r.class_id,
-                "xmin": r.box.xmin,
-                "ymin": r.box.ymin,
-                "xmax": r.box.xmax,
-                "ymax": r.box.ymax,
-            }
-            fh.write(json.dumps(obj) + "\n")
-
-
-def _parse_line(path: str, lineno: int, line: str, keys: tuple[str, ...]) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"{path}:{lineno}: invalid JSON: {err.msg}") from err
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-    missing = [k for k in keys if k not in obj]
-    extra = sorted(set(obj) - set(keys))
-    if missing:
-        raise ValidationError(f"{path}:{lineno}: missing keys: {', '.join(missing)}")
-    if extra:
-        raise ValidationError(f"{path}:{lineno}: unexpected keys: {', '.join(extra)}")
-    return obj
-
-
-def _parse_box(path: str, lineno: int, obj: dict) -> BBox:
-    coords = []
-    for key in ("xmin", "ymin", "xmax", "ymax"):
-        v = obj[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ValidationError(f"{path}:{lineno}: {key} must be a finite number, got {v!r}")
-        coords.append(float(v))
-    try:
-        return BBox(*coords)
-    except ValidationError as err:
-        raise ValidationError(f"{path}:{lineno}: {err}") from err
-
-
-def _parse_class_id(path: str, lineno: int, obj: dict) -> int:
-    v = obj["class_id"]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ValidationError(f"{path}:{lineno}: class_id must be a non-negative integer, got {v!r}")
-    return v
-
-
-def _parse_image_id(path: str, lineno: int, obj: dict) -> str:
-    v = obj["image_id"]
-    if not isinstance(v, str) or not v:
-        raise ValidationError(f"{path}:{lineno}: image_id must be a non-empty string, got {v!r}")
-    return v
+    _write(path, records, GROUND_TRUTH_KEYS)
 
 
 def _lines(path: str):
@@ -102,42 +50,41 @@ def _lines(path: str):
             raise ValidationError(f"{path}: not valid UTF-8: {err.reason}") from err
 
 
-def read_detections(path: str) -> list[DetectionRecord]:
+def _record(line: str, record_type, keys: tuple[str, ...], optional: tuple[str, ...]):
+    """The record of one line; the record types check the field values."""
+    try:
+        obj = json.loads(line)
+    # JSONDecodeError, an integer literal too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as err:
+        raise ValidationError(f"invalid JSON: {getattr(err, 'msg', err)}") from err
+    if not isinstance(obj, dict):
+        raise ValidationError("expected a JSON object")
+    missing = [k for k in keys if k not in obj]
+    extra = sorted(set(obj) - set(keys) - set(optional))
+    if missing:
+        raise ValidationError(f"missing keys: {', '.join(missing)}")
+    if extra:
+        raise ValidationError(f"unexpected keys: {', '.join(extra)}")
+    box = BBox(*(obj.pop(k) for k in BOX_KEYS))
+    return record_type(box=box, **obj)
+
+
+def _read(path: str, record_type, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> list:
     records = []
     for lineno, line in _lines(path):
-        obj = _parse_line(path, lineno, line, DETECTION_KEYS)
-        score = obj["score"]
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
-            raise ValidationError(f"{path}:{lineno}: score must be a finite number, got {score!r}")
-        records.append(
-            DetectionRecord(
-                image_id=_parse_image_id(path, lineno, obj),
-                box=_parse_box(path, lineno, obj),
-                score=float(score),
-                class_id=_parse_class_id(path, lineno, obj),
-            )
-        )
+        try:
+            records.append(_record(line, record_type, keys, optional))
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from err
     return records
+
+
+def read_detections(path: str) -> list[DetectionRecord]:
+    return _read(path, DetectionRecord, DETECTION_KEYS)
 
 
 def read_ground_truth(path: str) -> list[GroundTruth]:
-    records = []
-    for lineno, line in _lines(path):
-        obj = _parse_line(path, lineno, line, GROUND_TRUTH_KEYS)
-        try:
-            records.append(
-                GroundTruth(
-                    image_id=_parse_image_id(path, lineno, obj),
-                    box=_parse_box(path, lineno, obj),
-                    class_id=_parse_class_id(path, lineno, obj),
-                )
-            )
-        except ValidationError as err:
-            msg = str(err)
-            if not msg.startswith(path):
-                msg = f"{path}:{lineno}: {msg}"
-            raise ValidationError(msg) from err
-    return records
+    return _read(path, GroundTruth, GROUND_TRUTH_KEYS, ("ignored",))
 
 
 def write_csv(path: str, header: tuple[str, ...] | list[str], rows: list[list[str]]) -> None:

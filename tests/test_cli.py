@@ -16,7 +16,7 @@ from weavenet.config import (
     config_from_dict,
     load_config,
 )
-from weavenet.detect import BBox
+from weavenet.detect import BBox, Detection
 from weavenet.errors import ValidationError
 from weavenet.evaluation import DetectionRecord, GroundTruth, stratify_by_area
 from weavenet.formats import (
@@ -255,11 +255,11 @@ class TestFormats:
             st.builds(DetectionRecord, image, box(), st.floats(allow_nan=False, allow_infinity=False), cls),
             max_size=5,
         ))
-        gts = data.draw(st.lists(st.builds(GroundTruth, image, box(), cls), max_size=5))
+        gts = data.draw(st.lists(st.builds(GroundTruth, image, box(), cls, st.booleans()), max_size=5))
 
         def key(r):
-            score = (r.score.hex(),) if isinstance(r, DetectionRecord) else ()
-            return (r.image_id, r.class_id, *score, *(c.hex() for c in r.box.coords()))
+            extra = (r.score.hex(),) if isinstance(r, DetectionRecord) else (r.ignored,)
+            return (r.image_id, r.class_id, *extra, *(c.hex() for c in r.box.coords()))
 
         det_path, gt_path = str(tmp_path / "dets.jsonl"), str(tmp_path / "gt.jsonl")
         write_detections(det_path, dets)
@@ -303,6 +303,105 @@ class TestFormats:
         with pytest.raises(ValidationError, match=":1:.*score"):
             read_detections(str(path))
 
+    def test_ignored_round_trips_and_is_written_only_when_set(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        records = [
+            GroundTruth("img0", BBox(0.0, 0.0, 5.0, 5.0), 1, ignored=True),
+            GroundTruth("img0", BBox(1.0, 1.0, 4.0, 4.0), 1),
+        ]
+        write_ground_truth(str(path), records)
+        assert read_ground_truth(str(path)) == records
+        assert path.read_text().splitlines() == [
+            '{"image_id": "img0", "class_id": 1, "xmin": 0.0, "ymin": 0.0, "xmax": 5.0, "ymax": 5.0, "ignored": true}',
+            '{"image_id": "img0", "class_id": 1, "xmin": 1.0, "ymin": 1.0, "xmax": 4.0, "ymax": 4.0}',
+        ]
+
+    @pytest.mark.parametrize("value", ["0", "1", '"true"', "null"])
+    def test_ignored_must_be_a_json_boolean(self, tmp_path, value):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            '{"image_id": "a", "class_id": 0, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2, "ignored": ' + value + "}\n"
+        )
+        with pytest.raises(ValidationError, match=f":1: ignored must be a boolean, got {json.loads(value)!r}$"):
+            read_ground_truth(str(path))
+
+    def test_detections_take_no_ignored_key(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"image_id": "a", "class_id": 0, "score": 0.5, "xmin": 0, "ymin": 0, "xmax": 1, "ymax": 1, "ignored": false}\n'
+        )
+        with pytest.raises(ValidationError, match=":1: unexpected keys: ignored"):
+            read_detections(str(path))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DetectionRecord("a", BBox(0, 0, 1, 1), True, 0),
+            lambda: DetectionRecord("", BBox(0, 0, 1, 1), 0.5, 0),
+            lambda: DetectionRecord("a", BBox(0, 0, 1, 1), 0.5, 1.5),
+            lambda: Detection(BBox(0, 0, 1, 1), True, 0),
+            lambda: Detection(BBox(0, 0, 1, 1), 0.5, 1.5),
+            lambda: Detection(BBox(0, 0, 1, 1), 0.5, True),
+            lambda: GroundTruth("", BBox(0, 0, 1, 1), 0),
+            lambda: GroundTruth("a", BBox(0, 0, 1, 1), 1.5),
+            lambda: GroundTruth("a", BBox(0, 0, 1, 1), 0, ignored=1),
+            lambda: BBox(0, 0, True, 1),
+            lambda: BBox(0, 0, 10**400, 1),
+            lambda: BBox(0, 0, "1", 1),
+        ],
+    )
+    def test_constructors_reject_what_files_cannot_hold(self, make):
+        # each was once accepted (and written into a file the reader rejects) or
+        # ended in a TypeError or OverflowError
+        with pytest.raises(ValidationError, match="must be"):
+            make()
+
+    def test_constructors_store_floats(self):
+        box = BBox(0, 1, 2, 3)
+        assert all(type(c) is float for c in box.coords())
+        assert type(DetectionRecord("a", box, 1, 0).score) is float
+        assert type(Detection(box, 1, 0).score) is float
+
+    # each example overwrites the file, so sharing tmp_path is safe
+    @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kind=st.sampled_from(["detections", "ground truth"]),
+        data=st.data(),
+        value=st.one_of(
+            st.none(), st.booleans(), st.integers(-2, 3), st.integers(),
+            st.sampled_from([10**400, -(10**400), 2**1024]), st.floats(),
+            st.text(max_size=2), st.lists(st.integers(0, 1), max_size=2),
+        ),
+    )
+    def test_reader_rejects_exactly_what_constructors_reject(self, tmp_path, kind, data, value):
+        """One field of a valid line gets an arbitrary JSON value: the reader
+        and the record constructors accept it alike, or reject it with the
+        same message."""
+        fields = {"image_id": "a", "class_id": 1, "xmin": 0.5, "ymin": 0.0, "xmax": 2.0, "ymax": 3.0}
+        if kind == "detections":
+            fields["score"] = 0.5
+            record_type, read = DetectionRecord, read_detections
+        else:
+            fields["ignored"] = False
+            record_type, read = GroundTruth, read_ground_truth
+        fields[data.draw(st.sampled_from(sorted(fields)))] = value
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(fields) + "\n")
+
+        def build():
+            values = dict(fields)
+            box = BBox(*(values.pop(k) for k in ("xmin", "ymin", "xmax", "ymax")))
+            return record_type(box=box, **values)
+
+        try:
+            records = read(str(path))
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as built:
+                build()
+            assert str(err) == f"{path}:1: {built.value}"
+        else:
+            assert records == [build()]
+
     def test_csv_uses_lf(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_csv(path, ["a", "b"], [["1", "2"], ["3", "4"]])
@@ -342,31 +441,34 @@ class TestVerifyCommand:
         assert "FAIL" in captured
         assert "scale 1" in captured and "iteration 2" in captured
 
-    # SHA-256 of stdout and of the --out CSV, recorded with the former
-    # implementation that shifted the partition inside the fusion core
+    # SHA-256 of stdout and of the --out CSV. The CSVs were recorded with the
+    # former implementation that shifted the partition inside the fusion
+    # core; stdout was re-recorded when rows whose params hold no such block
+    # (T below the block's iteration) gained their "(not corrupted: ...)"
+    # note, and with those notes removed it still hashes to the old pins.
     CORRUPT_DIGESTS = {
         ((1, 2), None): (
-            "e39d79cd52031a2476678ce4e69bd85b30ae8649182b478dbd3ef50ea04945f1",
+            "914a00a236a9bd600893ba8cbf4bf936c2da16301cb79aaf83d81a1ed6b3187c",
             "c10049cbc21106b1ac34d1911de8dc86c574f2494085d001602052238a2e6df6",
         ),
         ((1, 2), "--top-down-only"): (
-            "84b46c3957f7e974c7535527a58f93c3fe7d24ae8eff7d8fae0687350daef27b",
+            "6816f729d2e8b1b460e4ca27d5e697c54a820ea986606c2262c388b827bfd7c1",
             "8ca67ded2b956deae309fd0162cfd35d38a5c98d217db918fd9e15bfdb2cf8fd",
         ),
         ((1, 2), "--bottom-up-only"): (
-            "dbc47b9a9dc1a0b186041b71cf4075ca5d3238eeb06f21ddf66ec0a6358d04da",
+            "66efcc0aeb7657ec22d211936a95fd7f9e3d2632634113199f1dc101c73c6ded",
             "c5a5d55c385ee44e985cf3ae5f43a1edeb8bda66c47959ab0045e15aff69b2f9",
         ),
         ((2, 3), None): (
-            "f208a7b4b07c7d8291d6bde96f4f62a6544fc057387c376ba5d5690206746ed6",
+            "0b1861ab85d573deccb4f8fe903de9052298d309cbd35c9366112a0350192161",
             "03a173f8d5c8effa4fed562a5631364037439a76c6373ccc173dbca7ad3649aa",
         ),
         ((2, 3), "--top-down-only"): (
-            "3c9822d334e723112cda71834548b3a5ad73fac054532f67283d84f75ea42dd9",
+            "d6fc944c7a7b86d68ec8bfa1c322624cf746b1d19ff91889d4961c75bbf33e1b",
             "9985e648d6f14dc4d35a8968eba494c4103c53de9367d7adfa3b394eebde38a5",
         ),
         ((2, 3), "--bottom-up-only"): (
-            "03d0bb3256b10b4e1f82703c327bd6d6f29484ae33ea1c1e0f89ccb2541ba8c0",
+            "898364bb569695f795cec894766eac0e3ca0b585e43a08838b390587872d7a17",
             "19db35ae12cf218dc126c5ef525b91bb1b6914826fa8a00ca941f6108a374456",
         ),
     }
@@ -404,6 +506,29 @@ class TestVerifyCommand:
         assert len(skipped) == 6
         assert all("masks=top-down-only" in r and " PASS " in r for r in skipped)
         assert len(out_csv.read_text().splitlines()) == 29
+
+    def test_every_row_is_corrupted_or_says_why_not(self, tmp_path, capsys):
+        # under bottom-up-only scale 2 runs no block; at T=1 no scale has iteration 3
+        cfg = {
+            "pyramid_sizes": [8, 4, 2, 1], "raw_channels": [4, 4, 4, 4], "woven_scales": [0, 1, 2],
+            "corrupt_block": [2, 3], "iterations": 3,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(path)]) == 1
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  [")]
+        notes = {}
+        for row in rows:
+            if "(not corrupted: " in row:
+                note = row[row.index("(not corrupted: "):]
+                notes[note] = notes.get(note, 0) + 1
+            else:
+                assert " FAIL " in row, row
+        assert notes == {
+            "(not corrupted: scale 2 runs no block)": 9,  # bottom-up-only, each k and T
+            "(not corrupted: scale 2 has no iteration 3)": 6,  # T=1 under the other two masks
+            "(not corrupted: scale 2 iteration 3 has no message columns)": 6,  # top-down-only, T=3 and 5
+        }
 
     def test_zero_iterations_trivially_passes_config_row(self, tmp_path, capsys):
         cfg = dict(TINY)
@@ -518,6 +643,55 @@ class TestEvalCommand:
         assert captured.err.startswith(f"error: {dets}:1: box too large")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_ignored_box_absorbs_a_detection(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(
+            '{"image_id": "a", "class_id": 0, "xmin": 0, "ymin": 0, "xmax": 10, "ymax": 10}\n'
+            '{"image_id": "a", "class_id": 0, "xmin": 50, "ymin": 50, "xmax": 60, "ymax": 60, "ignored": true}\n'
+        )
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(
+            '{"image_id": "a", "class_id": 0, "score": 0.9, "xmin": 50, "ymin": 50, "xmax": 60, "ymax": 60}\n'
+            '{"image_id": "a", "class_id": 0, "score": 0.8, "xmin": 0, "ymin": 0, "xmax": 10, "ymax": 10}\n'
+        )
+        out_csv = tmp_path / "eval.csv"
+        assert main(["eval", str(dets), str(gt), "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        # the higher-scored detection lands on the ignored box: neither an FP nor a positive
+        assert "overall,0,1.000000,1" in out_csv.read_text().splitlines()
+
+    @pytest.mark.parametrize("key", ["xmax", "score"])
+    def test_huge_integer_is_one_line_error(self, tmp_path, capsys, key):
+        # float() of a 401-digit integer overflows; it used to end in a traceback
+        fields = {"image_id": "a", "class_id": 0, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2}
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps(fields) + "\n")
+        det = dict(fields, score=0.5)
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(det) + "\n" + json.dumps(dict(det, **{key: 10**400})) + "\n")
+        assert main(["eval", str(dets), str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {dets}:2: {key} must be a finite number, got 1{'0' * 400}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "line,fragment",
+        [
+            ('{"image_id": "a", "class_id": 0, "xmin": 0, "ymin": 0, "xmax": 1' + "0" * 5000 + ', "ymax": 2}',
+             "invalid JSON: Exceeds the limit"),
+            ("[" * 100000, "invalid JSON: maximum recursion depth exceeded"),
+        ],
+        ids=["integer-too-long", "nested-too-deep"],
+    )
+    def test_unparseable_line_is_one_line_error(self, tmp_path, capsys, line, fragment):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(line + "\n")
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text("")
+        assert main(["eval", str(dets), str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {gt}:1: {fragment}") and err.count("\n") == 1
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"

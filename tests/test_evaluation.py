@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weavenet import detect
 from weavenet.detect import BBox, iou
 from weavenet.errors import ValidationError
 from weavenet.evaluation import (
@@ -115,6 +116,90 @@ class TestMatchDetections:
         d = DetectionRecord(image_id="i", box=BBox(0, 0, 1, 2), score=0.9, class_id=0)
         assert iou(d.box, gt.box) == pytest.approx(0.5, abs=1e-15)
         assert match_detections([d], [gt], iou_threshold=0.5) == ["tp"]
+
+
+def scalar_match(dets, gts, iou_threshold=0.5):
+    """The scalar loop match_detections replaced, kept as its oracle: one
+    iou call per (detection, unconsumed ground-truth box) pair of the same
+    image and class, detections visited by descending score then index."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    by_key = {}
+    for j, gt in enumerate(gts):
+        by_key.setdefault((gt.image_id, gt.class_id), []).append(j)
+    consumed = [False] * len(gts)
+    labels = [""] * len(dets)
+    for i in order:
+        d = dets[i]
+        best_j = -1
+        best_iou = 0.0
+        for j in by_key.get((d.image_id, d.class_id), ()):
+            if consumed[j]:
+                continue
+            v = iou(d.box, gts[j].box)
+            if v > best_iou:
+                best_iou = v
+                best_j = j
+        if best_j >= 0 and best_iou >= iou_threshold:
+            if gts[best_j].ignored:
+                labels[i] = "ignored"
+            else:
+                labels[i] = "tp"
+                consumed[best_j] = True
+        else:
+            labels[i] = "fp"
+    return labels
+
+
+@st.composite
+def small_box(draw, min_side=0):
+    """A box on a 0..9 integer grid, so equal overlaps and exact copies are common."""
+    x, y = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    w, h = draw(st.integers(min_side, 3)), draw(st.integers(min_side, 3))
+    return BBox(x, y, x + w, y + h)
+
+
+class TestMatchOracle:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        data=st.data(),
+        block=st.integers(1, 48),
+        threshold=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_matches_scalar_loop(self, data, block, threshold):
+        """Duplicates, equal scores, ground-truth boxes of equal overlap (the
+        first wins), ignored boxes, two images and two classes, with overlap
+        blocks of 1-48 elements so a group spans many blocks."""
+        image, cls = st.sampled_from(["a", "b"]), st.integers(0, 1)
+        score = st.sampled_from([0.2, 0.5, 0.9])
+        gts = data.draw(st.lists(
+            st.builds(GroundTruth, image, small_box(min_side=1), cls, st.booleans()), max_size=10
+        ))
+        if gts:  # exact copies of ground-truth boxes, ignored or not
+            copies = data.draw(st.lists(st.tuples(st.sampled_from(gts), st.booleans()), max_size=4))
+            gts += [GroundTruth(g.image_id, g.box, g.class_id, flag) for g, flag in copies]
+        dets = data.draw(st.lists(st.builds(DetectionRecord, image, small_box(), score, cls), max_size=14))
+        if dets:
+            dets += data.draw(st.lists(st.sampled_from(dets), max_size=4))
+        if gts:  # detections sitting exactly on ground truth
+            hits = data.draw(st.lists(st.tuples(st.sampled_from(gts), score), max_size=8))
+            dets += [DetectionRecord(g.image_id, g.box, s, g.class_id) for g, s in hits]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "IOU_BLOCK_ELEMENTS", block)
+            assert match_detections(dets, gts, threshold) == scalar_match(dets, gts, threshold)
+
+    def test_first_of_equal_overlaps_wins(self):
+        # the detection overlaps both boxes by 1/3; the ignored one comes first
+        left = GroundTruth("i", BBox(0, 0, 2, 1), 0, ignored=True)
+        right = GroundTruth("i", BBox(2, 0, 4, 1), 0)
+        d = DetectionRecord("i", BBox(1, 0, 3, 1), 0.9, 0)
+        assert iou(d.box, left.box) == iou(d.box, right.box) > 0.0
+        assert match_detections([d], [left, right], 0.3) == ["ignored"]
+        assert match_detections([d], [right, left], 0.3) == ["tp"]
+
+    def test_zero_overlap_never_matches(self):
+        gt = GroundTruth("i", BBox(0, 0, 1, 1), 0)
+        d = DetectionRecord("i", BBox(5, 5, 6, 6), 0.9, 0)
+        assert match_detections([d], [gt], 0.0) == ["fp"]
 
 
 class TestAveragePrecision:
