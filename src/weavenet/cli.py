@@ -16,8 +16,8 @@ from .evaluation import ALL_STRATA, evaluate
 from .fixtures import make_raw_pyramid, write_fixtures
 from .formats import (
     format_table,
-    read_detections,
-    read_ground_truth,
+    read_detection_table,
+    read_ground_truth_table,
     write_csv,
     write_detections,
 )
@@ -125,8 +125,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dets = read_detections(args.dets)
-    gts = read_ground_truth(args.gt)
+    dets = read_detection_table(args.dets)
+    gts = read_ground_truth_table(args.gt)
     report = evaluate(dets, gts)
 
     classes = report.classes()

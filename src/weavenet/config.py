@@ -96,6 +96,9 @@ def load_config(path: str) -> RunConfig:
             raise ValidationError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
         except UnicodeDecodeError as err:
             raise ValidationError(f"{path}: not valid UTF-8: {err.reason}") from err
+        # an integer literal too long to convert, or nesting too deep
+        except (ValueError, RecursionError) as err:
+            raise ValidationError(f"{path}: invalid JSON: {err}") from err
     return config_from_dict(raw)
 
 

@@ -26,6 +26,20 @@ _MODE_A_LONG = (1.0, 2.0, 0.5, 3.0, 1.0 / 3.0)
 _MODE_B_RATIOS = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
 
 
+def shown(value) -> str:
+    """repr(value), or the digit count of an integer too long to convert to text."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        magnitude = abs(value)
+        digits = int((magnitude.bit_length() - 1) * math.log10(2)) + 1
+        while digits > 1 and 10 ** (digits - 1) > magnitude:
+            digits -= 1
+        while 10**digits <= magnitude:
+            digits += 1
+        return f"an integer of {digits} digits"
+
+
 def finite_float(name: str, value) -> float:
     """value as a float; ValidationError unless it is a finite real number, not a bool.
 
@@ -38,17 +52,17 @@ def finite_float(name: str, value) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    raise ValidationError(f"{name} must be a finite number, got {shown(value)}")
 
 
 def check_image_id(value) -> None:
     if not isinstance(value, str) or not value:
-        raise ValidationError(f"image_id must be a non-empty string, got {value!r}")
+        raise ValidationError(f"image_id must be a non-empty string, got {shown(value)}")
 
 
 def check_class_id(value) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValidationError(f"class_id must be a non-negative integer, got {value!r}")
+        raise ValidationError(f"class_id must be a non-negative integer, got {shown(value)}")
 
 
 def check_scored(record) -> None:

@@ -5,16 +5,31 @@ ground truth is identical minus score, plus an optional boolean ignored.
 All files are UTF-8 with LF line endings. The reader checks JSON syntax and
 key sets; the record types check the values. Either kind of violation is
 reported with its line number.
+
+The table readers return a file as columns (evaluation.BoxTable). A file
+whose lines all parse and whose values already have the stored types (str,
+int, float, bool) and pass the record checks is checked column by column;
+any other file goes through the record reader and is converted, so every
+error keeps the record reader's line and message.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from operator import itemgetter
+
+import numpy as np
 
 from .detect import BOX_KEYS, BBox
 from .errors import ValidationError
-from .evaluation import DetectionRecord, GroundTruth
+from .evaluation import (
+    BoxTable,
+    DetectionRecord,
+    GroundTruth,
+    detection_table,
+    ground_truth_table,
+)
 
 DETECTION_KEYS = ("image_id", "class_id", "score") + BOX_KEYS
 GROUND_TRUTH_KEYS = ("image_id", "class_id") + BOX_KEYS
@@ -50,8 +65,8 @@ def _lines(path: str):
             raise ValidationError(f"{path}: not valid UTF-8: {err.reason}") from err
 
 
-def _record(line: str, record_type, keys: tuple[str, ...], optional: tuple[str, ...]):
-    """The record of one line; the record types check the field values."""
+def _fields(line: str, keys: tuple[str, ...], optional: tuple[str, ...]) -> dict:
+    """The JSON object of one line, holding every key and no unknown one."""
     try:
         obj = json.loads(line)
     # JSONDecodeError, an integer literal too long to convert, or nesting too deep
@@ -59,12 +74,19 @@ def _record(line: str, record_type, keys: tuple[str, ...], optional: tuple[str, 
         raise ValidationError(f"invalid JSON: {getattr(err, 'msg', err)}") from err
     if not isinstance(obj, dict):
         raise ValidationError("expected a JSON object")
-    missing = [k for k in keys if k not in obj]
-    extra = sorted(set(obj) - set(keys) - set(optional))
-    if missing:
-        raise ValidationError(f"missing keys: {', '.join(missing)}")
-    if extra:
-        raise ValidationError(f"unexpected keys: {', '.join(extra)}")
+    if obj.keys() != set(keys):  # else every key is there and no other one
+        missing = [k for k in keys if k not in obj]
+        extra = sorted(obj.keys() - {*keys, *optional})
+        if missing:
+            raise ValidationError(f"missing keys: {', '.join(missing)}")
+        if extra:
+            raise ValidationError(f"unexpected keys: {', '.join(extra)}")
+    return obj
+
+
+def _record(line: str, record_type, keys: tuple[str, ...], optional: tuple[str, ...]):
+    """The record of one line; the record types check the field values."""
+    obj = _fields(line, keys, optional)
     box = BBox(*(obj.pop(k) for k in BOX_KEYS))
     return record_type(box=box, **obj)
 
@@ -85,6 +107,75 @@ def read_detections(path: str) -> list[DetectionRecord]:
 
 def read_ground_truth(path: str) -> list[GroundTruth]:
     return _read(path, GroundTruth, GROUND_TRUTH_KEYS, ("ignored",))
+
+
+def _only(values: tuple, kind: type) -> bool:
+    return set(map(type, values)) <= {kind}
+
+
+def _rows(path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> list[tuple] | None:
+    """Each line's values in the order of keys, then optional (an absent one
+    reads False); None when a line is not JSON or has the wrong keys."""
+    values = itemgetter(*keys)
+    try:
+        objs = (_fields(line, keys, optional) for _, line in _lines(path))
+        if optional:
+            return [values(obj) + tuple(obj.get(k, False) for k in optional) for obj in objs]
+        return [values(obj) for obj in objs]
+    except ValidationError:  # the record reader reports the file's first fault
+        return None
+
+
+def _columns(rows: list[tuple] | None, names: tuple[str, ...]) -> BoxTable | None:
+    """The table of a file's rows when every value already has the type its
+    record field stores and passes the record checks; None otherwise.
+
+    names are the rows' field names: DETECTION_KEYS, or GROUND_TRUTH_KEYS
+    and "ignored".
+    """
+    if rows is None:
+        return None
+    column = dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
+    image_id, class_id = column["image_id"], column["class_id"]
+    coords = [column[k] for k in BOX_KEYS]
+    if not (
+        _only(image_id, str) and all(image_id)
+        and _only(class_id, int) and min(class_id, default=0) >= 0
+        and all(_only(c, float) for c in coords)
+    ):
+        return None
+    coords = np.array(coords, dtype=np.float64)
+    xmin, ymin, xmax, ymax = coords
+    with np.errstate(over="ignore", invalid="ignore"):
+        width, height = xmax - xmin, ymax - ymin  # as BBox checks them
+        area = width * height
+        finite = np.isfinite([*coords, width, height, 2.0 * area]).all()
+        if not (finite and (xmin <= xmax).all() and (ymin <= ymax).all()):
+            return None
+    boxes = coords.T.copy()
+    if "score" in column:
+        if not _only(column["score"], float):
+            return None
+        score = np.array(column["score"], dtype=np.float64)
+        if not np.isfinite(score).all():
+            return None
+        return BoxTable(list(image_id), list(class_id), boxes, score=score)
+    if not _only(column["ignored"], bool) or not (area > 0.0).all():
+        return None
+    return BoxTable(list(image_id), list(class_id), boxes, ignored=np.array(column["ignored"], dtype=bool))
+
+
+def read_detection_table(path: str) -> BoxTable:
+    """read_detections as a table, with the same errors."""
+    table = _columns(_rows(path, DETECTION_KEYS), DETECTION_KEYS)
+    return detection_table(read_detections(path)) if table is None else table
+
+
+def read_ground_truth_table(path: str) -> BoxTable:
+    """read_ground_truth as a table, with the same errors."""
+    keys, optional = GROUND_TRUTH_KEYS, ("ignored",)
+    table = _columns(_rows(path, keys, optional), keys + optional)
+    return ground_truth_table(read_ground_truth(path)) if table is None else table
 
 
 def write_csv(path: str, header: tuple[str, ...] | list[str], rows: list[list[str]]) -> None:

@@ -1,23 +1,32 @@
-"""The benchmark's tracer finds every function it wraps.
+"""The benchmark's hooks into weavenet still hold.
 
 benchmark/tracing.py names the weavenet functions it wraps or counts by
-(module, name). A rename or deletion in the package would only show when
-the benchmark runs, so this reads that list, without editing it, and checks
-each name still exists.
+(module, name), and benchmark/workloads.py records the output digests of
+each workload's seed-0 reference operations. A rename, a deletion or a
+moved output byte would only show when the benchmark runs, so these tests
+load both files, without editing them, and check the names and digests.
 """
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+import pytest
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load("tracing")
 
 
 def test_every_traced_function_exists():
@@ -30,3 +39,24 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"weavenet.{mod}"), attr, None))
     ]
     assert missing == []
+
+
+WORKLOADS = load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_reference_operations_keep_their_digests(name, tmp_path):
+    """Each workload's reference operations at the reference seed, checked
+    and digested as benchmark/run.py does."""
+    pkg = SimpleNamespace(**{
+        module: importlib.import_module(f"weavenet.{module}")
+        for module in ("cli", "config", "detect", "evaluation", "formats", "tensor_core", "weave")
+    })
+    workload = WORKLOADS.WORKLOADS[name](pkg, WORKLOADS.REFERENCE_SEED, str(tmp_path))
+    workload.setup()
+    shas = []
+    for i in range(workload.reference_ops):
+        error, data = workload.check(i, workload.run(i))
+        assert error is None
+        shas.append(hashlib.sha256(data).hexdigest())
+    assert WORKLOADS.digest(shas) == WORKLOADS.REFERENCE_DIGESTS[name]

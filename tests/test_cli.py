@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -16,13 +17,15 @@ from weavenet.config import (
     config_from_dict,
     load_config,
 )
-from weavenet.detect import BBox, Detection
+from weavenet.detect import BOX_KEYS, BBox, Detection
 from weavenet.errors import ValidationError
 from weavenet.evaluation import DetectionRecord, GroundTruth, stratify_by_area
 from weavenet.formats import (
     format_table,
+    read_detection_table,
     read_detections,
     read_ground_truth,
+    read_ground_truth_table,
     write_csv,
     write_detections,
     write_ground_truth,
@@ -213,6 +216,50 @@ class TestRunConfig:
             apply_overrides(cfg, top_down_only=True, bottom_up_only=True)
 
 
+READERS = {
+    "detections": (read_detections, read_detection_table),
+    "ground truth": (read_ground_truth, read_ground_truth_table),
+}
+# values next to what each field's check accepts
+EDGE_VALUES = {
+    "image_id": ["", "a"],
+    "class_id": [-1, 0, 2**64, True, 1.0],
+    "score": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1, True],
+    "ignored": [True, False, 0, None],
+    **dict.fromkeys(BOX_KEYS, [math.nan, math.inf, -0.0, 1e308, 7, False]),
+}
+# corners the box checks reject or only just accept
+ODD_BOXES = [
+    {"xmin": 1.5, "xmax": 1.5}, {"ymin": 2.0, "ymax": 1.0}, {"xmin": -1e308, "xmax": 1e308},
+    {"xmin": 0.0, "ymin": 0.0, "xmax": 1e154, "ymax": 1e154},
+    {"xmin": 0.0, "ymin": 0.0, "xmax": 0.7e154, "ymax": 0.7e154}, {"ymin": 0.0, "ymax": 5e-324},
+]
+
+
+def assert_readers_agree(path: str, kind: str) -> None:
+    """The table reader fails with the record reader's message, or its table
+    holds the records' fields bit for bit."""
+    read, read_table = READERS[kind]
+    try:
+        records = read(path)
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as from_table:
+            read_table(path)
+        assert str(from_table.value) == str(err)
+        return
+    table = read_table(path)
+    assert table.image_id == [r.image_id for r in records]
+    assert [(type(c), c) for c in table.class_id] == [(int, r.class_id) for r in records]
+    assert table.boxes.dtype == np.float64 and table.boxes.shape == (len(records), 4)
+    assert [[c.hex() for c in row] for row in table.boxes.tolist()] == [
+        [c.hex() for c in r.box.coords()] for r in records
+    ]
+    if kind == "detections":
+        assert [s.hex() for s in table.score.tolist()] == [r.score.hex() for r in records]
+    else:
+        assert table.ignored.tolist() == [r.ignored for r in records]
+
+
 class TestFormats:
     def test_detections_round_trip(self, tmp_path):
         path = str(tmp_path / "dets.jsonl")
@@ -356,6 +403,27 @@ class TestFormats:
         with pytest.raises(ValidationError, match="must be"):
             make()
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: BBox(0, 0, 10**5000, 1), "xmax must be a finite number, got an integer of 5001 digits"),
+            (lambda: BBox(-(10**4301), 0, 1, 1), "xmin must be a finite number, got an integer of 4302 digits"),
+            (lambda: GroundTruth(10**4301 - 1, BBox(0, 0, 1, 1), 0),
+             "image_id must be a non-empty string, got an integer of 4301 digits"),
+            (lambda: GroundTruth("a", BBox(0, 0, 1, 1), -(2**20000)),
+             "class_id must be a non-negative integer, got an integer of 6021 digits"),
+            (lambda: GroundTruth("a", BBox(0, 0, 1, 1), 0, ignored=10**5000),
+             "ignored must be a boolean, got an integer of 5001 digits"),
+            (lambda: DetectionRecord("a", BBox(0, 0, 1, 1), 10**4299, 0), f"score must be a finite number, got 1{'0' * 4299}"),
+        ],
+        ids=["xmax", "xmin", "image_id", "class_id", "ignored", "score-printable"],
+    )
+    def test_integer_too_long_to_print_is_a_validation_error(self, make, message):
+        # repr() of an integer past 4300 digits raises ValueError, so the message gives its length
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert str(err.value) == message
+
     def test_constructors_store_floats(self):
         box = BBox(0, 1, 2, 3)
         assert all(type(c) is float for c in box.coords())
@@ -401,6 +469,87 @@ class TestFormats:
             assert str(err) == f"{path}:1: {built.value}"
         else:
             assert records == [build()]
+
+    @pytest.mark.parametrize(
+        "kind,change",
+        [
+            (kind, {name: value})
+            for kind in READERS
+            for name, values in EDGE_VALUES.items()
+            if name != ("ignored" if kind == "detections" else "score")
+            for value in values
+        ] + [(kind, box) for kind in READERS for box in ODD_BOXES],
+        ids=repr,
+    )
+    def test_table_reader_agrees_next_to_every_check(self, tmp_path, kind, change):
+        """A value or box next to what each check accepts, on the middle one of three lines."""
+        valid = {"image_id": "a", "class_id": 1, "xmin": 0.5, "ymin": 0.0, "xmax": 2.0, "ymax": 3.0}
+        valid.update({"score": 0.5} if kind == "detections" else {"ignored": False})
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(fields) + "\n" for fields in (valid, {**valid, **change}, valid)))
+        assert_readers_agree(str(path), kind)
+
+    # each example overwrites the file, so sharing tmp_path is safe
+    @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(sorted(READERS)), data=st.data())
+    def test_table_reader_agrees_with_record_reader(self, tmp_path, kind, data):
+        """Files of 0-4 lines, each a valid record or one with a fault: the
+        file's one odd value (arbitrary JSON, or next to what the field's
+        check accepts) in the file's one odd field, a box out of order, flat
+        or too large, and in some files a missing or unknown key, a line that
+        is not a JSON object or a blank line."""
+        finite = st.floats(-1e6, 1e6)
+        arbitrary = st.one_of(
+            st.none(), st.booleans(), st.integers(-2, 3), st.integers(), st.sampled_from([10**400, 2**1024]),
+            st.floats(), st.text(max_size=2), st.lists(st.integers(0, 1), max_size=2),
+        )
+        odd_field = data.draw(st.sampled_from(sorted(set(EDGE_VALUES) - {"ignored" if kind == "detections" else "score"})))
+        odd_value = data.draw(st.one_of(st.sampled_from(EDGE_VALUES[odd_field]), arbitrary))
+        structural = data.draw(st.sampled_from([False, False, False, True]))
+
+        @st.composite
+        def record_line(draw):
+            x, y = draw(finite), draw(finite)
+            fields = {
+                "image_id": draw(st.text(min_size=1, max_size=3)),
+                "class_id": draw(st.integers(0, 10**20)),
+                "xmin": x, "ymin": y,
+                "xmax": x + draw(st.floats(0.5, 100.0)), "ymax": y + draw(st.floats(0.5, 100.0)),
+            }
+            if kind == "detections":
+                fields["score"] = draw(finite)
+            elif draw(st.booleans()):
+                fields["ignored"] = draw(st.booleans())
+            faults = ["none", "none", "none", "odd", "odd", "box"]
+            if structural:
+                faults += ["missing", "unknown", "syntax", "blank"]
+            fault = draw(st.sampled_from(faults))
+            if fault == "odd":
+                fields[odd_field] = odd_value
+            elif fault == "box":
+                fields.update(draw(st.sampled_from(ODD_BOXES)))
+            elif fault == "missing":
+                del fields[draw(st.sampled_from(sorted(fields)))]
+            elif fault == "unknown":
+                fields[draw(st.sampled_from(["zz", "ignored", "score"]))] = 1
+            elif fault == "syntax":
+                return draw(st.sampled_from(['{"a": [1', "2]}", '{"b": 1},{"c": 1}', "[]", "7", "{"]))
+            elif fault == "blank":
+                return draw(st.sampled_from(["", "  ", "\t"]))
+            return json.dumps(fields)
+
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(line + "\n" for line in data.draw(st.lists(record_line(), max_size=4))))
+        assert_readers_agree(str(path), kind)
+
+    @pytest.mark.parametrize("lines", [['{"a": [1', "2]}"], ['{"b": 1},{"c": 1}']])
+    def test_lines_that_join_into_json_are_still_invalid(self, tmp_path, lines):
+        """Each line is parsed alone: joined into one array these would parse."""
+        path = tmp_path / "gt.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        for read in (read_ground_truth, read_ground_truth_table):
+            with pytest.raises(ValidationError, match=f"^{path}:1: invalid JSON: "):
+                read(str(path))
 
     def test_csv_uses_lf(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -805,6 +954,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("[" * 100000, "maximum recursion depth exceeded"),
+            ('{"k": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["nested-too-deep", "integer-too-long"],
+    )
+    def test_unparseable_config_is_one_line_error(self, tmp_path, capsys, text, fragment):
+        # both used to end in a traceback (RecursionError, ValueError)
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: invalid JSON: ") and fragment in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"

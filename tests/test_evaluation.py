@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from weavenet.evaluation import (
     EvalReport,
     GroundTruth,
     average_precision_11pt,
+    detection_table,
     evaluate,
+    ground_truth_table,
     match_detections,
     stratify_by_area,
 )
@@ -403,8 +406,6 @@ class TestEvaluate:
                     assert b.ap[stratum][cls] <= a.ap[stratum][cls] + 1e-15
 
     def test_stratum_tp_counts_partition_overall(self):
-        from dataclasses import replace
-
         dets, gts = build_fixture(6)
         labels = stratify_by_area(gts)
         for cls in (0, 1):
@@ -507,3 +508,147 @@ class TestApBounds:
             for ap in report.ap[stratum].values():
                 assert ap is None or 0.0 <= ap <= 1.0
             assert 0.0 <= report.mean_ap[stratum] <= 1.0
+
+
+def list_strata(gts):
+    """The list stratify_by_area the array version replaced."""
+    labels = [""] * len(gts)
+    by_class = {}
+    for idx, gt in enumerate(gts):
+        by_class.setdefault(gt.class_id, []).append(idx)
+    for indices in by_class.values():
+        areas = sorted(gts[i].box.area for i in indices)
+        n = len(areas)
+        p25 = areas[math.floor(0.25 * n)]
+        p75 = areas[math.floor(0.75 * n)]
+        for i in indices:
+            area = gts[i].box.area
+            labels[i] = "small" if area < p25 else ("medium" if area < p75 else "large")
+    return labels
+
+
+def list_ap(tp_sequence, num_positive_gts):
+    """The Python-loop average_precision_11pt the cumulative-count version replaced."""
+    if num_positive_gts == 0:
+        return 0.0
+    precisions, recalls = [], []
+    tp = 0
+    for rank, is_tp in enumerate(tp_sequence, start=1):
+        tp += int(is_tp)
+        precisions.append(tp / rank)
+        recalls.append(tp / num_positive_gts)
+    total = 0.0
+    for level in range(11):
+        r = level / 10
+        best = 0.0
+        for p, rec in zip(precisions, recalls):
+            if rec >= r and p > best:
+                best = p
+        total += best
+    return total / 11.0
+
+
+def list_evaluate(dets, gts, iou_threshold=0.5):
+    """The evaluate the one-pass version replaced, kept as its oracle: every
+    stratum views the ground truth through a copy of each box (the other
+    strata's boxes ignored) and scores each class with its own matcher call,
+    here the scalar matcher, the list strata and the list AP."""
+    strata_labels = list_strata(gts)
+    classes = sorted({g.class_id for g in gts})
+    notes = []
+    det_classes = sorted({d.class_id for d in dets} - set(classes))
+    if det_classes:
+        notes.append(f"detections for classes without ground truth skipped: {det_classes}")
+    ap, positives, mean_ap = {}, {}, {}
+    for stratum in ALL_STRATA:
+        if stratum == "overall":
+            view = gts
+        else:
+            view = [
+                replace(g, ignored=g.ignored or label != stratum)
+                for g, label in zip(gts, strata_labels)
+            ]
+        ap[stratum], positives[stratum] = {}, {}
+        scored = []
+        for cls in classes:
+            cls_dets = [d for d in dets if d.class_id == cls]
+            cls_gts = [g for g in view if g.class_id == cls]
+            num_positive = sum(1 for g in cls_gts if not g.ignored)
+            cls_ap = None
+            if num_positive:
+                labels = scalar_match(cls_dets, cls_gts, iou_threshold)
+                order = sorted(range(len(cls_dets)), key=lambda i: (-cls_dets[i].score, i))
+                seq = [labels[i] == "tp" for i in order if labels[i] != "ignored"]
+                cls_ap = list_ap(seq, num_positive)
+                scored.append(cls_ap)
+            elif stratum == "overall":
+                notes.append(f"class {cls} has no scorable ground truth overall")
+            ap[stratum][cls] = cls_ap
+            positives[stratum][cls] = num_positive
+        mean_ap[stratum] = sum(scored) / len(scored) if scored else 0.0
+    return ap, positives, mean_ap, notes
+
+
+def hexed(value):
+    return None if value is None else value.hex()
+
+
+class TestEvaluateOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        data=st.data(),
+        block=st.integers(1, 48),
+        threshold=st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_matches_list_oracle(self, data, block, threshold):
+        """Every AP and mAP bit for bit, every positive count and note:
+        duplicates, equal scores, exact ground-truth copies (equal overlaps),
+        ignored boxes, a detection-only class, two images, and overlap blocks
+        of 1-48 elements."""
+        image, cls = st.sampled_from(["a", "b"]), st.integers(0, 2)
+        score = st.one_of(st.sampled_from([0.2, 0.5, 0.9]), st.floats(0.0, 1.0))
+        gts = data.draw(st.lists(
+            st.builds(GroundTruth, image, small_box(min_side=1), cls, st.booleans()), min_size=1, max_size=12
+        ))
+        copies = data.draw(st.lists(st.tuples(st.sampled_from(gts), st.booleans()), max_size=4))
+        gts += [GroundTruth(g.image_id, g.box, g.class_id, flag) for g, flag in copies]
+        dets = data.draw(st.lists(
+            st.builds(DetectionRecord, image, small_box(), score, st.integers(0, 3)), max_size=16
+        ))
+        if dets:
+            dets += data.draw(st.lists(st.sampled_from(dets), max_size=4))
+        hits = data.draw(st.lists(st.tuples(st.sampled_from(gts), score), max_size=10))
+        dets += [DetectionRecord(g.image_id, g.box, s, g.class_id) for g, s in hits]
+        order = data.draw(st.permutations(range(len(dets))))
+        dets = [dets[i] for i in order]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "IOU_BLOCK_ELEMENTS", block)
+            report = evaluate(dets, gts, threshold)
+        ap, positives, mean_ap, notes = list_evaluate(dets, gts, threshold)
+        for stratum in ALL_STRATA:
+            assert {c: hexed(v) for c, v in report.ap[stratum].items()} == {
+                c: hexed(v) for c, v in ap[stratum].items()
+            }
+            assert report.positives[stratum] == positives[stratum]
+            assert report.mean_ap[stratum].hex() == mean_ap[stratum].hex()
+        assert list(report.notes) == notes
+        assert (report.gt_count, report.det_count) == (len(gts), len(dets))
+
+    def test_tables_and_records_give_one_report(self):
+        dets, gts = build_fixture(7)
+        assert evaluate(detection_table(dets), ground_truth_table(gts)) == evaluate(dets, gts)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seq=st.lists(st.booleans(), max_size=30),
+        extra=st.integers(0, 5),
+    )
+    def test_average_precision_matches_list_loop(self, seq, extra):
+        num_positive = sum(seq) + extra
+        assert average_precision_11pt(seq, num_positive).hex() == list_ap(seq, num_positive).hex()
+
+    @settings(deadline=None, max_examples=100)
+    @given(areas=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)), min_size=1, max_size=20))
+    def test_stratify_matches_list_loop(self, areas):
+        gts = [gt_with_area(a, class_id=c) for a, c in areas]
+        assert stratify_by_area(gts) == list_strata(gts)

@@ -333,6 +333,36 @@ class TestEquivalence:
             assert a.data.tobytes() == b.data.tobytes()
 
 
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_modes_agree_over_random_geometries(self, data):
+        """Any valid geometry: 1-4 scales, unwoven scales of any size (odd
+        ones and 1 included) around 1-3 woven scales whose sizes halve down
+        to an odd size or 1, raw channels 1-4, k 1-4, T 0-4 and both masks."""
+        coarsest = data.draw(st.sampled_from([1, 2, 3, 5]), label="coarsest woven size")
+        woven = data.draw(st.integers(1, 3 if coarsest < 3 else 2), label="woven scales")
+        before = data.draw(st.lists(st.integers(1, 9), max_size=1), label="finer unwoven sizes")
+        after = data.draw(st.lists(st.integers(1, 3), max_size=4 - woven - len(before)), label="coarser unwoven sizes")
+        sizes = (*before, *(coarsest * 2**i for i in reversed(range(woven))), *after)
+        td, bu = data.draw(st.sampled_from([(True, True), (True, False), (False, True), (False, False)]))
+        cfg = WeaveConfig(
+            k=data.draw(st.integers(1, 4), label="k"),
+            iterations=data.draw(st.integers(0, 4), label="T"),
+            woven_scales=tuple(range(len(before), len(before) + woven)),
+            raw_channels=tuple(data.draw(st.lists(st.integers(1, 4), min_size=len(sizes), max_size=len(sizes)))),
+            pyramid_sizes=sizes,
+            enable_top_down=td,
+            enable_bottom_up=bu,
+            seed=data.draw(st.integers(0, 3), label="seed"),
+        )
+        params = init_params(cfg)
+        pyramid = random_pyramid(cfg, seed=cfg.seed + 7)
+        naive = weave_forward(pyramid, cfg, params, mode="naive")
+        simplified = weave_forward(pyramid, cfg, params, mode="simplified")
+        assert [t.data.shape for t in naive] == [t.data.shape for t in simplified]
+        assert compare_outputs(naive, simplified).deviation <= 1e-9
+
+
 class TestPrecomputedSources:
     def test_slices_match_per_iteration_convolutions_bitwise(self):
         cfg = small_config(iterations=3)
