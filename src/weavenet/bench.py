@@ -263,6 +263,18 @@ TIMING_COLUMNS = (
 )
 
 
+# One row per (k, T) of `weavenet bench`: wall-clock means beside the FLOP
+# ratio they should track. Printed only; never part of a CSV.
+RATIO_COLUMNS = (
+    "k",
+    "iterations",
+    "naive_mean_s",
+    "simplified_mean_s",
+    "time_ratio",
+    "flop_ratio",
+)
+
+
 def data_row(report: BenchReport, flop_ratio: float, worst_deviation: float) -> list[str]:
     """Deterministic CSV cells (no wall-clock fields)."""
     return [
@@ -291,4 +303,15 @@ def timing_row(report: BenchReport) -> list[str]:
         f"{report.stddev_time:.6f}",
         f"{report.throughput:.3f}",
         f"{report.flops_per_second:.3e}",
+    ]
+
+
+def ratio_row(cmp: ModeComparison) -> list[str]:
+    return [
+        str(cmp.naive.k),
+        str(cmp.naive.iterations),
+        f"{cmp.naive.mean_time:.6f}",
+        f"{cmp.simplified.mean_time:.6f}",
+        f"{cmp.time_ratio:.3f}",
+        f"{cmp.flop_ratio:.3f}",
     ]

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation or verification failure, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from .formats import (
     write_detections,
 )
 from .pipeline import run_demo
+from .tensor_core import exactness_probe
 from .weave import compare_outputs, conv_flops, init_params, weave_forward
 
 SWEEP_K = (16, 32, 64)
@@ -55,6 +57,9 @@ def _load(args) -> RunConfig:
 
 def cmd_verify(args) -> int:
     config = _load(args)
+    mismatch = exactness_probe()
+    if mismatch is not None:
+        raise ValidationError(f"conv3x3 is not bit-exact on this NumPy build: {mismatch}")
     base = config.weave_config()
     pyramid = make_raw_pyramid(config)
     tol = bench_mod.EQUIVALENCE_TOL
@@ -163,6 +168,7 @@ def cmd_bench(args) -> int:
     base = config.weave_config()
     data_rows = []
     timing_rows = []
+    ratio_rows = []
     for k in BENCH_SWEEP_K:
         for t in SWEEP_T:
             cfg = replace(base, k=k, iterations=t)
@@ -179,6 +185,7 @@ def cmd_bench(args) -> int:
             ):
                 data_rows.append(bench_mod.data_row(report, ratio, cmp.worst_deviation))
                 timing_rows.append(bench_mod.timing_row(report))
+            ratio_rows.append(bench_mod.ratio_row(cmp))
 
     baseline_flops = conv_flops(BASELINE_CHANNELS, BASELINE_CHANNELS, BASELINE_SIZE, BASELINE_SIZE)
     data_rows.append(
@@ -198,6 +205,8 @@ def cmd_bench(args) -> int:
     print(format_table(list(bench_mod.DATA_COLUMNS), data_rows))
     print()
     print(format_table(list(bench_mod.TIMING_COLUMNS), timing_rows))
+    print()
+    print(format_table(list(bench_mod.RATIO_COLUMNS), ratio_rows))
     if args.out:
         write_csv(args.out, bench_mod.DATA_COLUMNS, data_rows)
         print(f"wrote {args.out}")
@@ -264,10 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main() call and reused after it.
+
+    parse_args keeps no state between calls: every call fills a new
+    namespace, and no argument has a mutable default.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -6,19 +6,30 @@ column) order so that downstream equivalence checks can use tight
 tolerances. Tensors are immutable after construction.
 
 conv3x3 lowers the convolution to one matrix product per chunk of output
-rows, ``np.einsum("ok,kp->op", wm, cols, optimize=False)``, where ``wm`` is
-the kernel as a (cout, 1 + 9*cin) matrix with the bias in column 0 and
-``cols`` holds a row of ones over the 9*cin shifted input windows. The
-unoptimised einsum keeps the documented summation order bit for bit:
+rows, ``np.einsum("ko,kp->op", wt, cols, optimize=False)``, where ``wt`` is
+the kernel as a (1 + 9*cin, cout) matrix with the bias in row 0 and
+``cols`` holds a row of ones over the 9*cin shifted input windows, one
+column per output pixel. The unoptimised einsum keeps the documented
+summation order bit for bit:
 
 - NumPy's iterator puts the spatial axis ``p`` innermost (only ``cols``
-  and the output have a stride along it, and both are contiguous there),
-  so every output element is built as 0.0 + bias*1.0, then one rounded
-  product added per tap, in tap order. 0.0 + bias is the bias itself
-  (ConvKernel stores no -0.0 bias), and bias*1.0 is exact.
+  and the output have a stride along it, and both are contiguous there)
+  and, since ``wt`` is contiguous along ``o``, loops the tap axis ``k``
+  outermost: each row of ``cols`` is added into every output channel
+  while it is still in cache. The order of the loops around ``p`` does
+  not change any sum: every output element is still built as 0.0 +
+  bias*1.0, then one rounded product added per tap, in tap order. 0.0 +
+  bias is the bias itself (ConvKernel stores no -0.0 bias), and bias*1.0
+  is exact.
 - einsum's sum-of-products loops are compiled for NumPy's x86-64 baseline,
   which has no fused multiply-add, so each product is rounded before it
-  is added, as in the elementwise reference.
+  is added, as in the elementwise reference. ``exactness_probe`` checks
+  this at run time against ``conv3x3_taps``.
+- A contraction over a single column is never run. NumPy drops length-1
+  axes, so with one column and one output channel only ``k`` is left, and
+  its reduction loop sums in another order: without the guard, 16 of 20
+  random (160, 1, 1) inputs with one output channel changed bits (NumPy
+  2.4, x86-64).
 - ``optimize=False`` must stay: ``optimize=True`` routes a two-operand
   contraction to tensordot, i.e. BLAS, whose blocked and fused sums change
   the bits (and break the stacked-kernel identity the weave relies on).
@@ -34,6 +45,15 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ValidationError
 
 
+def _check_tensor_data(arr: np.ndarray) -> None:
+    if arr.ndim != 3:
+        raise ValidationError(f"tensor must be rank 3 (CHW), got shape {arr.shape}")
+    if min(arr.shape) < 1:
+        raise ValidationError(f"tensor dimensions must be positive, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("tensor contains non-finite values")
+
+
 class Tensor:
     """A rank-3 feature map (channels x height x width) of finite float64."""
 
@@ -41,16 +61,25 @@ class Tensor:
 
     def __init__(self, data: np.ndarray):
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValidationError(f"tensor must be rank 3 (CHW), got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValidationError(f"tensor dimensions must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("tensor contains non-finite values")
+        _check_tensor_data(arr)
         if arr is data:
             arr = arr.copy()
         arr.flags.writeable = False
         self.data = arr
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray) -> "Tensor":
+        """A tensor over `data` itself, checked like Tensor(data) but not copied.
+
+        For package code only, and only for an array no one else can write:
+        one it has just allocated, or a view of an existing tensor's data.
+        """
+        arr = np.ascontiguousarray(data, dtype=np.float64)
+        _check_tensor_data(arr)
+        arr.flags.writeable = False
+        tensor = cls.__new__(cls)
+        tensor.data = arr
+        return tensor
 
     @classmethod
     def from_flat(cls, channels: int, height: int, width: int, values: Sequence[float]) -> "Tensor":
@@ -134,18 +163,20 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     are computed independently of one another, so stacking kernels along
     the output axis is bit-exact with concatenating separate results.
 
-    The input is zero-padded into flat per-channel planes of row stride
-    wp = w + 2 with one extra zero row at the bottom, (h + 3)*wp values
-    each. Output pixel (y, x) then reads the taps at flat offsets
-    (y + dy)*wp + x + dx, so the windows of a chunk of n output rows
-    starting at y0 are one as_strided view of shape (cin, 3, 3, n*wp) with
-    strides (plane, wp, 1, 1). Its last read in a plane is at
-    (y0 + n + 2)*wp + 1, and (y0 + n + 2)*wp + 2 <= (h + 3)*wp because
-    y0 + n <= h and wp >= 2, so the view stays inside each plane. The 2
-    wrap-around columns per output row are computed and dropped. A chunk
-    holds as many rows as fit in CONV_CHUNK_BYTES of columns (at least
-    one) and is one unoptimised einsum; the module docstring gives the
-    argument that its sums follow the reference order.
+    The input is zero-padded into flat per-channel planes of hp = h + 2
+    rows of wp = w + 2 values. Output pixel (y, x) reads the taps at flat
+    offsets (y + dy)*wp + x + dx, so the windows of a chunk of n output
+    rows starting at y0 are one as_strided view of shape (cin, 3, 3, n, w)
+    with strides (plane, wp, 1, wp, 1), and a chunk's columns are exactly
+    its n*w output pixels. The last read in a plane is at
+    (y0 + n + 1)*wp + w + 1 <= (h + 1)*wp + wp - 1 = hp*wp - 1, because
+    y0 + n <= h, so the view stays inside each plane. A chunk holds as
+    many rows as fit in CONV_CHUNK_BYTES of columns (at least one) and is
+    one unoptimised einsum written straight into its slice of the
+    (cout, h*w) output. A chunk of one pixel gets a zero pad column,
+    dropped afterwards, so that NumPy keeps the pixel axis innermost; the
+    module docstring gives the argument that the sums follow the reference
+    order.
     """
     if x.channels != kernel.in_channels:
         raise ValidationError(
@@ -153,39 +184,93 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
         )
     cin, h, w = x.shape
     cout = kernel.out_channels
-    wp = w + 2
+    hp, wp = h + 2, w + 2
     taps = 1 + 9 * cin
-    padded = np.zeros((cin, h + 3, wp), dtype=np.float64)
+    padded = np.zeros((cin, hp, wp), dtype=np.float64)
     padded[:, 1 : h + 1, 1 : w + 1] = x.data
     flat = padded.reshape(-1)
     step = flat.itemsize
 
-    wm = np.empty((cout, taps), dtype=np.float64)
-    wm[:, 0] = kernel.bias
-    wm[:, 1:] = kernel.weights.reshape(cout, taps - 1)
+    wt = np.empty((taps, cout), dtype=np.float64)
+    wt[0] = kernel.bias
+    wt[1:] = kernel.weights.reshape(cout, taps - 1).T
 
-    rows_per_chunk = max(1, CONV_CHUNK_BYTES // (taps * wp * step))
-    out = np.empty((cout, h, wp), dtype=np.float64)
+    rows_per_chunk = max(1, CONV_CHUNK_BYTES // (taps * w * step))
+    out = np.empty((cout, h * w), dtype=np.float64)
     for y0 in range(0, h, rows_per_chunk):
         n = min(rows_per_chunk, h - y0)
-        span = n * wp
+        span = n * w
         windows = as_strided(
             flat[y0 * wp :],
-            shape=(cin, 3, 3, span),
-            strides=((h + 3) * wp * step, wp * step, step, step),
+            shape=(cin, 3, 3, n, w),
+            strides=(hp * wp * step, wp * step, step, wp * step, step),
             writeable=False,
         )
         cols = np.empty((taps, span), dtype=np.float64)
         cols[0] = 1.0
-        cols[1:].reshape(cin, 3, 3, span)[...] = windows
-        product = np.einsum("ok,kp->op", wm, cols, optimize=False)
-        out[:, y0 : y0 + n] = product.reshape(cout, n, wp)
-    return Tensor(out[:, :, :w])
+        cols[1:].reshape(cin, 3, 3, n, w)[...] = windows
+        target = out[:, y0 * w : y0 * w + span]
+        if span > 1:
+            np.einsum("ko,kp->op", wt, cols, out=target, optimize=False)
+        else:
+            two = np.pad(cols, ((0, 0), (0, 1)))
+            target[...] = np.einsum("ko,kp->op", wt, two, optimize=False)[:, :1]
+    return Tensor._adopt(out.reshape(cout, h, w))
+
+
+def conv3x3_taps(x: Tensor, kernel: ConvKernel) -> np.ndarray:
+    """conv3x3 written as one elementwise multiply and add per tap.
+
+    The bias, then each rounded product added over whole planes in
+    (channel, kernel row, kernel column) order: the sums conv3x3 must
+    reproduce bit for bit. Slow; exactness_probe runs it on small inputs.
+    """
+    cin, h, w = x.shape
+    padded = np.zeros((cin, h + 2, w + 2), dtype=np.float64)
+    padded[:, 1 : h + 1, 1 : w + 1] = x.data
+    acc = np.empty((kernel.out_channels, h, w), dtype=np.float64)
+    acc[...] = kernel.bias[:, None, None]
+    for c in range(cin):
+        for dy in range(3):
+            for dx in range(3):
+                acc += kernel.weights[:, c, dy, dx, None, None] * padded[c, dy : dy + h, dx : dx + w]
+    return acc
+
+
+# (cin, cout, h, w) of the probe's inputs: odd sizes, a one-pixel-wide map,
+# and two 1x1 inputs, one with a single output channel (the one-column case
+# conv3x3 pads).
+PROBE_SHAPES = ((3, 5, 7, 5), (5, 4, 1, 1), (63, 1, 1, 1), (2, 3, 9, 1))
+
+
+def exactness_probe() -> str | None:
+    """Whether conv3x3 equals conv3x3_taps bit for bit on this NumPy build.
+
+    Runs PROBE_SHAPES on fixed random inputs; returns None when every
+    output matches, otherwise a one-line description of the first input
+    that does not. It fails on a build whose einsum loops fuse or reorder
+    the multiply-adds.
+    """
+    rng = np.random.default_rng(0)
+    for cin, cout, h, w in PROBE_SHAPES:
+        x = Tensor._adopt(rng.normal(size=(cin, h, w)))
+        kernel = ConvKernel(rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
+        got = conv3x3(x, kernel).data
+        want = conv3x3_taps(x, kernel)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        if differ.any():
+            c, y, xx = (int(i) for i in np.argwhere(differ)[0])
+            return (
+                f"{int(differ.sum())} of {differ.size} outputs of a ({cin}, {h}, {w}) input"
+                f" and {cout} output channel(s) differ from the tap loop,"
+                f" first at channel {c}, y {y}, x {xx}"
+            )
+    return None
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x)."""
-    return Tensor(np.maximum(x.data, 0.0))
+    return Tensor._adopt(np.maximum(x.data, 0.0))
 
 
 def upsample_bilinear_x2(x: Tensor) -> Tensor:
@@ -209,7 +294,7 @@ def upsample_bilinear_x2(x: Tensor) -> Tensor:
     out[:, :, 0::2][:, :, 1:] += 0.25 * rows[:, :, :-1]
     out[:, :, 1::2] = 0.75 * rows
     out[:, :, 1::2][:, :, :-1] += 0.25 * rows[:, :, 1:]
-    return Tensor(out)
+    return Tensor._adopt(out)
 
 
 def maxpool_2x2_s2(x: Tensor) -> Tensor:
@@ -220,7 +305,7 @@ def maxpool_2x2_s2(x: Tensor) -> Tensor:
     oh, ow = h // 2, w // 2
     cropped = x.data[:, : 2 * oh, : 2 * ow]
     blocks = cropped.reshape(c, oh, 2, ow, 2)
-    return Tensor(blocks.max(axis=(2, 4)))
+    return Tensor._adopt(blocks.max(axis=(2, 4)))
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
@@ -235,7 +320,7 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
             )
     if len(parts) == 1:
         return parts[0]
-    return Tensor(np.concatenate([p.data for p in parts], axis=0))
+    return Tensor._adopt(np.concatenate([p.data for p in parts], axis=0))
 
 
 def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
@@ -249,6 +334,6 @@ def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     out = []
     start = 0
     for s in sizes:
-        out.append(Tensor(x.data[start : start + s]))
+        out.append(Tensor._adopt(x.data[start : start + s]))
         start += s
     return out

@@ -330,7 +330,7 @@ def block_simplified(
     else:
         partial = conv3x3(messages, ConvKernel(msg_cols, kernel.bias))
         pre = partial.data + source_slice.data
-    out = relu(Tensor(pre))
+    out = relu(Tensor._adopt(pre))
     return _split_messages(out, params)
 
 
@@ -364,7 +364,7 @@ def source_slice(sources: dict[int, Tensor], scale: int, t: int, params: BlockPa
     """Extract iteration t's slice from a scale's stacked source tensor."""
     width = params.out_channels
     data = sources[scale].data[(t - 1) * width : t * width]
-    return Tensor(data)
+    return Tensor._adopt(data)
 
 
 def _validate_pyramid(pyramid: list[Tensor], config: WeaveConfig) -> None:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +12,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import weavenet
+from weavenet import tensor_core
+from weavenet.bench import RATIO_COLUMNS, TIMING_COLUMNS
 from weavenet.cli import main
 from weavenet.config import (
     MAX_HEAD_CHANNELS,
@@ -690,6 +696,21 @@ class TestVerifyCommand:
         assert "[config] k=4   T=0" in captured
 
 
+class TestVerifyExactnessProbe:
+    def test_inexact_conv_ends_in_one_line_before_the_sweep(self, tiny_config, capsys, monkeypatch):
+        exact = tensor_core.conv3x3
+        monkeypatch.setattr(
+            tensor_core, "conv3x3", lambda x, k: tensor_core.Tensor(np.nextafter(exact(x, k).data, np.inf))
+        )
+        code = main(["verify", "--config", tiny_config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: conv3x3 is not bit-exact on this NumPy build: ")
+
+
 class TestDemoCommand:
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -906,6 +927,29 @@ class TestBenchCommand:
         assert "disagree" in err
 
 
+    def test_ratio_table_follows_timing_table(self, tiny_config, tmp_path, capsys):
+        timing = str(tmp_path / "timing.csv")
+        code = main([
+            "bench", "--config", tiny_config, "--warmup", "0", "--reps", "1", "--timing-out", timing
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        tables = out.split("\n\n")
+        assert len(tables) == 3
+        header, rule, *rows = tables[2].splitlines()
+        assert header.split() == list(RATIO_COLUMNS)
+        rows = [r.split() for r in rows[:6]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(k, t) for k in (16, 32) for t in (1, 3, 5)]
+        for r in rows:
+            naive, simplified, time_ratio = float(r[2]), float(r[3]), float(r[4])
+            assert time_ratio == pytest.approx(naive / simplified, rel=1e-2, abs=2e-3)
+        with open(timing) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0].split(",") == list(TIMING_COLUMNS)
+        assert [line.split(",")[7] for line in lines[1::2]] == [r[2] for r in rows]
+        assert [line.split(",")[7] for line in lines[2::2]] == [r[3] for r in rows]
+
+
 class TestFixturesCommand:
     def test_files_and_schemas(self, tmp_path, capsys):
         fx = tmp_path / "fx"
@@ -1000,3 +1044,43 @@ class TestExitCodes:
     def test_conflicting_masks_rejected(self, capsys):
         assert main(["verify", "--top-down-only", "--bottom-up-only"]) == 1
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+class TestMainKeepsNoState:
+    """main() builds its parser once; consecutive calls in one process must
+    behave exactly as separate `python -m weavenet` processes do."""
+
+    def test_consecutive_calls_match_fresh_processes(self, tiny_config, tmp_path, capsys):
+        fx = str(tmp_path / "fx")
+        dets = str(tmp_path / "dets.jsonl")
+        steps = [
+            ["fixtures", "--config", tiny_config, "--out", fx],
+            ["demo", "--config", tiny_config, "--no-refine", "--out", dets],
+            ["demo", "--config", tiny_config, "--out", dets],
+            ["eval", dets, os.path.join(fx, "ground_truth.jsonl")],
+            ["demo", "--mode", "fastest"],
+            ["demo", "--config", tiny_config, "--no-refine", "--out", dets],
+            ["eval", dets, os.path.join(fx, "ground_truth.jsonl")],
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(weavenet.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        def dets_bytes():
+            if not os.path.exists(dets):
+                return b""
+            with open(dets, "rb") as fh:
+                return fh.read()
+
+        fresh = []
+        for argv in steps:
+            proc = subprocess.run(
+                [sys.executable, "-m", "weavenet", *argv], capture_output=True, text=True, env=env
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr, dets_bytes()))
+        os.remove(dets)
+        capsys.readouterr()
+        for argv, want in zip(steps, fresh):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err, dets_bytes()) == want, argv
+        assert fresh[4][0] == 1 and fresh[4][2].startswith("error: argument --mode")
+        assert fresh[1][3] != fresh[2][3]  # a leaked --no-refine would show

@@ -10,18 +10,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weavenet import tensor_core
 from weavenet.errors import ValidationError
 from weavenet.tensor_core import (
     CONV_CHUNK_BYTES,
+    PROBE_SHAPES,
     ConvKernel,
     Tensor,
     concat_channels,
     conv3x3,
+    conv3x3_taps,
+    exactness_probe,
     maxpool_2x2_s2,
     relu,
     split_channels,
     upsample_bilinear_x2,
 )
+from weavenet.weave import WeaveConfig, init_params, precompute_sources, source_slice
 
 
 def conv3x3_reference(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -322,3 +327,127 @@ class TestConcatSplit:
     def test_split_size_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             split_channels(Tensor(np.ones((8, 2, 2))), [4, 3])
+
+
+class TestConv3x3Layouts:
+    """Layouts where the exact-width column buffer has one or few columns.
+
+    With one column and one output channel NumPy would be left with the tap
+    axis alone, reduced in another order; conv3x3 pads such a chunk."""
+
+    @pytest.mark.parametrize("cout", [1, 48])  # 48: the default pyramid's last scale
+    @pytest.mark.parametrize("cin", [1, 32, 160])
+    def test_one_pixel_input_equals_loop(self, cin, cout):
+        for seed in range(4):
+            rng = np.random.default_rng([cin, cout, seed])
+            x = Tensor(spread_values(rng, (cin, 1, 1)))
+            k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
+            assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
+
+    @pytest.mark.parametrize("cin,cout,h", [(1, 1, 2), (32, 1, 5), (32, 5, 5), (7, 48, 9)])
+    def test_one_pixel_chunks_equal_loop(self, monkeypatch, cin, cout, h):
+        monkeypatch.setattr(tensor_core, "CONV_CHUNK_BYTES", 1)  # one row, here one pixel, per chunk
+        rng = np.random.default_rng([cin, cout, h])
+        x = Tensor(spread_values(rng, (cin, h, 1)))
+        k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
+        assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
+
+    def test_one_row_chunks_equal_loop(self, monkeypatch):
+        monkeypatch.setattr(tensor_core, "CONV_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(14)
+        x = Tensor(spread_values(rng, (6, 5, 3)))
+        k = ConvKernel(spread_values(rng, (4, 6, 3, 3)), spread_values(rng, 4))
+        assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
+
+
+def _tiny_sources():
+    cfg = WeaveConfig(
+        pyramid_sizes=(4, 2, 1), raw_channels=(3, 3, 3), woven_scales=(0, 1), k=2, iterations=2
+    )
+    params = init_params(cfg)
+    rng = np.random.default_rng(15)
+    raw = {i: Tensor(rng.normal(size=(3, s, s))) for i, s in enumerate(cfg.pyramid_sizes) if i in params}
+    return precompute_sources(raw, params, cfg.iterations), params
+
+
+class TestFreshTensorsAreSealed:
+    """Results built without a defensive copy are still read-only, and no
+    array a caller holds can change them afterwards."""
+
+    OPS = {
+        "conv3x3": lambda x: conv3x3(x, ConvKernel(np.ones((2, 3, 3, 3)), np.ones(2))),
+        "relu": relu,
+        "upsample": upsample_bilinear_x2,
+        "maxpool": maxpool_2x2_s2,
+        "concat": lambda x: concat_channels([x, x]),
+        "split": lambda x: split_channels(x, [1, 2])[1],
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_read_only_and_detached_from_caller_arrays(self, name):
+        src = np.random.default_rng(16).normal(size=(3, 4, 4))
+        x = Tensor(src)
+        out = self.OPS[name](x)
+        before = out.data.copy()
+        assert not out.data.flags.writeable
+        with pytest.raises(ValueError):
+            out.data[0, 0, 0] = 1.0
+        src[...] = 7.0
+        assert np.array_equal(out.data, before)
+        assert not (x.data == 7.0).any()
+
+    def test_source_slice_is_a_read_only_view(self):
+        sources, params = _tiny_sources()
+        p = params[0]
+        got = source_slice(sources, 0, 2, p)
+        assert not got.data.flags.writeable
+        with pytest.raises(ValueError):
+            got.data[0, 0, 0] = 1.0
+        assert np.array_equal(got.data, sources[0].data[p.out_channels : 2 * p.out_channels])
+
+    def test_adopt_keeps_the_checks(self):
+        with pytest.raises(ValidationError):
+            Tensor._adopt(np.ones((2, 2)))
+        with pytest.raises(ValidationError):
+            Tensor._adopt(np.ones((1, 0, 2)))
+        with pytest.raises(ValidationError):
+            Tensor._adopt(np.full((1, 1, 1), np.nan))
+
+    def test_public_constructor_still_copies(self):
+        src = np.ones((1, 2, 2))
+        t = Tensor(src)
+        assert not np.shares_memory(t.data, src)
+        assert src.flags.writeable
+
+
+class TestExactnessProbe:
+    def test_passes_on_this_build(self):
+        assert exactness_probe() is None
+
+    def test_probe_covers_odd_sizes_and_a_single_pixel(self):
+        assert any(h == w == 1 and cout == 1 for _, cout, h, w in PROBE_SHAPES)
+        assert any(h == w == 1 and cout > 1 for _, cout, h, w in PROBE_SHAPES)
+        assert any(h % 2 and w % 2 and h > 1 for _, _, h, w in PROBE_SHAPES)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        cin=st.integers(1, 9),
+        cout=st.integers(1, 9),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tap_loop_equals_test_oracle(self, cin, cout, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(spread_values(rng, (cin, h, w)))
+        k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
+        assert_same_bits(conv3x3_taps(x, k), conv3x3_loop(x, k))
+
+    def test_one_ulp_off_is_reported(self, monkeypatch):
+        exact = tensor_core.conv3x3
+        monkeypatch.setattr(
+            tensor_core, "conv3x3", lambda x, k: Tensor(np.nextafter(exact(x, k).data, np.inf))
+        )
+        message = exactness_probe()
+        assert message is not None and "\n" not in message
+        assert "differ from the tap loop" in message and "first at channel 0, y 0, x 0" in message
