@@ -144,7 +144,6 @@ class AnchorSpec:
     mode: str
     scale_fractions: tuple[float, ...]
     ratios: tuple[tuple[float, ...], ...]
-    extra_geometric_mean_box: bool = True
 
     def __post_init__(self):
         if self.mode not in ANCHOR_MODES:
@@ -177,7 +176,7 @@ class AnchorSpec:
         return cls(mode=mode, scale_fractions=fractions, ratios=ratios)
 
     def anchors_per_cell(self, scale: int) -> int:
-        return len(self.ratios[scale]) + int(self.extra_geometric_mean_box)
+        return len(self.ratios[scale]) + 1
 
 
 def anchor_array(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_size: int) -> np.ndarray:
@@ -195,13 +194,11 @@ def anchor_array(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_size: i
     for scale, fm in enumerate(pyramid_sizes):
         s = fractions[scale]
         s_next = fractions[scale + 1] if scale + 1 < len(fractions) else 1.0
+        side = math.sqrt(s * s_next) * input_size
         shapes = [
             (s * input_size * math.sqrt(r), s * input_size / math.sqrt(r))
             for r in spec.ratios[scale]
-        ]
-        if spec.extra_geometric_mean_box:
-            side = math.sqrt(s * s_next) * input_size
-            shapes.append((side, side))
+        ] + [(side, side)]
         half_w, half_h = np.array(shapes).T / 2
         centers = (np.arange(fm) + 0.5) / fm * input_size
         cy, cx = centers[:, None, None], centers[None, :, None]
@@ -220,11 +217,12 @@ def init_head_params(
     anchors_per_cell: list[int],
     num_classes: int,
     seed: int,
-) -> list[tuple[ConvKernel, ConvKernel]]:
-    """Seeded per-scale (location, confidence) prediction kernels.
+) -> list[ConvKernel]:
+    """Seeded per-scale prediction kernels: location rows, then confidence rows.
 
     Same uniform fan-in rule as the fusion blocks; drawn scales ascending,
-    location kernel before confidence kernel.
+    and per scale location weights and bias before confidence weights and
+    bias.
     """
     if len(state_channels) != len(anchors_per_cell):
         raise ValidationError("state_channels and anchors_per_cell lengths differ")
@@ -234,55 +232,38 @@ def init_head_params(
     kernels = []
     for cin, a in zip(state_channels, anchors_per_cell):
         s = 1.0 / np.sqrt(cin * 9)
-        loc = ConvKernel(
-            rng.uniform(-s, s, size=(4 * a, cin, 3, 3)), rng.uniform(-s, s, size=4 * a)
-        )
-        conf_out = (num_classes + 1) * a
-        conf = ConvKernel(
-            rng.uniform(-s, s, size=(conf_out, cin, 3, 3)), rng.uniform(-s, s, size=conf_out)
-        )
-        kernels.append((loc, conf))
+        weights, bias = [], []
+        for out in (4 * a, (num_classes + 1) * a):
+            weights.append(rng.uniform(-s, s, size=(out, cin, 3, 3)))
+            bias.append(rng.uniform(-s, s, size=out))
+        kernels.append(ConvKernel(np.concatenate(weights), np.concatenate(bias)))
     return kernels
 
 
 def head_forward(
     state: Tensor,
-    loc_kernel: ConvKernel,
-    conf_kernel: ConvKernel,
+    kernel: ConvKernel,
     anchors_per_cell: int,
     num_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predict per-anchor offsets and class scores for one scale.
 
+    kernel holds the 4*A location rows, then the (C+1)*A confidence rows.
     Returns (offsets of shape (H*W*A, 4), scores of shape (H*W*A, C+1));
     rows are ordered row-major over cells then by anchor, matching
     generate_anchors within the scale. Scores are the normalized
     exponential of the confidence logits per anchor.
 
-    Both kernels run as one convolution stacked along the output axis;
-    conv3x3 computes output channels independently, so this is bit-exact
-    with two separate convolutions and lays out the input windows once.
+    conv3x3 computes output channels independently, so the one convolution
+    is bit-exact with separate location and confidence convolutions.
     """
     a, c = anchors_per_cell, num_classes + 1
-    if loc_kernel.out_channels != 4 * a:
+    if kernel.out_channels != (4 + c) * a:
         raise ValidationError(
-            f"location kernel emits {loc_kernel.out_channels} channels, expected {4 * a}"
-        )
-    if conf_kernel.out_channels != c * a:
-        raise ValidationError(
-            f"confidence kernel emits {conf_kernel.out_channels} channels, expected {c * a}"
-        )
-    if loc_kernel.in_channels != conf_kernel.in_channels:
-        raise ValidationError(
-            f"location kernel reads {loc_kernel.in_channels} channels but confidence "
-            f"kernel reads {conf_kernel.in_channels}"
+            f"head kernel emits {kernel.out_channels} channels, expected (4 + {c}) x {a} = {(4 + c) * a}"
         )
     h, w = state.height, state.width
-    stacked = ConvKernel(
-        np.concatenate([loc_kernel.weights, conf_kernel.weights]),
-        np.concatenate([loc_kernel.bias, conf_kernel.bias]),
-    )
-    loc, conf = np.split(conv3x3(state, stacked).data, [4 * a])
+    loc, conf = np.split(conv3x3(state, kernel).data, [4 * a])
     # channels are anchor-major: anchor i owns channels [i*4, i*4+4) / [i*c, i*c+c)
     offsets = loc.reshape(a, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
     logits = conf.reshape(a, c, h, w).transpose(2, 3, 0, 1).reshape(-1, c)

@@ -45,8 +45,8 @@ def run_demo(config: RunConfig, refine: bool = True, mode: str = "simplified") -
     heads = init_head_params(state_channels, per_cell, config.num_classes, config.seed)
 
     outputs = [
-        head_forward(state, loc, conf, per_cell[i], config.num_classes)
-        for i, (state, (loc, conf)) in enumerate(zip(states, heads))
+        head_forward(state, kernel, per_cell[i], config.num_classes)
+        for i, (state, kernel) in enumerate(zip(states, heads))
     ]
     offsets = np.vstack([o for o, _ in outputs])
     scores = np.vstack([s for _, s in outputs])

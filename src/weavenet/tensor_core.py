@@ -298,14 +298,18 @@ def upsample_bilinear_x2(x: Tensor) -> Tensor:
 
 
 def maxpool_2x2_s2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; odd trailing row/column is dropped."""
-    c, h, w = x.shape
+    """2x2 max pooling with stride 2; odd trailing row/column is dropped.
+
+    The maximum of the four strided views of the even-sized crop, one per
+    position in the 2x2 window: no copy of the input, whatever its size.
+    """
+    _, h, w = x.shape
     if h < 2 or w < 2:
         raise ValidationError(f"maxpool needs at least 2x2 input, got {h}x{w}")
-    oh, ow = h // 2, w // 2
-    cropped = x.data[:, : 2 * oh, : 2 * ow]
-    blocks = cropped.reshape(c, oh, 2, ow, 2)
-    return Tensor._adopt(blocks.max(axis=(2, 4)))
+    d = x.data[:, : h - h % 2, : w - w % 2]
+    top = np.maximum(d[:, 0::2, 0::2], d[:, 0::2, 1::2])
+    bottom = np.maximum(d[:, 1::2, 0::2], d[:, 1::2, 1::2])
+    return Tensor._adopt(np.maximum(top, bottom, out=top))
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:

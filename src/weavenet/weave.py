@@ -13,7 +13,10 @@ State channel layout of scale i after t iterations (canonical order):
      down-msg from i+1 at 1, ..., down-msg at t]
 
 Newest up-messages are prepended, newest down-messages appended, and
-directions a scale never receives contribute nothing.
+directions a scale never receives contribute nothing. Each woven scale
+keeps one buffer at its final width in this order: the raw features sit
+k*T channels from the left edge when the scale receives up-messages, and
+the state after t iterations is a read-only view of the buffer's middle.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import MismatchLocation, ValidationError
 from .tensor_core import (
     ConvKernel,
     Tensor,
-    concat_channels,
     conv3x3,
     maxpool_2x2_s2,
     relu,
@@ -213,35 +215,24 @@ class BlockParams:
         return np.concatenate([w[:, :up], w[:, up + raw :]], axis=1), raw_cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaleState:
-    """The growing concatenated state of one scale.
+    """One scale's state after t iterations.
 
-    up_received holds pooled messages from the scale below, newest first;
-    down_received holds upsampled messages from the scale above, oldest
-    first, matching the canonical channel order of full().
+    data is a read-only view into the scale's state buffer, channels in the
+    canonical order; the view never changes once made.
     """
 
     scale: int
     t: int
-    raw: Tensor
-    up_received: tuple[Tensor, ...] = ()
-    down_received: tuple[Tensor, ...] = ()
+    data: np.ndarray
 
     @property
     def channels(self) -> int:
-        return (
-            sum(m.channels for m in self.up_received)
-            + self.raw.channels
-            + sum(m.channels for m in self.down_received)
-        )
+        return len(self.data)
 
     def full(self) -> Tensor:
-        return concat_channels(list(self.up_received) + [self.raw] + list(self.down_received))
-
-    def messages(self) -> Tensor | None:
-        parts = list(self.up_received) + list(self.down_received)
-        return concat_channels(parts) if parts else None
+        return Tensor._adopt(self.data)
 
 
 def init_params(config: WeaveConfig) -> dict[int, BlockParams]:
@@ -288,48 +279,49 @@ def _split_messages(out: Tensor, params: BlockParams) -> tuple[Tensor | None, Te
     return None, out
 
 
-def block_naive(state: ScaleState, params: BlockParams, t: int) -> tuple[Tensor | None, Tensor | None]:
-    """One block step over the full concatenated state (two conv paths grouped)."""
+def _check_state(state: ScaleState, params: BlockParams, t: int) -> ConvKernel:
+    """Iteration t's kernel, after checking that it reads the whole state."""
     kernel = params.kernel_for(t)
     if state.channels != kernel.in_channels:
         raise ValidationError(
             f"scale {params.scale} iteration {t}: state has {state.channels} channels, "
             f"kernel expects {kernel.in_channels}"
         )
+    return kernel
+
+
+def block_naive(state: ScaleState, params: BlockParams, t: int) -> tuple[Tensor | None, Tensor | None]:
+    """One block step over the full concatenated state (two conv paths grouped)."""
+    kernel = _check_state(state, params, t)
     out = relu(conv3x3(state.full(), kernel))
     return _split_messages(out, params)
 
 
 def block_simplified(
-    messages: Tensor | None,
-    source_slice: Tensor,
+    state: ScaleState,
+    source: Tensor,
     params: BlockParams,
     t: int,
 ) -> tuple[Tensor | None, Tensor | None]:
-    """One block step from message channels plus the precomputed raw source.
+    """One block step from the state's message channels plus the precomputed raw source.
 
-    Computes relu(messages * message_columns + bias + source_slice); at t=1
-    the message set is empty and the result is relu(bias + source_slice).
+    Computes relu(messages * message_columns + bias + source), the messages
+    being the state's up- and down-message channels (state_layout(t - 1));
+    at t=1 there are none and the result is relu(bias + source).
     """
-    kernel = params.kernel_for(t)
-    up, _, down = params.state_layout(t - 1)
-    expected = up + down
-    have = messages.channels if messages is not None else 0
-    if have != expected:
+    kernel = _check_state(state, params, t)
+    if source.channels != params.out_channels:
         raise ValidationError(
-            f"scale {params.scale} iteration {t}: expected {expected} message channels, got {have}"
-        )
-    if source_slice.channels != params.out_channels:
-        raise ValidationError(
-            f"scale {params.scale} iteration {t}: source slice has {source_slice.channels} "
+            f"scale {params.scale} iteration {t}: source has {source.channels} "
             f"channels, block emits {params.out_channels}"
         )
     msg_cols, _ = params.split_columns(t)
-    if messages is None or msg_cols is None or msg_cols.shape[1] == 0:
-        pre = kernel.bias[:, None, None] + source_slice.data
+    if msg_cols is None:
+        pre = kernel.bias[:, None, None] + source.data
     else:
-        partial = conv3x3(messages, ConvKernel(msg_cols, kernel.bias))
-        pre = partial.data + source_slice.data
+        up, raw, _ = params.state_layout(t - 1)
+        messages = Tensor._adopt(np.concatenate([state.data[:up], state.data[up + raw :]]))
+        pre = conv3x3(messages, ConvKernel(msg_cols, kernel.bias)).data + source.data
     out = relu(Tensor._adopt(pre))
     return _split_messages(out, params)
 
@@ -338,17 +330,18 @@ def precompute_sources(
     raw: dict[int, Tensor],
     params: dict[int, BlockParams],
     iterations: int,
-) -> dict[int, Tensor]:
+) -> dict[int, list[Tensor]]:
     """Grouped raw-feature products, one convolution per scale.
 
-    The result for a scale stacks the per-iteration raw-column products
-    along the channel axis: slice t (of width out_channels) equals the raw
-    features convolved with iteration t's raw-column kernel, bias excluded.
+    Each scale's raw-column kernels of iterations 1..T run stacked along the
+    output axis as one convolution. Entry t-1 of the scale's list is a
+    read-only view of that result's rows for iteration t: the raw features
+    convolved with iteration t's raw-column kernel, bias excluded.
     """
-    sources: dict[int, Tensor] = {}
+    if iterations == 0:
+        return {}
+    sources: dict[int, list[Tensor]] = {}
     for scale, p in params.items():
-        if iterations == 0:
-            continue
         stacked = np.concatenate([p.split_columns(t)[1] for t in range(1, iterations + 1)], axis=0)
         if stacked.shape[1] != raw[scale].channels:
             raise ValidationError(
@@ -356,15 +349,8 @@ def precompute_sources(
                 f"raw-column kernels expect {stacked.shape[1]}"
             )
         grouped = ConvKernel(stacked, np.zeros(stacked.shape[0]))
-        sources[scale] = conv3x3(raw[scale], grouped)
+        sources[scale] = split_channels(conv3x3(raw[scale], grouped), [p.out_channels] * iterations)
     return sources
-
-
-def source_slice(sources: dict[int, Tensor], scale: int, t: int, params: BlockParams) -> Tensor:
-    """Extract iteration t's slice from a scale's stacked source tensor."""
-    width = params.out_channels
-    data = sources[scale].data[(t - 1) * width : t * width]
-    return Tensor._adopt(data)
 
 
 def _validate_pyramid(pyramid: list[Tensor], config: WeaveConfig) -> None:
@@ -400,39 +386,55 @@ def weave_states(
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     _validate_pyramid(pyramid, config)
 
-    states = {i: ScaleState(scale=i, t=0, raw=pyramid[i]) for i in config.woven_scales}
+    k, iterations = config.k, config.iterations
+    buffers: dict[int, np.ndarray] = {}
+    edges: dict[int, tuple[int, int]] = {}  # channel range of the current state
+    for i in config.woven_scales:
+        lo = k * iterations if config.receives_up(i) else 0
+        hi = lo + pyramid[i].channels
+        buffers[i] = np.empty((config.state_channels(i, iterations),) + pyramid[i].shape[1:])
+        buffers[i][lo:hi] = pyramid[i].data
+        edges[i] = lo, hi
+
+    def snapshot(t: int) -> dict[int, ScaleState]:
+        states = {}
+        for i, (lo, hi) in edges.items():
+            view = buffers[i][lo:hi]
+            view.flags.writeable = False
+            states[i] = ScaleState(scale=i, t=t, data=view)
+        return states
+
+    states = snapshot(0)
     sources = None
     if mode == "simplified":
         raw = {i: pyramid[i] for i in params}
-        sources = precompute_sources(raw, params, config.iterations)
+        sources = precompute_sources(raw, params, iterations)
 
     history: list[dict[int, ScaleState]] = []
-    for t in range(1, config.iterations + 1):
+    for t in range(1, iterations + 1):
         msg_down: dict[int, Tensor] = {}
         msg_up: dict[int, Tensor] = {}
         for i, p in params.items():
             if mode == "naive":
                 down, up = block_naive(states[i], p, t)
             else:
-                down, up = block_simplified(states[i].messages(), source_slice(sources, i, t, p), p, t)
+                down, up = block_simplified(states[i], sources[i][t - 1], p, t)
             if down is not None:
                 msg_down[i] = down
             if up is not None:
                 msg_up[i] = up
 
-        new_states = {}
+        # every block has read the t-1 views; the writes land outside them
         for i in config.woven_scales:
-            s = states[i]
-            up_received = s.up_received
-            down_received = s.down_received
+            lo, hi = edges[i]
             if config.receives_up(i):
-                up_received = (maxpool_2x2_s2(msg_up[i - 1]),) + up_received
+                lo -= k
+                buffers[i][lo : lo + k] = maxpool_2x2_s2(msg_up[i - 1]).data
             if config.receives_down(i):
-                down_received = down_received + (upsample_bilinear_x2(msg_down[i + 1]),)
-            new_states[i] = ScaleState(
-                scale=i, t=t, raw=s.raw, up_received=up_received, down_received=down_received
-            )
-        states = new_states
+                buffers[i][hi : hi + k] = upsample_bilinear_x2(msg_down[i + 1]).data
+                hi += k
+            edges[i] = lo, hi
+        states = snapshot(t)
         history.append(states)
     return history
 
@@ -445,7 +447,7 @@ def weave_forward(
 ) -> list[Tensor]:
     """Final per-scale feature maps; unwoven scales pass through unchanged."""
     history = weave_states(pyramid, config, params, mode)
-    final = history[-1] if history else {i: ScaleState(scale=i, t=0, raw=pyramid[i]) for i in config.woven_scales}
+    final = history[-1] if history else {}
     return [final[i].full() if i in final else pyramid[i] for i in range(len(pyramid))]
 
 

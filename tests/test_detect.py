@@ -135,43 +135,55 @@ class TestGenerateAnchors:
                 assert 0.0 < cx < 320.0 and 0.0 < cy < 320.0
 
     def test_row_major_cell_order(self):
-        spec = AnchorSpec(
-            mode="B", scale_fractions=(0.5,), ratios=((1.0,),), extra_geometric_mean_box=False
-        )
+        spec = AnchorSpec(mode="B", scale_fractions=(0.5,), ratios=((1.0,),))
         anchors = generate_anchors(spec, (2,), 4)
+        # each cell holds its ratio box, then the extra square box on the same center
         centers = [b.center for b in anchors]
-        assert centers == [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0), (3.0, 3.0)]
+        assert centers[::2] == [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0), (3.0, 3.0)]
+        assert [pytest.approx(c) for c in centers[1::2]] == centers[::2]
+
+
+def head_kernel(loc_weights, loc_bias, conf_weights, conf_bias) -> ConvKernel:
+    """A head kernel from its location and confidence parts, rows stacked."""
+    return ConvKernel(np.concatenate([loc_weights, conf_weights]), np.concatenate([loc_bias, conf_bias]))
+
+
+def two_kernel_head_params(state_channels, anchors_per_cell, num_classes, seed):
+    """The former init_head_params: a separate (location, confidence) kernel pair per scale."""
+    rng = np.random.default_rng([seed, 2])
+    pairs = []
+    for cin, a in zip(state_channels, anchors_per_cell):
+        s = 1.0 / np.sqrt(cin * 9)
+        loc = ConvKernel(rng.uniform(-s, s, size=(4 * a, cin, 3, 3)), rng.uniform(-s, s, size=4 * a))
+        conf_out = (num_classes + 1) * a
+        conf = ConvKernel(rng.uniform(-s, s, size=(conf_out, cin, 3, 3)), rng.uniform(-s, s, size=conf_out))
+        pairs.append((loc, conf))
+    return pairs
 
 
 class TestHeadForward:
     def test_channel_bookkeeping(self):
-        params = init_head_params([32], [6], 20, seed=0)
-        loc, conf = params[0]
-        assert loc.out_channels == 24
-        assert conf.out_channels == 126
+        (kernel,) = init_head_params([32], [6], 20, seed=0)
+        assert kernel.out_channels == 24 + 126
+        assert kernel.in_channels == 32
 
     def test_rejects_channel_mismatch(self):
         state = Tensor(np.zeros((8, 4, 4)))
-        loc = ConvKernel(np.zeros((8, 8, 3, 3)), np.zeros(8))
-        conf = ConvKernel(np.zeros((12, 8, 3, 3)), np.zeros(12))
-        with pytest.raises(ValidationError):
-            head_forward(state, loc, conf, anchors_per_cell=3, num_classes=5)
-        with pytest.raises(ValidationError):
-            head_forward(state, ConvKernel(np.zeros((8, 8, 3, 3)), np.zeros(8)), ConvKernel(np.zeros((11, 8, 3, 3)), np.zeros(11)), 2, 5)
-
-    def test_rejects_kernels_reading_different_widths(self):
-        state = Tensor(np.zeros((8, 4, 4)))
-        loc = ConvKernel(np.zeros((8, 8, 3, 3)), np.zeros(8))
-        conf = ConvKernel(np.zeros((6, 7, 3, 3)), np.zeros(6))
-        with pytest.raises(ValidationError, match="reads 8 channels"):
-            head_forward(state, loc, conf, anchors_per_cell=2, num_classes=2)
+        with pytest.raises(ValidationError, match="emits 20 channels, expected"):
+            head_forward(state, ConvKernel(np.zeros((20, 8, 3, 3)), np.zeros(20)), 3, 5)
+        with pytest.raises(ValidationError, match="emits 19 channels, expected"):
+            head_forward(state, ConvKernel(np.zeros((19, 8, 3, 3)), np.zeros(19)), 2, 5)
+        head_forward(state, ConvKernel(np.zeros((20, 8, 3, 3)), np.zeros(20)), 2, 5)
 
     def test_stacked_conv_equals_separate_convs(self):
         rng = np.random.default_rng(21)
         state = Tensor(rng.normal(size=(24, 5, 7)))
         a, classes = 4, 3
-        ((loc, conf),) = init_head_params([24], [a], classes, seed=9)
-        offsets, scores = head_forward(state, loc, conf, a, classes)
+        (kernel,) = init_head_params([24], [a], classes, seed=9)
+        ((loc, conf),) = two_kernel_head_params([24], [a], classes, seed=9)
+        assert kernel.weights.tobytes() == np.concatenate([loc.weights, conf.weights]).tobytes()
+        assert kernel.bias.tobytes() == np.concatenate([loc.bias, conf.bias]).tobytes()
+        offsets, scores = head_forward(state, kernel, a, classes)
         loc_out = conv3x3(state, loc).data
         conf_out = conv3x3(state, conf).data
         want_offsets = loc_out.reshape(a, 4, 5, 7).transpose(2, 3, 0, 1).reshape(-1, 4)
@@ -180,41 +192,44 @@ class TestHeadForward:
         assert offsets.tobytes() == want_offsets.tobytes()
         assert scores.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
+    def test_draws_match_the_former_two_kernel_params(self):
+        kernels = init_head_params([32, 64, 16], [4, 6, 4], 20, seed=3)
+        for kernel, (loc, conf) in zip(kernels, two_kernel_head_params([32, 64, 16], [4, 6, 4], 20, seed=3)):
+            assert kernel.weights.tobytes() == np.concatenate([loc.weights, conf.weights]).tobytes()
+            assert kernel.bias.tobytes() == np.concatenate([loc.bias, conf.bias]).tobytes()
+
     def test_zero_logits_give_uniform_scores(self):
         state = Tensor(np.random.default_rng(0).normal(size=(4, 3, 3)))
         a, classes = 2, 20
-        loc = ConvKernel(np.zeros((4 * a, 4, 3, 3)), np.zeros(4 * a))
-        conf = ConvKernel(np.zeros(((classes + 1) * a, 4, 3, 3)), np.zeros((classes + 1) * a))
-        offsets, scores = head_forward(state, loc, conf, a, classes)
+        out = (4 + classes + 1) * a
+        offsets, scores = head_forward(state, ConvKernel(np.zeros((out, 4, 3, 3)), np.zeros(out)), a, classes)
         assert offsets.shape == (9 * a, 4)
         assert scores.shape == (9 * a, classes + 1)
         assert np.allclose(scores, 1.0 / 21.0, atol=1e-15)
         assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
     def test_row_order_is_cell_major_then_anchor(self):
-        # bias-only loc kernel: every row repeats the per-anchor bias pattern
+        # bias-only loc rows: every row repeats the per-anchor bias pattern
         a = 3
         state = Tensor(np.random.default_rng(1).normal(size=(2, 2, 2)))
         bias = np.arange(4 * a, dtype=float)
-        loc = ConvKernel(np.zeros((4 * a, 2, 3, 3)), bias)
-        conf = ConvKernel(np.zeros((2 * a, 2, 3, 3)), np.zeros(2 * a))
-        offsets, _ = head_forward(state, loc, conf, a, 1)
+        kernel = head_kernel(np.zeros((4 * a, 2, 3, 3)), bias, np.zeros((2 * a, 2, 3, 3)), np.zeros(2 * a))
+        offsets, _ = head_forward(state, kernel, a, 1)
         for cell in range(4):
             for anchor in range(a):
                 row = offsets[cell * a + anchor]
                 assert np.array_equal(row, bias[anchor * 4 : anchor * 4 + 4])
 
     def test_rows_track_cells_row_major(self):
-        # weights copy the center of input channel 0 into every output
+        # loc weights copy the center of input channel 0 into every output
         a, h, w = 2, 3, 4
         data = np.zeros((1, h, w))
         data[0] = np.arange(h * w, dtype=float).reshape(h, w)
         state = Tensor(data)
         weights = np.zeros((4 * a, 1, 3, 3))
         weights[:, 0, 1, 1] = 1.0
-        loc = ConvKernel(weights, np.zeros(4 * a))
-        conf = ConvKernel(np.zeros((2 * a, 1, 3, 3)), np.zeros(2 * a))
-        offsets, _ = head_forward(state, loc, conf, a, 1)
+        kernel = head_kernel(weights, np.zeros(4 * a), np.zeros((2 * a, 1, 3, 3)), np.zeros(2 * a))
+        offsets, _ = head_forward(state, kernel, a, 1)
         for y in range(h):
             for x in range(w):
                 for anchor in range(a):
@@ -225,9 +240,9 @@ class TestHeadForward:
         a = init_head_params([32, 64], [4, 6], 3, seed=9)
         b = init_head_params([32, 64], [4, 6], 3, seed=9)
         c = init_head_params([32, 64], [4, 6], 3, seed=10)
-        assert np.array_equal(a[0][0].weights, b[0][0].weights)
-        assert np.array_equal(a[1][1].bias, b[1][1].bias)
-        assert not np.array_equal(a[0][0].weights, c[0][0].weights)
+        assert np.array_equal(a[0].weights, b[0].weights)
+        assert np.array_equal(a[1].bias, b[1].bias)
+        assert not np.array_equal(a[0].weights, c[0].weights)
 
 
 class TestDecodeBox:
@@ -598,8 +613,7 @@ def scalar_anchors(spec, pyramid_sizes, input_size):
         s = fractions[scale]
         s_next = fractions[scale + 1] if scale + 1 < len(fractions) else 1.0
         shapes = [(s * input_size * math.sqrt(r), s * input_size / math.sqrt(r)) for r in spec.ratios[scale]]
-        if spec.extra_geometric_mean_box:
-            shapes.append((math.sqrt(s * s_next) * input_size,) * 2)
+        shapes.append((math.sqrt(s * s_next) * input_size,) * 2)
         for y in range(fm):
             cy = (y + 0.5) / fm * input_size
             for x in range(fm):
@@ -691,15 +705,13 @@ class TestArrayProperties:
             min_size=1,
             max_size=4,
         ),
-        extra=st.booleans(),
         input_size=st.integers(1, 512),
     )
-    def test_anchor_array_matches_scalar_loop(self, levels, extra, input_size):
+    def test_anchor_array_matches_scalar_loop(self, levels, input_size):
         spec = AnchorSpec(
             mode="B",
             scale_fractions=tuple(0.1 * (i + 1) for i in range(len(levels))),
             ratios=tuple(tuple(r) for _, r in levels),
-            extra_geometric_mean_box=extra,
         )
         sizes = tuple(fm for fm, _ in levels)
         arr = anchor_array(spec, sizes, input_size)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from weavenet import tensor_core
 from weavenet.errors import ValidationError
@@ -26,7 +27,7 @@ from weavenet.tensor_core import (
     split_channels,
     upsample_bilinear_x2,
 )
-from weavenet.weave import WeaveConfig, init_params, precompute_sources, source_slice
+from weavenet.weave import WeaveConfig, init_params, precompute_sources
 
 
 def conv3x3_reference(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -81,6 +82,20 @@ def spread_values(rng, shape):
 def assert_same_bits(got: np.ndarray, want: np.ndarray):
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def chunk_rows(monkeypatch, x: Tensor, kernel: ConvKernel) -> list[int]:
+    """Output rows of each chunk conv3x3 runs on x, counted at its as_strided window."""
+    rows = []
+
+    def counting(base, shape, strides, writeable):
+        rows.append(shape[3])
+        return as_strided(base, shape=shape, strides=strides, writeable=writeable)
+
+    monkeypatch.setattr(tensor_core, "as_strided", counting)
+    conv3x3(x, kernel)
+    monkeypatch.undo()
+    return rows
 
 
 def random_tensor(rng, channels, height, width):
@@ -206,17 +221,21 @@ class TestConv3x3MatchesLoop:
         k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
         assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
 
-    def test_example_spans_several_chunks_with_a_partial_last(self):
-        rows = CONV_CHUNK_BYTES // (8 * (1 + 9 * 160) * (40 + 2))
-        assert 1 < rows < 41 and 41 % rows != 0
+    def test_example_spans_several_chunks_with_a_partial_last(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(160, 41, 40)))
+        rows = chunk_rows(monkeypatch, x, ConvKernel(rng.normal(size=(16, 160, 3, 3)), np.zeros(16)))
+        assert len(rows) > 1 and sum(rows) == 41
+        assert rows[-1] < rows[0] and set(rows[:-1]) == {rows[0]}
 
-    def test_row_wider_than_chunk_cap(self):
+    def test_row_wider_than_chunk_cap(self, monkeypatch):
         cin, w = 1200, 16
-        assert 8 * (1 + 9 * cin) * (w + 2) > CONV_CHUNK_BYTES
+        assert 8 * (1 + 9 * cin) * w > CONV_CHUNK_BYTES
         rng = np.random.default_rng(12)
         x = Tensor(spread_values(rng, (cin, 3, w)))
         k = ConvKernel(spread_values(rng, (2, cin, 3, 3)), spread_values(rng, 2))
         assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
+        assert chunk_rows(monkeypatch, x, k) == [1, 1, 1]
 
     def test_negative_zero_bias_is_stored_as_positive_zero(self):
         k = ConvKernel(np.full((2, 1, 3, 3), -0.0), np.array([-0.0, 0.0]))
@@ -296,6 +315,24 @@ class TestMaxpool:
         with pytest.raises(ValidationError):
             maxpool_2x2_s2(Tensor(np.ones((1, 1, 4))))
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        c=st.integers(1, 4),
+        h=st.integers(2, 11),
+        w=st.integers(2, 11),
+        values=st.sampled_from(["signed zeros", "spread"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_reshape_max(self, c, h, w, values, seed):
+        rng = np.random.default_rng(seed)
+        if values == "signed zeros":  # windows that tie +0.0 against -0.0
+            data = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(c, h, w))
+        else:
+            data = spread_values(rng, (c, h, w))
+        oh, ow = h // 2, w // 2
+        want = data[:, : 2 * oh, : 2 * ow].reshape(c, oh, 2, ow, 2).max(axis=(2, 4))
+        assert_same_bits(maxpool_2x2_s2(Tensor(data)).data, want)
+
 
 class TestConcatSplit:
     def test_concat_single_is_identity(self):
@@ -367,7 +404,7 @@ def _tiny_sources():
     params = init_params(cfg)
     rng = np.random.default_rng(15)
     raw = {i: Tensor(rng.normal(size=(3, s, s))) for i, s in enumerate(cfg.pyramid_sizes) if i in params}
-    return precompute_sources(raw, params, cfg.iterations), params
+    return precompute_sources(raw, params, cfg.iterations)
 
 
 class TestFreshTensorsAreSealed:
@@ -396,14 +433,16 @@ class TestFreshTensorsAreSealed:
         assert np.array_equal(out.data, before)
         assert not (x.data == 7.0).any()
 
-    def test_source_slice_is_a_read_only_view(self):
-        sources, params = _tiny_sources()
-        p = params[0]
-        got = source_slice(sources, 0, 2, p)
-        assert not got.data.flags.writeable
-        with pytest.raises(ValueError):
-            got.data[0, 0, 0] = 1.0
-        assert np.array_equal(got.data, sources[0].data[p.out_channels : 2 * p.out_channels])
+    def test_precomputed_sources_are_read_only_views(self):
+        first, second = _tiny_sources()[0]
+        for got in (first, second):
+            assert not got.data.flags.writeable
+            with pytest.raises(ValueError):
+                got.data[0, 0, 0] = 1.0
+        # consecutive rows of one convolution's output
+        stacked = first.data.base
+        assert second.data.base is stacked
+        assert np.array_equal(stacked.reshape(-1, *first.shape[1:]), np.concatenate([first.data, second.data]))
 
     def test_adopt_keeps_the_checks(self):
         with pytest.raises(ValidationError):

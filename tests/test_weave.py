@@ -1,4 +1,4 @@
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from weavenet.weave import (
     flops_weave,
     init_params,
     precompute_sources,
-    source_slice,
     weave_forward,
     weave_states,
 )
@@ -182,25 +181,48 @@ class TestInitParams:
 
 class TestScaleState:
     def test_full_order_is_up_newest_first_then_raw_then_down_oldest_first(self):
-        def const(v, c=1):
-            return Tensor(np.full((c, 2, 2), float(v)))
+        # state t is [up-message of t, state t-1, down-message of t], from the raw features up
+        cfg = small_config(iterations=3)
+        pyramid = random_pyramid(cfg)
+        history = weave_states(pyramid, cfg, init_params(cfg), "naive")
+        for i in cfg.woven_scales:
+            up = cfg.k if cfg.receives_up(i) else 0
+            previous = pyramid[i].data
+            for t, states in enumerate(history, start=1):
+                state = states[i]
+                assert (state.scale, state.t, state.channels) == (i, t, cfg.state_channels(i, t))
+                assert state.data[up : up + len(previous)].tobytes() == previous.tobytes()
+                previous = state.data
 
-        state = ScaleState(
-            scale=1,
-            t=2,
-            raw=const(3.0, c=2),
-            up_received=(const(1.0), const(2.0)),
-            down_received=(const(4.0), const(5.0)),
-        )
-        assert state.channels == 6
-        first = state.full().data[:, 0, 0]
-        assert list(first) == [1.0, 2.0, 3.0, 3.0, 4.0, 5.0]
-        msgs = state.messages().data[:, 0, 0]
-        assert list(msgs) == [1.0, 2.0, 4.0, 5.0]
+    def test_state_is_a_read_only_view_that_full_wraps(self):
+        data = np.arange(12.0).reshape(3, 2, 2)
+        view = data[1:]
+        view.flags.writeable = False
+        state = ScaleState(scale=0, t=1, data=view)
+        assert state.channels == 2
+        assert state.full().data is view  # wrapped, not copied
+        assert not state.full().data.flags.writeable
+        assert np.array_equal(state.full().data, data[1:])
 
-    def test_messages_none_before_first_exchange(self):
-        state = ScaleState(scale=0, t=0, raw=Tensor(np.ones((3, 2, 2))))
-        assert state.messages() is None
+    @pytest.mark.parametrize("mode", ["naive", "simplified"])
+    @pytest.mark.parametrize(
+        "flags", [(True, True), (True, False), (False, True)], ids=["both", "top-down-only", "bottom-up-only"]
+    )
+    def test_history_is_read_only_and_equals_shorter_runs(self, mode, flags):
+        td, bu = flags
+        cfg = small_config(iterations=3, enable_top_down=td, enable_bottom_up=bu)
+        params = init_params(cfg)
+        pyramid = random_pyramid(cfg)
+        history = weave_states(pyramid, cfg, params, mode)
+        for t, states in enumerate(history, start=1):
+            shorter = weave_states(pyramid, replace(cfg, iterations=t), params, mode)[-1]
+            assert sorted(states) == sorted(shorter) == list(cfg.woven_scales)
+            for i, state in states.items():
+                assert not state.data.flags.writeable
+                with pytest.raises(ValueError):
+                    state.data[0, 0, 0] = 1.0
+                assert state.data.shape == shorter[i].data.shape
+                assert state.data.tobytes() == shorter[i].data.tobytes()
 
 
 class TestHandScheduledTwoScales:
@@ -280,7 +302,7 @@ class TestEquivalence:
         params = init_params(cfg)
         p = params[1]
         state = Tensor(np.random.default_rng(4).normal(size=(6, 4, 4)))
-        down, up = block_naive(ScaleState(scale=1, t=0, raw=state), p, 1)
+        down, up = block_naive(ScaleState(scale=1, t=0, data=state.data), p, 1)
         kern = p.kernels[0]
         down_kernel = ConvKernel(kern.weights[: cfg.k], kern.bias[: cfg.k])
         up_kernel = ConvKernel(kern.weights[cfg.k :], kern.bias[cfg.k :])
@@ -370,13 +392,21 @@ class TestPrecomputedSources:
         pyramid = random_pyramid(cfg)
         raw = {i: pyramid[i] for i in params}
         sources = precompute_sources(raw, params, cfg.iterations)
+        assert sorted(sources) == sorted(params)
         for i, p in params.items():
-            assert sources[i].channels == p.out_channels * cfg.iterations
-            for t in range(1, cfg.iterations + 1):
+            assert len(sources[i]) == cfg.iterations
+            # views of one stacked convolution
+            assert len({id(view.data.base) for view in sources[i]}) == 1
+            for t, got in enumerate(sources[i], start=1):
                 _, raw_cols = p.split_columns(t)
                 single = conv3x3(raw[i], ConvKernel(raw_cols, np.zeros(p.out_channels)))
-                got = source_slice(sources, i, t, p)
-                assert np.array_equal(got.data, single.data)
+                assert not got.data.flags.writeable
+                assert got.data.tobytes() == single.data.tobytes()
+
+    def test_no_iterations_no_sources(self):
+        cfg = small_config(iterations=0)
+        pyramid = random_pyramid(cfg)
+        assert precompute_sources({i: pyramid[i] for i in range(3)}, init_params(cfg), 0) == {}
 
     def test_first_iteration_block_is_bias_plus_source(self):
         cfg = small_config(iterations=1)
@@ -384,9 +414,10 @@ class TestPrecomputedSources:
         pyramid = random_pyramid(cfg)
         p = params[1]
         sources = precompute_sources({1: pyramid[1]}, {1: p}, 1)
-        down, up = block_simplified(None, source_slice(sources, 1, 1, p), p, 1)
+        state = ScaleState(scale=1, t=0, data=pyramid[1].data)
+        down, up = block_simplified(state, sources[1][0], p, 1)
         kern = p.kernels[0]
-        expected = np.maximum(kern.bias[:, None, None] + sources[1].data, 0.0)
+        expected = np.maximum(kern.bias[:, None, None] + sources[1][0].data, 0.0)
         assert np.array_equal(np.concatenate([down.data, up.data]), expected)
 
     def test_message_channel_count_is_checked(self):
@@ -395,9 +426,13 @@ class TestPrecomputedSources:
         p = params[1]
         pyramid = random_pyramid(cfg)
         sources = precompute_sources({1: pyramid[1]}, {1: p}, 2)
-        wrong = Tensor(np.zeros((3, 4, 4)))
-        with pytest.raises(ValidationError):
-            block_simplified(wrong, source_slice(sources, 1, 2, p), p, 2)
+        # iteration 2 reads 4 up-message, 6 raw and 4 down-message channels
+        wrong = ScaleState(scale=1, t=1, data=np.zeros((6 + 3, 4, 4)))
+        with pytest.raises(ValidationError, match="state has 9 channels, kernel expects 14"):
+            block_simplified(wrong, sources[1][1], p, 2)
+        right = ScaleState(scale=1, t=1, data=np.zeros((14, 4, 4)))
+        with pytest.raises(ValidationError, match="source has 3 channels, block emits 8"):
+            block_simplified(right, Tensor(np.zeros((3, 4, 4))), p, 2)
 
 
 class TestForwardShapes:
