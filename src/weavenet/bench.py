@@ -8,7 +8,7 @@ precomputation included) on seeded synthetic pyramids.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,8 @@ from .errors import EquivalenceError, ValidationError
 from .fixtures import make_raw_pyramid
 from .tensor_core import ConvKernel, Tensor
 from .weave import (
-    BlockParams,
+    DIRECTION_MASKS,
+    Params,
     WeaveConfig,
     WeaveFlops,
     compare_outputs,
@@ -29,13 +30,8 @@ EQUIVALENCE_TOL = 1e-9
 
 
 def masks_label(config: WeaveConfig) -> str:
-    if config.enable_top_down and config.enable_bottom_up:
-        return "both"
-    if config.enable_top_down:
-        return "top-down-only"
-    if config.enable_bottom_up:
-        return "bottom-up-only"
-    return "none"
+    flags = (config.enable_top_down, config.enable_bottom_up)
+    return next((label for label, f in DIRECTION_MASKS.items() if f == flags), "none")
 
 
 # seed stream of the standard-normal raw pyramid every benchmark run uses
@@ -91,7 +87,7 @@ def run_bench(
     warmup: int = 3,
     reps: int = 20,
     batch: int = 1,
-    params: dict[int, BlockParams] | None = None,
+    params: Params | None = None,
     pyramid: list[Tensor] | None = None,
 ) -> BenchReport:
     """Time `reps` measured repetitions of `batch` forward passes each.
@@ -154,26 +150,23 @@ class ModeComparison:
         return self.naive.mean_time / self.simplified.mean_time
 
 
-def uncorruptible(params: dict[int, BlockParams], block: tuple[int, int]) -> str | None:
-    """Why corrupt_partition cannot misplace a column of block (scale, t) in
-    params, or None when it can: the scale runs no block under the direction
-    masks, t is beyond the last iteration, or the block reads no message
-    columns because the scale receives no messages."""
+def uncorruptible(config: WeaveConfig, block: tuple[int, int]) -> str | None:
+    """Why corrupt_partition cannot misplace a column of block (scale, t)
+    under config, or None when it can: the scale runs no block under the
+    direction masks, t is beyond the last iteration, or the block reads no
+    message columns because the scale receives no messages."""
     scale, t = block
-    p = params.get(scale)
-    if p is None:
+    if config.emitted_directions(scale) == 0:
         return f"scale {scale} runs no block"
-    if t > len(p.kernels):
+    if t > config.iterations:
         return f"scale {scale} has no iteration {t}"
-    up, _raw, down = p.state_layout(t - 1)
+    up, _raw, down = config.state_layout(scale, t - 1)
     if up + down == 0:
         return f"scale {scale} iteration {t} has no message columns"
     return None
 
 
-def corrupt_partition(
-    params: dict[int, BlockParams], block: tuple[int, int]
-) -> dict[int, BlockParams]:
+def corrupt_partition(params: Params, config: WeaveConfig, block: tuple[int, int]) -> Params:
     """A copy of params whose simplified pass misplaces one raw column.
 
     Iteration t's kernel of scale `block = (scale, t)` gets its columns
@@ -185,22 +178,21 @@ def corrupt_partition(
     block without message columns raises ValidationError.
     """
     scale, t = block
-    p = params.get(scale)
-    if p is None or t > len(p.kernels):
+    kernels = params.get(scale, ())
+    if t > len(kernels):
         return params
-    reason = uncorruptible(params, block)
+    reason = uncorruptible(config, block)
     if reason is not None:
         raise ValidationError(f"cannot corrupt partition: {reason}")
-    up, raw, down = p.state_layout(t - 1)
-    kernel = p.kernel_for(t)
+    up, raw, down = config.state_layout(scale, t - 1)
+    kernel = kernels[t - 1]
     cols = list(range(kernel.in_channels))
     if down >= 1:
         cols[up : up + raw + 1] = cols[up + 1 : up + raw + 1] + [up]
     else:
         cols[up - 1 : up + raw] = [up + raw - 1] + cols[up - 1 : up + raw - 1]
-    kernels = list(p.kernels)
-    kernels[t - 1] = ConvKernel(kernel.weights[:, cols], kernel.bias)
-    return {**params, scale: replace(p, kernels=tuple(kernels))}
+    corrupted = ConvKernel(kernel.weights[:, cols], kernel.bias)
+    return {**params, scale: kernels[: t - 1] + (corrupted,) + kernels[t:]}
 
 
 def compare_modes(
@@ -219,7 +211,7 @@ def compare_modes(
     params = init_params(config)
     pyramid = make_raw_pyramid(config, BENCH_STREAM)
     naive_out = weave_forward(pyramid, config, params, "naive")
-    checked = params if corrupt_block is None else corrupt_partition(params, corrupt_block)
+    checked = params if corrupt_block is None else corrupt_partition(params, config, corrupt_block)
     simplified_out = weave_forward(pyramid, config, checked, "simplified")
     worst = compare_outputs(naive_out, simplified_out)
     if worst.deviation > EQUIVALENCE_TOL:

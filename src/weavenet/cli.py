@@ -24,11 +24,10 @@ from .formats import (
 )
 from .pipeline import run_demo
 from .tensor_core import exactness_probe
-from .weave import compare_outputs, conv_flops, init_params, weave_forward
+from .weave import DIRECTION_MASKS, compare_outputs, conv_flops, init_params, weave_forward
 
 SWEEP_K = (16, 32, 64)
 SWEEP_T = (1, 3, 5)
-SWEEP_MASKS = ("both", "top-down-only", "bottom-up-only")
 BENCH_SWEEP_K = (16, 32)
 
 BASELINE_CHANNELS = 256
@@ -38,10 +37,6 @@ BASELINE_SIZE = 40
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are validation failures, not I/O
         raise ValidationError(message)
-
-
-def _mask_flags(masks: str) -> tuple[bool, bool]:
-    return masks != "bottom-up-only", masks != "top-down-only"
 
 
 def _load(args) -> RunConfig:
@@ -70,8 +65,7 @@ def cmd_verify(args) -> int:
     ]
     for k in SWEEP_K:
         for t in SWEEP_T:
-            for masks in SWEEP_MASKS:
-                td, bu = _mask_flags(masks)
+            for masks, (td, bu) in DIRECTION_MASKS.items():
                 combos.append(("sweep", k, t, masks, td, bu))
 
     print(f"equivalence check: naive vs simplified, tolerance {tol:.1e}")
@@ -83,9 +77,9 @@ def cmd_verify(args) -> int:
         naive = weave_forward(pyramid, cfg, params, "naive")
         note = ""
         if config.corrupt_block is not None:
-            reason = bench_mod.uncorruptible(params, config.corrupt_block)
+            reason = bench_mod.uncorruptible(cfg, config.corrupt_block)
             if reason is None:
-                params = bench_mod.corrupt_partition(params, config.corrupt_block)
+                params = bench_mod.corrupt_partition(params, cfg, config.corrupt_block)
             else:
                 note = f"  (not corrupted: {reason})"
         simplified = weave_forward(pyramid, cfg, params, "simplified")
@@ -218,7 +212,7 @@ def cmd_bench(args) -> int:
 
 def cmd_fixtures(args) -> int:
     config = _load(args)
-    paths = write_fixtures(config.seed, args.out, config)
+    paths = write_fixtures(config, args.out)
     for p in paths:
         print(f"wrote {p}")
     return 0

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 from .detect import ANCHOR_MODES, AnchorSpec
 from .errors import ValidationError
-from .weave import WeaveConfig
+from .weave import DIRECTION_MASKS, WeaveConfig
 
 
 # Widest confidence head a config may ask for: (num_classes + 1) scores for
@@ -117,10 +117,7 @@ def apply_overrides(
         updates["seed"] = seed
     if anchors is not None:
         updates["anchor_mode"] = anchors
-    if top_down_only:
-        updates["enable_top_down"] = True
-        updates["enable_bottom_up"] = False
-    if bottom_up_only:
-        updates["enable_bottom_up"] = True
-        updates["enable_top_down"] = False
+    if top_down_only or bottom_up_only:
+        masks = "top-down-only" if top_down_only else "bottom-up-only"
+        updates["enable_top_down"], updates["enable_bottom_up"] = DIRECTION_MASKS[masks]
     return replace(config, **updates) if updates else config

@@ -80,10 +80,9 @@ def make_detections(gts: list[GroundTruth], seed: int) -> list[DetectionRecord]:
     return records
 
 
-def write_fixtures(seed: int, out_dir: str, config: RunConfig | None = None) -> list[str]:
-    """Write pyramid arrays plus matching GT and detection files; returns paths."""
-    if config is None:
-        config = RunConfig(seed=seed)
+def write_fixtures(config: RunConfig, out_dir: str) -> list[str]:
+    """Write pyramid arrays plus matching GT and detection files, all drawn
+    from config.seed; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     pyramid = make_raw_pyramid(config)
@@ -91,11 +90,11 @@ def write_fixtures(seed: int, out_dir: str, config: RunConfig | None = None) -> 
         path = os.path.join(out_dir, f"pyramid_scale{i}.npy")
         np.save(path, tensor.data)
         paths.append(path)
-    gts = make_ground_truth(seed, config.input_size)
+    gts = make_ground_truth(config.seed, config.input_size)
     gt_path = os.path.join(out_dir, "ground_truth.jsonl")
     write_ground_truth(gt_path, gts)
     paths.append(gt_path)
     det_path = os.path.join(out_dir, "detections.jsonl")
-    write_detections(det_path, make_detections(gts, seed))
+    write_detections(det_path, make_detections(gts, config.seed))
     paths.append(det_path)
     return paths

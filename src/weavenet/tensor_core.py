@@ -81,16 +81,6 @@ class Tensor:
         tensor.data = arr
         return tensor
 
-    @classmethod
-    def from_flat(cls, channels: int, height: int, width: int, values: Sequence[float]) -> "Tensor":
-        flat = np.asarray(values, dtype=np.float64)
-        if flat.size != channels * height * width:
-            raise ValidationError(
-                f"expected {channels * height * width} values for shape "
-                f"({channels},{height},{width}), got {flat.size}"
-            )
-        return cls(flat.reshape(channels, height, width))
-
     @property
     def channels(self) -> int:
         return self.data.shape[0]

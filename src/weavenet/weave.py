@@ -13,9 +13,11 @@ State channel layout of scale i after t iterations (canonical order):
      down-msg from i+1 at 1, ..., down-msg at t]
 
 Newest up-messages are prepended, newest down-messages appended, and
-directions a scale never receives contribute nothing. Each woven scale
-keeps one buffer at its final width in this order: the raw features sit
-k*T channels from the left edge when the scale receives up-messages, and
+directions a scale never receives contribute nothing.
+WeaveConfig.state_layout gives the three group widths; it alone decides
+where the raw features sit, both in the state buffers and in the kernel
+columns that the simplified path splits into a raw and a message group.
+Each woven scale keeps one buffer at its final width in this order, and
 the state after t iterations is a read-only view of the buffer's middle.
 """
 
@@ -38,6 +40,13 @@ from .tensor_core import (
 )
 
 MODES = ("naive", "simplified")
+
+# Direction masks by label: (enable_top_down, enable_bottom_up).
+DIRECTION_MASKS = {
+    "both": (True, True),
+    "top-down-only": (True, False),
+    "bottom-up-only": (False, True),
+}
 
 DEFAULT_PYRAMID_SIZES = (40, 20, 10, 5, 3, 1)
 DEFAULT_WOVEN_SCALES = (0, 1, 2, 3)
@@ -156,63 +165,37 @@ class WeaveConfig:
     def emits_down(self, scale: int) -> bool:
         return self.enable_top_down and self.is_woven(scale) and self.is_woven(scale - 1)
 
-    def received_directions(self, scale: int) -> int:
-        return int(self.receives_up(scale)) + int(self.receives_down(scale))
-
     def emitted_directions(self, scale: int) -> int:
         return int(self.emits_up(scale)) + int(self.emits_down(scale))
 
+    def state_layout(self, scale: int, t: int) -> tuple[int, int, int]:
+        """(up, raw, down) channel counts of scale's state after t iterations."""
+        up = self.k * t if self.receives_up(scale) else 0
+        down = self.k * t if self.receives_down(scale) else 0
+        return up, self.raw_channels[scale], down
+
     def state_channels(self, scale: int, t: int) -> int:
         """Channel count of scale's state after t iterations."""
-        return self.raw_channels[scale] + self.k * self.received_directions(scale) * t
+        return sum(self.state_layout(scale, t))
 
 
-@dataclass(frozen=True)
-class BlockParams:
-    """Grouped per-iteration kernels of one scale's block.
+class Kernels(tuple):
+    """One scale's block kernels: entry t-1 is the kernel of iteration t.
 
-    kernels[t-1] holds the stacked kernel of iteration t: down-message rows
-    first, then up-message rows; columns follow the canonical state layout
-    at t-1, which defines the message-column/raw-column partition used by
-    the simplified path.
+    A tuple in every other respect; `kernels` is the tuple itself, the
+    field through which benchmark/tests/test_benchmark.py reads a scale's
+    params.
     """
 
-    scale: int
-    k: int
-    raw_channels: int
-    receives_up: bool
-    receives_down: bool
-    emits_down: bool
-    emits_up: bool
-    kernels: tuple[ConvKernel, ...]
+    __slots__ = ()
 
     @property
-    def out_channels(self) -> int:
-        return self.k * (int(self.emits_down) + int(self.emits_up))
+    def kernels(self) -> tuple[ConvKernel, ...]:
+        return self
 
-    def state_layout(self, t: int) -> tuple[int, int, int]:
-        """(up columns, raw columns, down columns) of the state after t iterations."""
-        up = self.k * t if self.receives_up else 0
-        down = self.k * t if self.receives_down else 0
-        return up, self.raw_channels, down
 
-    def kernel_for(self, t: int) -> ConvKernel:
-        if not 1 <= t <= len(self.kernels):
-            raise ValidationError(f"no kernel for iteration {t} (have {len(self.kernels)})")
-        return self.kernels[t - 1]
-
-    def split_columns(self, t: int) -> tuple[np.ndarray | None, np.ndarray]:
-        """Partition iteration t's kernel columns into (message slice, raw slice).
-
-        The message slice concatenates the up-message and down-message column
-        groups with the raw group removed; shapes follow state_layout(t - 1).
-        """
-        w = self.kernel_for(t).weights
-        up, raw, down = self.state_layout(t - 1)
-        raw_cols = w[:, up : up + raw]
-        if up + down == 0:
-            return None, raw_cols
-        return np.concatenate([w[:, :up], w[:, up + raw :]], axis=1), raw_cols
+# Block kernels by scale: params[i][t-1] is scale i's kernel of iteration t.
+Params = dict[int, tuple[ConvKernel, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,15 +218,17 @@ class ScaleState:
         return Tensor._adopt(self.data)
 
 
-def init_params(config: WeaveConfig) -> dict[int, BlockParams]:
-    """Sample deterministic block parameters for every emitting woven scale.
+def init_params(config: WeaveConfig) -> Params:
+    """Sample deterministic block kernels for every emitting woven scale.
 
-    Weights and biases are uniform in [-s, s] with s = 1/sqrt(9 * in_channels),
-    drawn in a fixed order (scales ascending, iterations ascending) from
-    config.seed.
+    Kernel t of a scale stacks its down-message rows, then its up-message
+    rows; its columns follow the canonical layout of the state after t-1
+    iterations (config.state_layout). Weights and biases are uniform in
+    [-s, s] with s = 1/sqrt(9 * in_channels), drawn in a fixed order
+    (scales ascending, iterations ascending) from config.seed.
     """
     rng = np.random.default_rng([config.seed, 0])
-    params: dict[int, BlockParams] = {}
+    params: Params = {}
     for scale in config.woven_scales:
         emitted = config.emitted_directions(scale)
         if emitted == 0:
@@ -256,100 +241,105 @@ def init_params(config: WeaveConfig) -> dict[int, BlockParams]:
             weights = rng.uniform(-s, s, size=(out_channels, in_channels, 3, 3))
             bias = rng.uniform(-s, s, size=out_channels)
             kernels.append(ConvKernel(weights, bias))
-        params[scale] = BlockParams(
-            scale=scale,
-            k=config.k,
-            raw_channels=config.raw_channels[scale],
-            receives_up=config.receives_up(scale),
-            receives_down=config.receives_down(scale),
-            emits_down=config.emits_down(scale),
-            emits_up=config.emits_up(scale),
-            kernels=tuple(kernels),
-        )
+        params[scale] = Kernels(kernels)
     return params
 
 
-def _split_messages(out: Tensor, params: BlockParams) -> tuple[Tensor | None, Tensor | None]:
+def _check_params(params: Params, config: WeaveConfig) -> None:
+    """Reject params that init_params(config) would not have shaped alike."""
+    emitting = [i for i in config.woven_scales if config.emitted_directions(i)]
+    stray = set(emitting) ^ set(params)
+    if stray:
+        i = min(stray)
+        if i in emitting:
+            raise ValidationError(f"scale {i}: config runs a block there, params hold no kernels")
+        raise ValidationError(f"scale {i}: params hold kernels, config runs no block there")
+    for i in emitting:
+        n, iterations = len(params[i]), config.iterations
+        if n != iterations:
+            held = "no kernel" if n < iterations else "a kernel"
+            raise ValidationError(
+                f"scale {i} iteration {min(n, iterations) + 1}: params hold {held}, "
+                f"config runs {iterations} iterations"
+            )
+        for t, kernel in enumerate(params[i], start=1):
+            want = (config.k * config.emitted_directions(i), config.state_channels(i, t - 1), 3, 3)
+            if kernel.weights.shape != want:
+                raise ValidationError(
+                    f"scale {i} iteration {t}: kernel has shape {kernel.weights.shape}, "
+                    f"config expects {want}"
+                )
+
+
+def _split_messages(
+    out: Tensor, config: WeaveConfig, scale: int
+) -> tuple[Tensor | None, Tensor | None]:
     """Split block output rows into (down-message, up-message)."""
-    if params.emits_down and params.emits_up:
-        down, up = split_channels(out, [params.k, params.k])
-        return down, up
-    if params.emits_down:
-        return out, None
-    return None, out
+    down, up = config.emits_down(scale), config.emits_up(scale)
+    if down and up:
+        return tuple(split_channels(out, [config.k, config.k]))
+    return (out, None) if down else (None, out)
 
 
-def _check_state(state: ScaleState, params: BlockParams, t: int) -> ConvKernel:
-    """Iteration t's kernel, after checking that it reads the whole state."""
-    kernel = params.kernel_for(t)
-    if state.channels != kernel.in_channels:
-        raise ValidationError(
-            f"scale {params.scale} iteration {t}: state has {state.channels} channels, "
-            f"kernel expects {kernel.in_channels}"
-        )
-    return kernel
-
-
-def block_naive(state: ScaleState, params: BlockParams, t: int) -> tuple[Tensor | None, Tensor | None]:
-    """One block step over the full concatenated state (two conv paths grouped)."""
-    kernel = _check_state(state, params, t)
+def block_naive(
+    state: ScaleState, kernel: ConvKernel, config: WeaveConfig
+) -> tuple[Tensor | None, Tensor | None]:
+    """One block step (iteration state.t + 1) over the full state, both
+    emitted directions in one grouped convolution."""
     out = relu(conv3x3(state.full(), kernel))
-    return _split_messages(out, params)
+    return _split_messages(out, config, state.scale)
 
 
 def block_simplified(
     state: ScaleState,
     source: Tensor,
-    params: BlockParams,
-    t: int,
+    kernel: ConvKernel,
+    config: WeaveConfig,
 ) -> tuple[Tensor | None, Tensor | None]:
-    """One block step from the state's message channels plus the precomputed raw source.
+    """One block step (iteration state.t + 1) from the state's message
+    channels plus the precomputed raw source.
 
-    Computes relu(messages * message_columns + bias + source), the messages
-    being the state's up- and down-message channels (state_layout(t - 1));
+    Computes relu(messages * message_columns + bias + source). Removing the
+    raw group of config.state_layout(state.scale, state.t) from the state
+    leaves the messages, and from the kernel's columns the message columns;
     at t=1 there are none and the result is relu(bias + source).
     """
-    kernel = _check_state(state, params, t)
-    if source.channels != params.out_channels:
-        raise ValidationError(
-            f"scale {params.scale} iteration {t}: source has {source.channels} "
-            f"channels, block emits {params.out_channels}"
-        )
-    msg_cols, _ = params.split_columns(t)
-    if msg_cols is None:
+    up, raw, down = config.state_layout(state.scale, state.t)
+    if up + down == 0:
         pre = kernel.bias[:, None, None] + source.data
     else:
-        up, raw, _ = params.state_layout(t - 1)
-        messages = Tensor._adopt(np.concatenate([state.data[:up], state.data[up + raw :]]))
-        pre = conv3x3(messages, ConvKernel(msg_cols, kernel.bias)).data + source.data
+        raw_group = slice(up, up + raw)
+        messages = Tensor._adopt(np.delete(state.data, raw_group, axis=0))
+        columns = np.delete(kernel.weights, raw_group, axis=1)
+        pre = conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source.data
     out = relu(Tensor._adopt(pre))
-    return _split_messages(out, params)
+    return _split_messages(out, config, state.scale)
 
 
 def precompute_sources(
     raw: dict[int, Tensor],
-    params: dict[int, BlockParams],
-    iterations: int,
+    params: Params,
+    config: WeaveConfig,
 ) -> dict[int, list[Tensor]]:
     """Grouped raw-feature products, one convolution per scale.
 
-    Each scale's raw-column kernels of iterations 1..T run stacked along the
-    output axis as one convolution. Entry t-1 of the scale's list is a
+    Each scale's raw-column kernels of all its iterations run stacked along
+    the output axis as one convolution. Entry t-1 of the scale's list is a
     read-only view of that result's rows for iteration t: the raw features
     convolved with iteration t's raw-column kernel, bias excluded.
     """
-    if iterations == 0:
-        return {}
     sources: dict[int, list[Tensor]] = {}
-    for scale, p in params.items():
-        stacked = np.concatenate([p.split_columns(t)[1] for t in range(1, iterations + 1)], axis=0)
-        if stacked.shape[1] != raw[scale].channels:
-            raise ValidationError(
-                f"scale {scale}: raw features have {raw[scale].channels} channels, "
-                f"raw-column kernels expect {stacked.shape[1]}"
-            )
+    for scale, kernels in params.items():
+        if not kernels:
+            continue
+        raw_columns = []
+        for t, kernel in enumerate(kernels):
+            up, width, _ = config.state_layout(scale, t)
+            raw_columns.append(kernel.weights[:, up : up + width])
+        stacked = np.concatenate(raw_columns, axis=0)
         grouped = ConvKernel(stacked, np.zeros(stacked.shape[0]))
-        sources[scale] = split_channels(conv3x3(raw[scale], grouped), [p.out_channels] * iterations)
+        rows = [kernels[0].out_channels] * len(kernels)
+        sources[scale] = split_channels(conv3x3(raw[scale], grouped), rows)
     return sources
 
 
@@ -373,7 +363,7 @@ def _validate_pyramid(pyramid: list[Tensor], config: WeaveConfig) -> None:
 def weave_states(
     pyramid: list[Tensor],
     config: WeaveConfig,
-    params: dict[int, BlockParams],
+    params: Params,
     mode: str = "simplified",
 ) -> list[dict[int, ScaleState]]:
     """Run the forward pass, returning woven-scale states after each iteration.
@@ -385,12 +375,13 @@ def weave_states(
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     _validate_pyramid(pyramid, config)
+    _check_params(params, config)
 
     k, iterations = config.k, config.iterations
     buffers: dict[int, np.ndarray] = {}
     edges: dict[int, tuple[int, int]] = {}  # channel range of the current state
     for i in config.woven_scales:
-        lo = k * iterations if config.receives_up(i) else 0
+        lo = config.state_layout(i, iterations)[0]
         hi = lo + pyramid[i].channels
         buffers[i] = np.empty((config.state_channels(i, iterations),) + pyramid[i].shape[1:])
         buffers[i][lo:hi] = pyramid[i].data
@@ -407,18 +398,17 @@ def weave_states(
     states = snapshot(0)
     sources = None
     if mode == "simplified":
-        raw = {i: pyramid[i] for i in params}
-        sources = precompute_sources(raw, params, iterations)
+        sources = precompute_sources({i: pyramid[i] for i in params}, params, config)
 
     history: list[dict[int, ScaleState]] = []
     for t in range(1, iterations + 1):
         msg_down: dict[int, Tensor] = {}
         msg_up: dict[int, Tensor] = {}
-        for i, p in params.items():
+        for i, kernels in params.items():
             if mode == "naive":
-                down, up = block_naive(states[i], p, t)
+                down, up = block_naive(states[i], kernels[t - 1], config)
             else:
-                down, up = block_simplified(states[i], sources[i][t - 1], p, t)
+                down, up = block_simplified(states[i], sources[i][t - 1], kernels[t - 1], config)
             if down is not None:
                 msg_down[i] = down
             if up is not None:
@@ -442,7 +432,7 @@ def weave_states(
 def weave_forward(
     pyramid: list[Tensor],
     config: WeaveConfig,
-    params: dict[int, BlockParams],
+    params: Params,
     mode: str = "simplified",
 ) -> list[Tensor]:
     """Final per-scale feature maps; unwoven scales pass through unchanged."""
@@ -506,12 +496,9 @@ def flops_weave(config: WeaveConfig, mode: str) -> WeaveFlops:
             if e == 0:
                 continue
             size = config.pyramid_sizes[i]
-            cout = config.k * e
-            if mode == "naive":
-                cin = config.state_channels(i, t - 1)
-            else:
-                cin = config.k * config.received_directions(i) * (t - 1)
-            flops += conv_flops(cin, cout, size, size)
+            up, raw, down = config.state_layout(i, t - 1)
+            cin = up + raw + down if mode == "naive" else up + down
+            flops += conv_flops(cin, config.k * e, size, size)
         per_iteration.append(flops)
 
     precompute = 0

@@ -111,15 +111,6 @@ def random_kernel(rng, out_channels, in_channels):
 
 
 class TestTensor:
-    def test_shape_and_flat_roundtrip(self):
-        t = Tensor.from_flat(2, 3, 4, list(range(24)))
-        assert t.shape == (2, 3, 4)
-        assert t.data[1, 2, 3] == 23.0
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValidationError):
-            Tensor.from_flat(2, 2, 2, [0.0] * 7)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             Tensor(np.array([[[np.nan]]]))
@@ -253,7 +244,7 @@ class TestConv3x3MatchesLoop:
 
 class TestRelu:
     def test_basic(self):
-        t = Tensor.from_flat(1, 1, 3, [-1.0, 0.0, 2.0])
+        t = Tensor(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 3))
         assert relu(t).data.tolist() == [[[0.0, 0.0, 2.0]]]
 
     def test_nonnegative_unchanged(self):
@@ -404,7 +395,7 @@ def _tiny_sources():
     params = init_params(cfg)
     rng = np.random.default_rng(15)
     raw = {i: Tensor(rng.normal(size=(3, s, s))) for i, s in enumerate(cfg.pyramid_sizes) if i in params}
-    return precompute_sources(raw, params, cfg.iterations)
+    return precompute_sources(raw, params, cfg)
 
 
 class TestFreshTensorsAreSealed:

@@ -1,10 +1,11 @@
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weavenet.weave as weave
 from weavenet.bench import corrupt_partition
 from weavenet.errors import ValidationError
 from weavenet.tensor_core import (
@@ -13,10 +14,10 @@ from weavenet.tensor_core import (
     conv3x3,
     maxpool_2x2_s2,
     relu,
+    split_channels,
     upsample_bilinear_x2,
 )
 from weavenet.weave import (
-    BlockParams,
     ScaleState,
     WeaveConfig,
     block_naive,
@@ -52,34 +53,37 @@ def random_pyramid(config: WeaveConfig, seed: int = 3) -> list[Tensor]:
     ]
 
 
-@dataclass(frozen=True)
-class ShiftedPartition(BlockParams):
-    """The former fault injection: at iteration shifted_t the message/raw
-    boundary moves one column right, or left when no down-messages arrive."""
+def shifted_partition(pyramid, cfg, params, block):
+    """The simplified pass with one block's kernel split off by a column, the
+    oracle of corrupt_partition: block (scale, t) takes its raw columns one
+    column right of where cfg.state_layout puts them, or one column left
+    when no down-messages arrive, and convolves its own raw source with
+    them; the state's messages are gathered at the true boundary. Other
+    blocks run as usual."""
+    real = weave.block_simplified
 
-    shifted_t: int
+    def shifted_block(state, source, kernel, config):
+        if (state.scale, state.t + 1) != tuple(block):
+            return real(state, source, kernel, config)
+        up, raw, down = config.state_layout(state.scale, state.t)
+        if up + down == 0:
+            raise ValidationError(f"scale {state.scale} iteration {state.t + 1}: no message columns")
+        lo = up + (1 if down >= 1 else -1)
+        w = kernel.weights
+        messages = Tensor(np.concatenate([state.data[:up], state.data[up + raw :]]))
+        columns = np.concatenate([w[:, :lo], w[:, lo + raw :]], axis=1)
+        features = Tensor(state.data[up : up + raw])
+        source = conv3x3(features, ConvKernel(w[:, lo : lo + raw], np.zeros(len(w))))
+        out = relu(Tensor(conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source.data))
+        parts = split_channels(out, [config.k] * config.emitted_directions(state.scale))
+        return (
+            parts[0] if config.emits_down(state.scale) else None,
+            parts[-1] if config.emits_up(state.scale) else None,
+        )
 
-    def split_columns(self, t: int):
-        if t != self.shifted_t:
-            return super().split_columns(t)
-        w = self.kernel_for(t).weights
-        up, raw, down = self.state_layout(t - 1)
-        if down >= 1:
-            shift = 1
-        elif up >= 1:
-            shift = -1
-        else:
-            raise ValidationError(f"scale {self.scale} iteration {t}: no message columns")
-        lo, hi = up + shift, up + raw + shift
-        return np.concatenate([w[:, :lo], w[:, hi:]], axis=1), w[:, lo:hi]
-
-
-def shifted_params(params: dict[int, BlockParams], block: tuple[int, int]) -> dict[int, BlockParams]:
-    scale, t = block
-    if scale not in params:
-        return params
-    p = params[scale]
-    return {**params, scale: ShiftedPartition(**{f.name: getattr(p, f.name) for f in fields(p)}, shifted_t=t)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weave, "block_simplified", shifted_block)
+        return weave_forward(pyramid, cfg, params, "simplified")
 
 
 class TestWeaveConfig:
@@ -107,7 +111,9 @@ class TestWeaveConfig:
     def test_default_direction_counts(self):
         cfg = WeaveConfig()
         # ends of the woven range exchange in one direction, interior in two
-        assert [cfg.received_directions(i) for i in range(6)] == [1, 2, 2, 1, 0, 0]
+        assert [cfg.state_layout(i, 1) for i in range(6)] == [
+            (0, 32, 16), (16, 32, 16), (16, 32, 16), (16, 32, 0), (0, 32, 0), (0, 32, 0)
+        ]
         assert [cfg.emitted_directions(i) for i in range(6)] == [1, 2, 2, 1, 0, 0]
         assert cfg.receives_down(0) and not cfg.receives_up(0)
         assert cfg.receives_up(3) and not cfg.receives_down(3)
@@ -116,10 +122,10 @@ class TestWeaveConfig:
 
     def test_masks_remove_directions(self):
         td = WeaveConfig(enable_bottom_up=False)
-        assert [td.received_directions(i) for i in range(4)] == [1, 1, 1, 0]
+        assert [td.state_layout(i, 2) for i in range(4)] == [(0, 32, 32)] * 3 + [(0, 32, 0)]
         assert [td.emitted_directions(i) for i in range(4)] == [0, 1, 1, 1]
         bu = WeaveConfig(enable_top_down=False)
-        assert [bu.received_directions(i) for i in range(4)] == [0, 1, 1, 1]
+        assert [bu.state_layout(i, 2) for i in range(4)] == [(0, 32, 0)] + [(32, 32, 0)] * 3
         assert [bu.emitted_directions(i) for i in range(4)] == [1, 1, 1, 0]
 
     def test_state_channels_growth(self):
@@ -155,17 +161,20 @@ class TestInitParams:
         assert set(params) == {0, 1, 2}
         # interior scale: two directions in and out
         p1 = params[1]
-        assert p1.kernels[0].weights.shape == (8, 6, 3, 3)
-        assert p1.kernels[1].weights.shape == (8, 6 + 4 * 2, 3, 3)
+        assert len(p1) == cfg.iterations
+        # benchmark/tests reads a scale's kernels through this field
+        assert isinstance(p1, tuple) and p1.kernels is p1
+        assert p1[0].weights.shape == (8, 6, 3, 3)
+        assert p1[1].weights.shape == (8, 6 + 4 * 2, 3, 3)
         # ends: one direction each way
-        assert params[0].kernels[1].weights.shape == (4, 5 + 4, 3, 3)
-        assert params[2].kernels[1].weights.shape == (4, 7 + 4, 3, 3)
+        assert params[0][1].weights.shape == (4, 5 + 4, 3, 3)
+        assert params[2][1].weights.shape == (4, 7 + 4, 3, 3)
 
     def test_bounds_follow_fan_in(self):
         cfg = small_config(iterations=1)
         params = init_params(cfg)
-        for p in params.values():
-            for kern in p.kernels:
+        for kernels in params.values():
+            for kern in kernels:
                 s = 1.0 / np.sqrt(kern.in_channels * 9)
                 assert np.abs(kern.weights).max() <= s
                 assert np.abs(kern.bias).max() <= s
@@ -174,9 +183,9 @@ class TestInitParams:
         a = init_params(small_config(seed=7))
         b = init_params(small_config(seed=7))
         c = init_params(small_config(seed=8))
-        assert np.array_equal(a[1].kernels[0].weights, b[1].kernels[0].weights)
-        assert np.array_equal(a[1].kernels[0].bias, b[1].kernels[0].bias)
-        assert not np.array_equal(a[1].kernels[0].weights, c[1].kernels[0].weights)
+        assert np.array_equal(a[1][0].weights, b[1][0].weights)
+        assert np.array_equal(a[1][0].bias, b[1][0].bias)
+        assert not np.array_equal(a[1][0].weights, c[1][0].weights)
 
 
 class TestScaleState:
@@ -193,6 +202,12 @@ class TestScaleState:
                 assert (state.scale, state.t, state.channels) == (i, t, cfg.state_channels(i, t))
                 assert state.data[up : up + len(previous)].tobytes() == previous.tobytes()
                 previous = state.data
+                # state_layout names the same groups: the raw features follow t up-messages
+                layout = cfg.state_layout(i, t)
+                assert sum(layout) == cfg.state_channels(i, t)
+                assert layout == (up * t, cfg.raw_channels[i], state.channels - up * t - cfg.raw_channels[i])
+                raw = state.data[layout[0] : layout[0] + layout[1]]
+                assert raw.tobytes() == pyramid[i].data.tobytes()
 
     def test_state_is_a_read_only_view_that_full_wraps(self):
         data = np.arange(12.0).reshape(3, 2, 2)
@@ -215,7 +230,9 @@ class TestScaleState:
         pyramid = random_pyramid(cfg)
         history = weave_states(pyramid, cfg, params, mode)
         for t, states in enumerate(history, start=1):
-            shorter = weave_states(pyramid, replace(cfg, iterations=t), params, mode)[-1]
+            # the first t kernels of each scale, as a T=t config wants them
+            prefix = {i: kernels[:t] for i, kernels in params.items()}
+            shorter = weave_states(pyramid, replace(cfg, iterations=t), prefix, mode)[-1]
             assert sorted(states) == sorted(shorter) == list(cfg.woven_scales)
             for i, state in states.items():
                 assert not state.data.flags.writeable
@@ -243,7 +260,7 @@ class TestHandScheduledTwoScales:
         self.raw1 = Tensor(rng.normal(size=(3, 2, 2)))
 
     def expected_outputs(self):
-        k0, k1 = self.params[0].kernels, self.params[1].kernels
+        k0, k1 = self.params[0], self.params[1]
         out0_1 = relu(conv3x3(self.raw0, k0[0]))  # scale 0 emits up only
         out1_1 = relu(conv3x3(self.raw1, k1[0]))  # scale 1 emits down only
         state0 = np.concatenate([self.raw0.data, upsample_bilinear_x2(out1_1).data])
@@ -300,10 +317,9 @@ class TestEquivalence:
     def test_grouped_kernel_equals_separate_direction_convs_bitwise(self):
         cfg = small_config()
         params = init_params(cfg)
-        p = params[1]
+        kern = params[1][0]
         state = Tensor(np.random.default_rng(4).normal(size=(6, 4, 4)))
-        down, up = block_naive(ScaleState(scale=1, t=0, data=state.data), p, 1)
-        kern = p.kernels[0]
+        down, up = block_naive(ScaleState(scale=1, t=0, data=state.data), kern, cfg)
         down_kernel = ConvKernel(kern.weights[: cfg.k], kern.bias[: cfg.k])
         up_kernel = ConvKernel(kern.weights[cfg.k :], kern.bias[cfg.k :])
         assert np.array_equal(down.data, relu(conv3x3(state, down_kernel)).data)
@@ -314,22 +330,24 @@ class TestEquivalence:
         params = init_params(cfg)
         pyramid = random_pyramid(cfg)
         naive = weave_forward(pyramid, cfg, params, mode="naive")
-        bad = weave_forward(pyramid, cfg, corrupt_partition(params, (1, 2)), mode="simplified")
+        bad = weave_forward(pyramid, cfg, corrupt_partition(params, cfg, (1, 2)), mode="simplified")
         assert compare_outputs(naive, bad).deviation > 1e-9
 
     def test_corruption_requires_message_columns(self):
         cfg = small_config(iterations=2)
         params = init_params(cfg)
         with pytest.raises(ValidationError, match="no message columns"):
-            corrupt_partition(params, (1, 1))
+            corrupt_partition(params, cfg, (1, 1))
 
     def test_corruption_copies_and_skips_absent_blocks(self):
-        params = init_params(small_config(iterations=2))
-        weights = params[1].kernels[1].weights.copy()
-        bad = corrupt_partition(params, (1, 2))
-        assert np.array_equal(params[1].kernels[1].weights, weights)
+        cfg = small_config(iterations=2)
+        params = init_params(cfg)
+        weights = params[1][1].weights.copy()
+        bad = corrupt_partition(params, cfg, (1, 2))
+        assert np.array_equal(params[1][1].weights, weights)
         assert bad[1] is not params[1] and bad[0] is params[0]
-        assert corrupt_partition(params, (1, 3)) is params
+        assert bad[1][0] is params[1][0]
+        assert corrupt_partition(params, cfg, (1, 3)) is params
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -345,12 +363,12 @@ class TestEquivalence:
         params = init_params(cfg)
         pyramid = random_pyramid(cfg, seed=seed)
         try:
-            expected = weave_forward(pyramid, cfg, shifted_params(params, block), "simplified")
+            expected = shifted_partition(pyramid, cfg, params, block)
         except ValidationError:
             with pytest.raises(ValidationError, match="no message columns"):
-                corrupt_partition(params, block)
+                corrupt_partition(params, cfg, block)
             return
-        got = weave_forward(pyramid, cfg, corrupt_partition(params, block), "simplified")
+        got = weave_forward(pyramid, cfg, corrupt_partition(params, cfg, block), "simplified")
         for a, b in zip(expected, got):
             assert a.data.tobytes() == b.data.tobytes()
 
@@ -391,48 +409,34 @@ class TestPrecomputedSources:
         params = init_params(cfg)
         pyramid = random_pyramid(cfg)
         raw = {i: pyramid[i] for i in params}
-        sources = precompute_sources(raw, params, cfg.iterations)
+        sources = precompute_sources(raw, params, cfg)
         assert sorted(sources) == sorted(params)
-        for i, p in params.items():
+        for i, kernels in params.items():
             assert len(sources[i]) == cfg.iterations
             # views of one stacked convolution
             assert len({id(view.data.base) for view in sources[i]}) == 1
-            for t, got in enumerate(sources[i], start=1):
-                _, raw_cols = p.split_columns(t)
-                single = conv3x3(raw[i], ConvKernel(raw_cols, np.zeros(p.out_channels)))
+            for t, (got, kern) in enumerate(zip(sources[i], kernels), start=1):
+                up, raw_width, _ = cfg.state_layout(i, t - 1)
+                raw_cols = kern.weights[:, up : up + raw_width]
+                single = conv3x3(raw[i], ConvKernel(raw_cols, np.zeros(kern.out_channels)))
                 assert not got.data.flags.writeable
                 assert got.data.tobytes() == single.data.tobytes()
 
     def test_no_iterations_no_sources(self):
         cfg = small_config(iterations=0)
         pyramid = random_pyramid(cfg)
-        assert precompute_sources({i: pyramid[i] for i in range(3)}, init_params(cfg), 0) == {}
+        assert precompute_sources({i: pyramid[i] for i in range(3)}, init_params(cfg), cfg) == {}
 
     def test_first_iteration_block_is_bias_plus_source(self):
         cfg = small_config(iterations=1)
         params = init_params(cfg)
         pyramid = random_pyramid(cfg)
-        p = params[1]
-        sources = precompute_sources({1: pyramid[1]}, {1: p}, 1)
+        sources = precompute_sources({1: pyramid[1]}, {1: params[1]}, cfg)
         state = ScaleState(scale=1, t=0, data=pyramid[1].data)
-        down, up = block_simplified(state, sources[1][0], p, 1)
-        kern = p.kernels[0]
+        kern = params[1][0]
+        down, up = block_simplified(state, sources[1][0], kern, cfg)
         expected = np.maximum(kern.bias[:, None, None] + sources[1][0].data, 0.0)
         assert np.array_equal(np.concatenate([down.data, up.data]), expected)
-
-    def test_message_channel_count_is_checked(self):
-        cfg = small_config(iterations=2)
-        params = init_params(cfg)
-        p = params[1]
-        pyramid = random_pyramid(cfg)
-        sources = precompute_sources({1: pyramid[1]}, {1: p}, 2)
-        # iteration 2 reads 4 up-message, 6 raw and 4 down-message channels
-        wrong = ScaleState(scale=1, t=1, data=np.zeros((6 + 3, 4, 4)))
-        with pytest.raises(ValidationError, match="state has 9 channels, kernel expects 14"):
-            block_simplified(wrong, sources[1][1], p, 2)
-        right = ScaleState(scale=1, t=1, data=np.zeros((14, 4, 4)))
-        with pytest.raises(ValidationError, match="source has 3 channels, block emits 8"):
-            block_simplified(right, Tensor(np.zeros((3, 4, 4))), p, 2)
 
 
 class TestForwardShapes:
@@ -480,6 +484,40 @@ class TestForwardShapes:
             weave_forward(pyramid[:-1], cfg, params)
         with pytest.raises(ValidationError):
             weave_forward(pyramid, cfg, params, mode="fast")
+
+
+class TestParamsMatchConfig:
+    """Params drawn for another config end in one ValidationError that names
+    the scale (and the iteration), raised before any block runs."""
+
+    @pytest.mark.parametrize("mode", ["naive", "simplified"])
+    @pytest.mark.parametrize(
+        "other,message",
+        [
+            ({"enable_bottom_up": False}, "scale 0: config runs a block there, params hold no kernels"),
+            ({"enable_top_down": False}, "scale 2: config runs a block there, params hold no kernels"),
+            ({"k": 3}, r"scale 0 iteration 1: kernel has shape \(3, 5, 3, 3\), config expects \(4, 5, 3, 3\)"),
+            ({"iterations": 3}, "scale 0 iteration 3: params hold a kernel, config runs 2 iterations"),
+        ],
+        ids=["top-down-only", "bottom-up-only", "k", "T"],
+    )
+    def test_params_of_another_config_are_rejected(self, other, message, mode):
+        cfg = small_config()
+        pyramid = random_pyramid(cfg)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            weave_forward(pyramid, cfg, init_params(replace(cfg, **other)), mode)
+
+    def test_missing_and_extra_kernels_are_named(self):
+        cfg = small_config(enable_top_down=False)  # scales 0 and 1 emit, scale 2 does not
+        params = init_params(cfg)
+        pyramid = random_pyramid(cfg)
+        with pytest.raises(ValidationError, match="^scale 2: params hold kernels, config runs no block there$"):
+            weave_forward(pyramid, cfg, {**params, 2: params[1]})
+        short = {**params, 1: params[1][:1]}
+        with pytest.raises(ValidationError, match="^scale 1 iteration 2: params hold no kernel, config runs 2 iterations$"):
+            weave_forward(pyramid, cfg, short)
+        with pytest.raises(ValidationError, match="^scale 1: config runs a block there, params hold no kernels$"):
+            weave_forward(pyramid, replace(cfg, iterations=0), {0: ()})
 
 
 class TestPropagationSpeed:
