@@ -35,23 +35,21 @@ DETECTION_KEYS = ("image_id", "class_id", "score") + BOX_KEYS
 GROUND_TRUTH_KEYS = ("image_id", "class_id") + BOX_KEYS
 
 
-def _write(path: str, records: list, keys: tuple[str, ...]) -> None:
-    """One JSON object per record with the given keys, then `ignored` only
-    when it is set, so files without ignored boxes keep the same bytes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            obj = {key: getattr(r.box if key in BOX_KEYS else r, key) for key in keys}
-            if getattr(r, "ignored", False):
-                obj["ignored"] = True
-            fh.write(json.dumps(obj) + "\n")
+# json.dumps of a record's fields as a dict in key order; %r is float.__repr__
+_DETECTION_LINE = '{"image_id": %s, "class_id": %d, "score": %r, "xmin": %r, "ymin": %r, "xmax": %r, "ymax": %r}\n'
+_GROUND_TRUTH_LINE = '{"image_id": %s, "class_id": %d, "xmin": %r, "ymin": %r, "xmax": %r, "ymax": %r%s}\n'
+_IGNORED = ("", ', "ignored": true')  # written only when set, so other files keep their bytes
 
 
 def write_detections(path: str, records: list[DetectionRecord]) -> None:
-    _write(path, records, DETECTION_KEYS)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_DETECTION_LINE % (json.dumps(r.image_id), r.class_id, r.score, *r.box.coords()) for r in records)
 
 
 def write_ground_truth(path: str, records: list[GroundTruth]) -> None:
-    _write(path, records, GROUND_TRUTH_KEYS)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_GROUND_TRUTH_LINE % (json.dumps(r.image_id), r.class_id, *r.box.coords(), _IGNORED[r.ignored])
+                      for r in records)
 
 
 def _lines(path: str):
@@ -74,28 +72,23 @@ def _fields(line: str, keys: tuple[str, ...], optional: tuple[str, ...]) -> dict
         raise ValidationError(f"invalid JSON: {getattr(err, 'msg', err)}") from err
     if not isinstance(obj, dict):
         raise ValidationError("expected a JSON object")
-    if obj.keys() != set(keys):  # else every key is there and no other one
-        missing = [k for k in keys if k not in obj]
-        extra = sorted(obj.keys() - {*keys, *optional})
-        if missing:
-            raise ValidationError(f"missing keys: {', '.join(missing)}")
-        if extra:
-            raise ValidationError(f"unexpected keys: {', '.join(extra)}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValidationError(f"missing keys: {', '.join(missing)}")
+    extra = sorted(obj.keys() - {*keys, *optional})
+    if extra:
+        raise ValidationError(f"unexpected keys: {', '.join(extra)}")
     return obj
 
 
-def _record(line: str, record_type, keys: tuple[str, ...], optional: tuple[str, ...]):
-    """The record of one line; the record types check the field values."""
-    obj = _fields(line, keys, optional)
-    box = BBox(*(obj.pop(k) for k in BOX_KEYS))
-    return record_type(box=box, **obj)
-
-
 def _read(path: str, record_type, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> list:
+    """One record per line; the record types check the field values."""
     records = []
     for lineno, line in _lines(path):
         try:
-            records.append(_record(line, record_type, keys, optional))
+            obj = _fields(line, keys, optional)
+            box = BBox(*(obj.pop(k) for k in BOX_KEYS))
+            records.append(record_type(box=box, **obj))
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from err
     return records
@@ -115,15 +108,26 @@ def _only(values: tuple, kind: type) -> bool:
 
 def _rows(path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> list[tuple] | None:
     """Each line's values in the order of keys, then optional (an absent one
-    reads False); None when a line is not JSON or has the wrong keys."""
-    values = itemgetter(*keys)
+    reads False); None unless every line (split as _lines splits) is one JSON
+    object with the right keys from its first character: the record reader
+    then reports the file's first fault."""
     try:
-        objs = (_fields(line, keys, optional) for _, line in _lines(path))
-        if optional:
-            return [values(obj) + tuple(obj.get(k, False) for k in optional) for obj in objs]
-        return [values(obj) for obj in objs]
-    except ValidationError:  # the record reader reports the file's first fault
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
         return None
+    scan = json.JSONDecoder().scan_once  # the C scanner under json.loads, without its Python wrappers
+    values, key_sets, rows = itemgetter(*keys), (set(keys), {*keys, *optional}), []
+    for line in filter(str.strip, lines):
+        try:
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):  # no value at 0, or as in _fields
+            return None
+        # after the value json.loads allows JSON whitespace only
+        if type(obj) is not dict or line[end:].strip(" \t\n\r") or obj.keys() not in key_sets:
+            return None
+        rows.append(values(obj) + tuple(obj.get(k, False) for k in optional) if optional else values(obj))
+    return rows
 
 
 def _columns(rows: list[tuple] | None, names: tuple[str, ...]) -> BoxTable | None:

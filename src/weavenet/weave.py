@@ -114,6 +114,8 @@ class WeaveConfig:
             raise ValidationError(f"k must be positive, got {self.k}")
         if self.iterations < 0:
             raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if len(self.raw_channels) != len(self.pyramid_sizes):
             raise ValidationError("raw_channels and pyramid_sizes lengths differ")
         if any(c < 1 for c in self.raw_channels):

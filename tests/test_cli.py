@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import weavenet
-from weavenet import tensor_core
+from weavenet import formats, tensor_core
 from weavenet.bench import RATIO_COLUMNS, TIMING_COLUMNS
 from weavenet.cli import main
 from weavenet.config import (
@@ -26,7 +26,10 @@ from weavenet.config import (
 from weavenet.detect import BOX_KEYS, BBox, Detection
 from weavenet.errors import ValidationError
 from weavenet.evaluation import DetectionRecord, GroundTruth, stratify_by_area
+from weavenet.fixtures import write_fixtures
 from weavenet.formats import (
+    DETECTION_KEYS,
+    GROUND_TRUTH_KEYS,
     format_table,
     read_detection_table,
     read_detections,
@@ -266,6 +269,46 @@ def assert_readers_agree(path: str, kind: str) -> None:
         assert table.ignored.tolist() == [r.ignored for r in records]
 
 
+def dict_writer_bytes(records: list, keys: tuple[str, ...]) -> bytes:
+    """The former writer, the oracle of the format-string writers: one dict
+    per record in key order, `ignored` only when set, through json.dumps."""
+    lines = []
+    for r in records:
+        obj = {key: getattr(r.box if key in BOX_KEYS else r, key) for key in keys}
+        if getattr(r, "ignored", False):
+            obj["ignored"] = True
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+# a valid line of each kind, for the reader cases that change one line
+VALID_LINES = {
+    "detections": '{"image_id": "a", "class_id": 1, "score": 0.5, "xmin": 0.5, "ymin": 0.0, "xmax": 2.0, "ymax": 3.0}',
+    "ground truth": '{"image_id": "a", "class_id": 1, "xmin": 0.5, "ymin": 0.0, "xmax": 2.0, "ymax": 3.0}',
+}
+# each maps a valid line (without its newline) to the text that replaces it
+ODD_LINES = {
+    "leading spaces": lambda v: "  " + v,
+    "leading tab": lambda v: "\t" + v,
+    "trailing JSON whitespace": lambda v: v + " \t ",
+    "trailing CR": lambda v: v + "\r",
+    "CR inside the object": lambda v: v.replace(", ", ",\r", 1),
+    "BOM": lambda v: "\ufeff" + v,
+    "form feed only": lambda v: "\x0c",
+    "trailing form feed": lambda v: v + "\x0c",
+    "raw U+2028 in a string": lambda v: v.replace('"a"', '"a\u2028b"'),
+    "raw U+2028 after the object": lambda v: v + "\u2028",
+    "two objects": lambda v: v + v,
+    "two objects with a space": lambda v: v + " " + v,
+    "NaN": lambda v: v.replace("0.5", "NaN", 1),
+    "Infinity": lambda v: v.replace("3.0", "Infinity"),
+    "-Infinity": lambda v: v.replace("0.0", "-Infinity"),
+    "duplicate key, the last valid": lambda v: v.replace('"class_id": 1', '"class_id": -1, "class_id": 1'),
+    "duplicate key, the last invalid": lambda v: v.replace('"class_id": 1', '"class_id": 1, "class_id": -1'),
+    "duplicate image_id": lambda v: v.replace('"image_id": "a"', '"image_id": "a", "image_id": "b"'),
+}
+
+
 class TestFormats:
     def test_detections_round_trip(self, tmp_path):
         path = str(tmp_path / "dets.jsonl")
@@ -319,6 +362,36 @@ class TestFormats:
         write_ground_truth(gt_path, gts)
         assert [key(r) for r in read_detections(det_path)] == [key(r) for r in dets]
         assert [key(r) for r in read_ground_truth(gt_path)] == [key(r) for r in gts]
+
+    # each example overwrites both files, so sharing tmp_path is safe
+    @settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_writers_match_the_dict_writer(self, tmp_path, data):
+        value = st.one_of(
+            st.sampled_from([-0.0, 0.0, 5e-324, 1e150, -1e150, 320.00000000000006, 1.0 / 3.0]),
+            st.floats(-1e150, 1e150),
+        )
+
+        @st.composite
+        def box(draw):
+            x = sorted((draw(value), draw(value)))
+            y = sorted((draw(value), draw(value)))
+            assume((x[1] - x[0]) * (y[1] - y[0]) > 0.0)
+            return BBox(x[0], y[0], x[1], y[1])
+
+        image = st.text(
+            st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\U0001f600'), st.characters()),
+            min_size=1, max_size=8,
+        )
+        cls = st.integers(0, 10**20)
+        score = st.one_of(value, st.floats(allow_nan=False, allow_infinity=False))
+        dets = data.draw(st.lists(st.builds(DetectionRecord, image, box(), score, cls), max_size=6))
+        gts = data.draw(st.lists(st.builds(GroundTruth, image, box(), cls, st.booleans()), max_size=6))
+        det_path, gt_path = tmp_path / "dets.jsonl", tmp_path / "gt.jsonl"
+        write_detections(str(det_path), dets)
+        write_ground_truth(str(gt_path), gts)
+        assert det_path.read_bytes() == dict_writer_bytes(dets, DETECTION_KEYS)
+        assert gt_path.read_bytes() == dict_writer_bytes(gts, GROUND_TRUTH_KEYS)
 
     @pytest.mark.parametrize(
         "line,fragment",
@@ -547,6 +620,47 @@ class TestFormats:
         path = tmp_path / "records.jsonl"
         path.write_text("".join(line + "\n" for line in data.draw(st.lists(record_line(), max_size=4))))
         assert_readers_agree(str(path), kind)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("odd", sorted(ODD_LINES))
+    def test_table_reader_agrees_on_odd_lines(self, tmp_path, kind, odd):
+        """Whitespace, line breaks and JSON the column parse does not take
+        itself, on the middle one of three lines."""
+        valid = VALID_LINES[kind]
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(f"{valid}\n{ODD_LINES[odd](valid)}\n{valid}\n".encode("utf-8"))
+        assert_readers_agree(str(path), kind)
+
+    def test_column_parse_takes_fixtures_and_dense_files(self, tmp_path):
+        """The table readers parse these files themselves: the record reader
+        would give equal tables, so only this notices a silent fallback."""
+        fixture_dir = tmp_path / "fx"
+        write_fixtures(RunConfig(seed=3), str(fixture_dir))
+        rng = np.random.default_rng(0)
+        corners = rng.uniform(0.0, 300.0, size=(2000, 2))
+        sides = rng.uniform(1.0, 60.0, size=(2000, 2))
+        boxes = [BBox(*row) for row in np.hstack((corners, corners + sides)).tolist()]
+        dense = {
+            "detections": [
+                DetectionRecord(f"img{i % 7}", b, float(s), i % 3)
+                for i, (b, s) in enumerate(zip(boxes, rng.uniform(size=2000).tolist()))
+            ],
+            "ground truth": [GroundTruth(f"img{i % 7}", b, i % 3, ignored=i % 5 == 0) for i, b in enumerate(boxes)],
+        }
+        write_detections(str(tmp_path / "dense_dets.jsonl"), dense["detections"])
+        write_ground_truth(str(tmp_path / "dense_gt.jsonl"), dense["ground truth"])
+        files = [
+            ("detections", fixture_dir / "detections.jsonl"),
+            ("ground truth", fixture_dir / "ground_truth.jsonl"),
+            ("detections", tmp_path / "dense_dets.jsonl"),
+            ("ground truth", tmp_path / "dense_gt.jsonl"),
+        ]
+        for kind, path in files:
+            keys, optional = (DETECTION_KEYS, ()) if kind == "detections" else (GROUND_TRUTH_KEYS, ("ignored",))
+            rows = formats._rows(str(path), keys, optional)
+            assert rows is not None and len(rows) == len(READERS[kind][0](str(path)))
+            assert formats._columns(rows, keys + optional) is not None
+            assert_readers_agree(str(path), kind)
 
     @pytest.mark.parametrize("lines", [['{"a": [1', "2]}"], ['{"b": 1},{"c": 1}']])
     def test_lines_that_join_into_json_are_still_invalid(self, tmp_path, lines):
@@ -1015,6 +1129,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: invalid JSON: ") and fragment in captured.err
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["demo", "verify", "bench", "fixtures"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, command, via):
+        # each used to end in a ValueError traceback from np.random.default_rng
+        out = ["--out", str(tmp_path / "out")]
+        if via == "flag":
+            argv = [command, "--seed", "-3", *out]
+        else:
+            path = tmp_path / "c.json"
+            path.write_text('{"seed": -3}')
+            argv = [command, "--config", str(path), *out]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -3\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"

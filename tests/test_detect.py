@@ -341,6 +341,24 @@ class TestIoU:
         a = BBox(1.0, 1.0, 1.0, 1.0)
         assert iou(a, a) == 0.0
 
+    def test_iou_matrix_holds_few_block_sized_arrays(self):
+        """The overlaps are computed in place: a block's peak stays under four
+        (m, n) float arrays, where a temporary per operation took five."""
+        rng = np.random.default_rng(2)
+        m, n = 150, 400
+        corners = rng.uniform(0.0, 300.0, size=(m + n, 2))
+        boxes = np.hstack((corners, corners + rng.uniform(0.0, 60.0, size=(m + n, 2))))
+        boxes[:5, 2:] = boxes[:5, :2]  # points, so some unions are empty
+        boxes[m : m + 5] = boxes[:5]
+        tracemalloc.start()
+        try:
+            got = iou_matrix(boxes[:m], boxes[m:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (m, n) and not got[:5, :5].any() and not np.isnan(got).any()
+        assert peak < 4 * m * n * 8
+
 
 def reference_nms(dets, iou_threshold, per_class):
     """Independent restatement of the greedy rule with explicit remaining sets."""
