@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 
-from .detect import ANCHOR_MODES, AnchorSpec
+from .detect import ANCHOR_MODES, AnchorSpec, finite_float, shown
 from .errors import ValidationError
 from .weave import DIRECTION_MASKS, WeaveConfig
 
@@ -39,35 +39,36 @@ class RunConfig(WeaveConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.input_size < 1:
-            raise ValidationError(f"input_size must be positive, got {self.input_size}")
+            raise ValidationError(f"input_size must be positive, got {shown(self.input_size)}")
+        finite_float("input_size", self.input_size)  # anchors are floats in input-image coordinates
         for name in ("nms_iou_threshold", "refine_iou_threshold", "score_floor"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
+                raise ValidationError(f"{name} must be in [0, 1], got {shown(v)}")
         if self.anchor_mode not in ANCHOR_MODES:
             raise ValidationError(
                 f"anchor_mode must be one of {ANCHOR_MODES}, got {self.anchor_mode!r}"
             )
         if self.num_classes < 1:
-            raise ValidationError(f"num_classes must be positive, got {self.num_classes}")
+            raise ValidationError(f"num_classes must be positive, got {shown(self.num_classes)}")
         spec = AnchorSpec.for_mode(self.anchor_mode)  # the default scales hold the widest cell
         head = (self.num_classes + 1) * max(map(spec.anchors_per_cell, range(len(spec.ratios))))
         if head > MAX_HEAD_CHANNELS:
             raise ValidationError(
-                f"head width (num_classes + 1) x anchors per cell is {head}, above the cap of "
+                f"head width (num_classes + 1) x anchors per cell is {shown(head)}, above the cap of "
                 f"{MAX_HEAD_CHANNELS}; lower num_classes"
             )
         if self.pre_nms_top_k < 1 or self.keep_top_k < 1:
             raise ValidationError("pre_nms_top_k and keep_top_k must be positive")
         if self.corrupt_block is not None:
             if len(self.corrupt_block) != 2:
-                raise ValidationError(f"corrupt_block must be [scale, iteration], got {self.corrupt_block}")
+                raise ValidationError(f"corrupt_block must be [scale, iteration], got {shown(self.corrupt_block)}")
             scale, t = self.corrupt_block
             if scale not in self.woven_scales:
-                raise ValidationError(f"corrupt_block scale {scale} is not a woven scale")
+                raise ValidationError(f"corrupt_block scale {shown(scale)} is not a woven scale")
             if t < 2:
                 raise ValidationError(
-                    f"corrupt_block iteration must be >= 2 (iteration {t} has no message columns)"
+                    f"corrupt_block iteration must be >= 2 (iteration {shown(t)} has no message columns)"
                 )
 
     def weave_config(self) -> WeaveConfig:

@@ -27,10 +27,14 @@ _MODE_B_RATIOS = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
 
 
 def shown(value) -> str:
-    """repr(value), or the digit count of an integer too long to convert to text."""
+    """repr(value), with the digit count of each integer too long to convert
+    to text in its place, a list's or tuple's items included."""
     try:
         return repr(value)
     except ValueError:  # past sys.get_int_max_str_digits()
+        if isinstance(value, (list, tuple)):
+            items = ", ".join(map(shown, value)) + "," * (type(value) is tuple and len(value) == 1)
+            return f"[{items}]" if isinstance(value, list) else f"({items})"
         magnitude = abs(value)
         digits = int((magnitude.bit_length() - 1) * math.log10(2)) + 1
         while digits > 1 and 10 ** (digits - 1) > magnitude:

@@ -2,21 +2,22 @@
 
 Detections carry keys image_id, class_id, score, xmin, ymin, xmax, ymax;
 ground truth is identical minus score, plus an optional boolean ignored.
-All files are UTF-8 with LF line endings. The reader checks JSON syntax and
-key sets; the record types check the values. Either kind of violation is
-reported with its line number.
+All files are UTF-8 with LF line endings. Each JSONL file is read, decoded
+and parsed once, which checks JSON syntax and key sets; the record types
+check the values. Of all violations the first in file order is reported,
+with its line number.
 
-The table readers return a file as columns (evaluation.BoxTable). A file
-whose lines all parse and whose values already have the stored types (str,
-int, float, bool) and pass the record checks is checked column by column;
-any other file goes through the record reader and is converted, so every
-error keeps the record reader's line and message.
+The table readers return a file as columns (evaluation.BoxTable) when its
+values already have the stored types (str, int, float, bool) and pass the
+record checks, screened column by column; otherwise they build the records
+from the same parse and convert them, so every error is the record reader's.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import filterfalse
 from operator import itemgetter
 
 import numpy as np
@@ -52,93 +53,78 @@ def write_ground_truth(path: str, records: list[GroundTruth]) -> None:
                       for r in records)
 
 
-def _lines(path: str):
-    """(line number, line) for every non-blank line of a UTF-8 text file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield lineno, line
-        except UnicodeDecodeError as err:
-            raise ValidationError(f"{path}: not valid UTF-8: {err.reason}") from err
-
-
-def _fields(line: str, keys: tuple[str, ...], optional: tuple[str, ...]) -> dict:
-    """The JSON object of one line, holding every key and no unknown one."""
+def _parse(path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> tuple[list, list[tuple], str | None]:
+    """The one read and parse of a JSONL file. Returns its lines as read
+    (universal newlines; each keeps its "\\n", which json.loads sees), the
+    values of each non-blank line in the order of keys, then optional (an
+    absent one reads False), and the fault of the first line that is not one
+    JSON object with the right keys, or None; the rows stop before that line."""
     try:
-        obj = json.loads(line)
-    # JSONDecodeError, an integer literal too long to convert, or nesting too deep
-    except (ValueError, RecursionError) as err:
-        raise ValidationError(f"invalid JSON: {getattr(err, 'msg', err)}") from err
-    if not isinstance(obj, dict):
-        raise ValidationError("expected a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValidationError(f"missing keys: {', '.join(missing)}")
-    extra = sorted(obj.keys() - {*keys, *optional})
-    if extra:
-        raise ValidationError(f"unexpected keys: {', '.join(extra)}")
-    return obj
-
-
-def _read(path: str, record_type, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> list:
-    """One record per line; the record types check the field values."""
-    records = []
-    for lineno, line in _lines(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"{path}: not valid UTF-8: {err.reason}") from err
+    scan = json.JSONDecoder().scan_once  # the C scanner under json.loads, without its Python wrappers
+    values, key_sets, rows = itemgetter(*keys), (set(keys), {*keys, *optional}), []
+    for line in filterfalse(str.isspace, lines):  # the lines str.strip empties, without a copy of each
         try:
-            obj = _fields(line, keys, optional)
-            box = BBox(*(obj.pop(k) for k in BOX_KEYS))
-            records.append(record_type(box=box, **obj))
-        except ValidationError as err:
-            raise ValidationError(f"{path}:{lineno}: {err}") from err
+            obj, end = scan(line, 0)
+            if line[end:].strip(" \t\n\r"):  # after the value json.loads allows JSON whitespace only
+                raise ValueError
+        except (StopIteration, ValueError, RecursionError):  # json.loads takes the line, or says why not
+            try:
+                obj = json.loads(line)
+            # JSONDecodeError, an integer literal too long to convert, or nesting too deep
+            except (ValueError, RecursionError) as err:
+                return lines, rows, f"invalid JSON: {getattr(err, 'msg', err)}"
+        if type(obj) is not dict:
+            return lines, rows, "expected a JSON object"
+        if obj.keys() not in key_sets:
+            missing = ", ".join(k for k in keys if k not in obj)
+            extra = ", ".join(sorted(obj.keys() - key_sets[1]))
+            return lines, rows, f"missing keys: {missing}" if missing else f"unexpected keys: {extra}"
+        rows.append(values(obj) + tuple(obj.get(k, False) for k in optional) if optional else values(obj))
+    return lines, rows, None
+
+
+def _records(path: str, record_type, names: tuple[str, ...], lines: list, rows: list[tuple], fault: str | None) -> list:
+    """One record per row of _parse (names are the rows' fields); the record
+    types check the values. Raises the file's first fault, a value fault of
+    a row or else the parse fault, with its line number."""
+    records = []
+    try:
+        for row in rows:
+            fields = dict(zip(names, row))
+            box = BBox(*(fields.pop(k) for k in BOX_KEYS))
+            records.append(record_type(box=box, **fields))
+        if fault is not None:
+            raise ValidationError(fault)
+    except ValidationError as err:  # the line of row len(records)
+        lineno = [n for n, line in enumerate(lines, start=1) if not line.isspace()][len(records)]
+        raise ValidationError(f"{path}:{lineno}: {err}") from err
     return records
 
 
 def read_detections(path: str) -> list[DetectionRecord]:
-    return _read(path, DetectionRecord, DETECTION_KEYS)
+    return _records(path, DetectionRecord, DETECTION_KEYS, *_parse(path, DETECTION_KEYS))
 
 
 def read_ground_truth(path: str) -> list[GroundTruth]:
-    return _read(path, GroundTruth, GROUND_TRUTH_KEYS, ("ignored",))
+    names = GROUND_TRUTH_KEYS + ("ignored",)
+    return _records(path, GroundTruth, names, *_parse(path, GROUND_TRUTH_KEYS, ("ignored",)))
 
 
 def _only(values: tuple, kind: type) -> bool:
     return set(map(type, values)) <= {kind}
 
 
-def _rows(path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> list[tuple] | None:
-    """Each line's values in the order of keys, then optional (an absent one
-    reads False); None unless every line (split as _lines splits) is one JSON
-    object with the right keys from its first character: the record reader
-    then reports the file's first fault."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        return None
-    scan = json.JSONDecoder().scan_once  # the C scanner under json.loads, without its Python wrappers
-    values, key_sets, rows = itemgetter(*keys), (set(keys), {*keys, *optional}), []
-    for line in filter(str.strip, lines):
-        try:
-            obj, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):  # no value at 0, or as in _fields
-            return None
-        # after the value json.loads allows JSON whitespace only
-        if type(obj) is not dict or line[end:].strip(" \t\n\r") or obj.keys() not in key_sets:
-            return None
-        rows.append(values(obj) + tuple(obj.get(k, False) for k in optional) if optional else values(obj))
-    return rows
-
-
-def _columns(rows: list[tuple] | None, names: tuple[str, ...]) -> BoxTable | None:
+def _columns(rows: list[tuple], names: tuple[str, ...]) -> BoxTable | None:
     """The table of a file's rows when every value already has the type its
     record field stores and passes the record checks; None otherwise.
 
     names are the rows' field names: DETECTION_KEYS, or GROUND_TRUTH_KEYS
     and "ignored".
     """
-    if rows is None:
-        return None
     column = dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
     image_id, class_id = column["image_id"], column["class_id"]
     coords = [column[k] for k in BOX_KEYS]
@@ -169,17 +155,22 @@ def _columns(rows: list[tuple] | None, names: tuple[str, ...]) -> BoxTable | Non
     return BoxTable(list(image_id), list(class_id), boxes, ignored=np.array(column["ignored"], dtype=bool))
 
 
+def _table(path: str, keys: tuple[str, ...], optional: tuple[str, ...], record_type, convert) -> BoxTable:
+    """The screened columns of a file, or convert(its records) when the
+    screen fails, from the file's one parse."""
+    lines, rows, fault = _parse(path, keys, optional)
+    table = None if fault else _columns(rows, keys + optional)
+    return convert(_records(path, record_type, keys + optional, lines, rows, fault)) if table is None else table
+
+
 def read_detection_table(path: str) -> BoxTable:
     """read_detections as a table, with the same errors."""
-    table = _columns(_rows(path, DETECTION_KEYS), DETECTION_KEYS)
-    return detection_table(read_detections(path)) if table is None else table
+    return _table(path, DETECTION_KEYS, (), DetectionRecord, detection_table)
 
 
 def read_ground_truth_table(path: str) -> BoxTable:
     """read_ground_truth as a table, with the same errors."""
-    keys, optional = GROUND_TRUTH_KEYS, ("ignored",)
-    table = _columns(_rows(path, keys, optional), keys + optional)
-    return ground_truth_table(read_ground_truth(path)) if table is None else table
+    return _table(path, GROUND_TRUTH_KEYS, ("ignored",), GroundTruth, ground_truth_table)
 
 
 def write_csv(path: str, header: tuple[str, ...] | list[str], rows: list[list[str]]) -> None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .detect import shown
 from .errors import MismatchLocation, ValidationError
 from .tensor_core import (
     ConvKernel,
@@ -68,7 +69,7 @@ def _show(value) -> str:
     try:
         return json.dumps(value)
     except (TypeError, ValueError):
-        return repr(value)
+        return shown(value)
 
 
 def _check_type(key: str, kind: str, value) -> None:
@@ -111,11 +112,11 @@ class WeaveConfig:
                 object.__setattr__(self, f.name, value)
             _check_type(f.name, f.type, value)
         if self.k < 1:
-            raise ValidationError(f"k must be positive, got {self.k}")
+            raise ValidationError(f"k must be positive, got {shown(self.k)}")
         if self.iterations < 0:
-            raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
+            raise ValidationError(f"iterations must be >= 0, got {shown(self.iterations)}")
         if self.seed < 0:  # np.random.default_rng takes no negative seed
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+            raise ValidationError(f"seed must be >= 0, got {shown(self.seed)}")
         if len(self.raw_channels) != len(self.pyramid_sizes):
             raise ValidationError("raw_channels and pyramid_sizes lengths differ")
         if any(c < 1 for c in self.raw_channels):
@@ -125,20 +126,20 @@ class WeaveConfig:
         if not self.woven_scales:
             raise ValidationError("woven_scales must be non-empty")
         ws = self.woven_scales
-        if list(ws) != list(range(ws[0], ws[-1] + 1)):
-            raise ValidationError(f"woven_scales must be consecutive indices, got {ws}")
+        if any(b != a + 1 for a, b in zip(ws, ws[1:])):
+            raise ValidationError(f"woven_scales must be consecutive indices, got {shown(ws)}")
         if ws[0] < 0 or ws[-1] >= len(self.pyramid_sizes):
-            raise ValidationError(f"woven_scales {ws} outside pyramid of {len(self.pyramid_sizes)} scales")
+            raise ValidationError(f"woven_scales {shown(ws)} outside pyramid of {len(self.pyramid_sizes)} scales")
         for i in ws[:-1]:
             if self.pyramid_sizes[i] != 2 * self.pyramid_sizes[i + 1]:
                 raise ValidationError(
                     f"woven scales {i} and {i + 1} must differ spatially by a factor of 2, "
-                    f"got sizes {self.pyramid_sizes[i]} and {self.pyramid_sizes[i + 1]}"
+                    f"got sizes {shown(self.pyramid_sizes[i])} and {shown(self.pyramid_sizes[i + 1])}"
                 )
         widest = max(self.state_channels(i, self.iterations) for i in range(len(self.pyramid_sizes)))
         if widest > MAX_STATE_CHANNELS:
             raise ValidationError(
-                f"largest state width raw + k*d*T is {widest} channels, above the cap of "
+                f"largest state width raw + k*d*T is {shown(widest)} channels, above the cap of "
                 f"{MAX_STATE_CHANNELS}; lower k, iterations or raw_channels"
             )
         largest = max(
@@ -146,7 +147,7 @@ class WeaveConfig:
         )
         if largest > MAX_STATE_ELEMENTS:
             raise ValidationError(
-                f"largest state tensor (channels x size^2) has {largest} elements, above the cap "
+                f"largest state tensor (channels x size^2) has {shown(largest)} elements, above the cap "
                 f"of {MAX_STATE_ELEMENTS}; lower pyramid_sizes, raw_channels, k or iterations"
             )
 

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,7 @@ class TestRunConfig:
             ({"pyramid_sizes": "abc"}, "pyramid_sizes must be a list of integers"),
             ({"seed": np.int64(3)}, "seed must be an integer"),
             ({"raw_channels": None}, "raw_channels must be a list of integers, got null"),
+            ({"enable_top_down": 10**5000}, "enable_top_down must be true or false, got an integer of 5001 digits"),
         ],
     )
     def test_direct_construction_checks_types(self, kwargs, fragment):
@@ -156,6 +158,26 @@ class TestRunConfig:
         except ValidationError:
             return
         run_demo(config)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        key=st.sampled_from([f.name for f in fields(RunConfig) if f.type == "int" or f.type.startswith("tuple")]),
+        data=st.data(),
+    )
+    def test_any_integer_in_an_integer_key_is_taken_or_rejected(self, key, data):
+        """Integers up to +-10**4200 in one integer or list-of-integers key:
+        the config is rejected or demo runs, never a traceback. The small
+        pyramid and wide k keep every config that is accepted cheap to run."""
+        integer = st.one_of(
+            st.integers(-(10**4200), 10**4200), st.sampled_from([2**63, 2**1024, 10**4200, -(10**4200)])
+        )
+        is_list = {f.name: f.type for f in fields(RunConfig)}[key].startswith("tuple")
+        value = data.draw(st.lists(integer, max_size=7) if is_list else integer)
+        base = RunConfig(iterations=0, k=1024, woven_scales=(0, 1, 2), pyramid_sizes=(4, 2, 1, 1, 1, 1))
+        try:
+            run_demo(replace(base, **{key: value}))
+        except ValidationError:
+            pass
 
     def test_state_width_cap_rejected_without_allocating(self):
         tracemalloc.start()
@@ -202,6 +224,10 @@ class TestRunConfig:
         [
             ({"pyramid_sizes": [10**6, 5 * 10**5, 250000, 125000, 3, 1]}, "state tensor"),
             ({"num_classes": 10**9}, "head width"),
+            # each used to end in a traceback: formatting the width, building range(0, 10**30 + 1), float(2**1024)
+            ({"k": 10**4000, "iterations": 10**4000}, "state width raw + k*d*T is an integer of 8001 digits"),
+            ({"woven_scales": [0, 10**30]}, "woven_scales must be consecutive indices, got (0, 10000"),
+            ({"input_size": 2**1024}, "input_size must be a finite number"),
         ],
     )
     def test_oversized_config_is_a_one_line_error(self, tmp_path, capsys, raw, fragment):
@@ -657,10 +683,83 @@ class TestFormats:
         ]
         for kind, path in files:
             keys, optional = (DETECTION_KEYS, ()) if kind == "detections" else (GROUND_TRUTH_KEYS, ("ignored",))
-            rows = formats._rows(str(path), keys, optional)
-            assert rows is not None and len(rows) == len(READERS[kind][0](str(path)))
+            _, rows, fault = formats._parse(str(path), keys, optional)
+            assert fault is None and len(rows) == len(READERS[kind][0](str(path)))
             assert formats._columns(rows, keys + optional) is not None
             assert_readers_agree(str(path), kind)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize(
+        "odd,loads_calls",
+        [(lambda v: " " + v, 1), (lambda v: v.replace('"xmin": 0.5', '"xmin": 1'), 0)],
+        ids=["indented line", "integer coordinate"],
+    )
+    def test_table_reader_reads_and_parses_once(self, tmp_path, monkeypatch, kind, odd, loads_calls):
+        """A line the scanner does not take whole goes to json.loads alone; a
+        value the column screen does not take is built into a record from
+        the same parse. Neither file is opened twice."""
+        valid = VALID_LINES[kind]
+        path = tmp_path / "records.jsonl"
+        path.write_text(f"{valid}\n{odd(valid)}\n{valid}\n")
+        calls = {"open": 0, "loads": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", counted("open", open))
+        monkeypatch.setattr(json, "loads", counted("loads", json.loads))
+        table = READERS[kind][1](str(path))
+        assert calls == {"open": 1, "loads": loads_calls} and len(table) == 3
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("lines", [3, 500])
+    def test_non_utf8_file_fails_before_any_line(self, tmp_path, kind, lines):
+        """Line 1 holds a value fault and the last byte is not UTF-8: every
+        reader reports the encoding, at about 300 bytes and about 50 KB."""
+        valid = VALID_LINES[kind]
+        text = valid.replace('"class_id": 1', '"class_id": -1') + "\n" + (valid + "\n") * (lines - 1)
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(text.encode("utf-8") + b"\xff")
+        assert 250 < path.stat().st_size < 400 or 40_000 < path.stat().st_size < 60_000
+        for read in READERS[kind]:
+            with pytest.raises(ValidationError) as err:
+                read(str(path))
+            assert str(err.value) == f"{path}: not valid UTF-8: invalid start byte"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [('{"image_id": "a\n', "Invalid control character at"), ('{"image_id": "a', "Unterminated string starting at")],
+        ids=["newline", "end of file"],
+    )
+    def test_a_line_is_parsed_with_its_newline(self, tmp_path, text, message):
+        """json.loads sees a line as the file holds it: an unterminated
+        string runs into the newline, or into the end of the file."""
+        path = tmp_path / "gt.jsonl"
+        path.write_text(VALID_LINES["ground truth"] + "\n" + text)
+        for read in READERS["ground truth"]:
+            with pytest.raises(ValidationError) as err:
+                read(str(path))
+            assert str(err.value) == f"{path}:2: invalid JSON: {message}"
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize(
+        "odd,message",
+        [(lambda v: v.replace('"a"', '""'), "image_id must be a non-empty string, got ''"),
+         (lambda v: "[]", "expected a JSON object")],
+        ids=["value fault", "parse fault"],
+    )
+    def test_line_numbers_count_blank_lines_and_every_line_break(self, tmp_path, kind, odd, message):
+        """The fault is on line 5: blank lines count, and so do CR and CRLF breaks."""
+        valid = VALID_LINES[kind]
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(f"{valid}\r\n\n \t\r{valid}\n{odd(valid)}\n{valid}\n".encode("utf-8"))
+        for read in READERS[kind]:
+            with pytest.raises(ValidationError) as err:
+                read(str(path))
+            assert str(err.value) == f"{path}:5: {message}"
 
     @pytest.mark.parametrize("lines", [['{"a": [1', "2]}"], ['{"b": 1},{"c": 1}']])
     def test_lines_that_join_into_json_are_still_invalid(self, tmp_path, lines):

@@ -1,8 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no module
+defines a private name that no module of the package reads.
 
-Deleting code tends to leave its imports behind. A name counts as used when
-the module reads it anywhere (an attribute base such as `np` in `np.zeros`
-included) or lists it in `__all__`; `from __future__` imports are exempt.
+Deleting code tends to leave its imports and private helpers behind. An
+imported name counts as used when the module reads it anywhere (an
+attribute base such as `np` in `np.zeros` included) or lists it in
+`__all__`; `from __future__` imports are exempt. A module-level `_name`
+(def, class or assignment; not a dunder) counts as read when some module of the package
+loads it as a name or an attribute, or imports it.
 """
 
 import ast
@@ -38,3 +42,47 @@ def test_an_unused_import_is_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """`module: _name (line n)` for each module-level private definition in
+    sources (module name -> source) that no module of sources reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}: {n} (line {node.lineno})" for n in names
+                       if n.startswith("_") and not n.endswith("__") and n not in read]
+    return sorted(unused)
+
+
+def test_an_unused_private_definition_is_found():
+    sources = {
+        "a.py": "_USED = 1\n_UNUSED, _PAIR = 2, 3\ndef _helper():\n    return _USED\nclass _Gone:\n    pass\n",
+        "b.py": "from . import a\nfrom .c import _taken\na._helper()\n__all__ = []\n__version__ = '1'\n",
+        "c.py": "def _taken():\n    pass\n_left: int = 0\n",
+    }
+    assert unused_private_definitions(sources) == [
+        "a.py: _Gone (line 5)", "a.py: _PAIR (line 2)", "a.py: _UNUSED (line 2)", "c.py: _left (line 3)",
+    ]
+
+
+def test_every_private_definition_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_definitions(sources) == []
