@@ -48,9 +48,7 @@ class BenchReport:
     """
 
     mode: str
-    k: int
-    iterations: int
-    masks: str
+    config: WeaveConfig
     warmup: int
     reps: int
     batch: int
@@ -119,9 +117,7 @@ def run_bench(
 
     return BenchReport(
         mode=mode,
-        k=config.k,
-        iterations=config.iterations,
-        masks=masks_label(config),
+        config=config,
         warmup=warmup,
         reps=reps,
         batch=batch,
@@ -206,19 +202,24 @@ def compare_modes(
 
     The equivalence gate runs before any timing: if the modes' outputs
     differ by more than the tolerance anywhere, the comparison aborts with
-    the worst-mismatch location.
+    the worst-mismatch location. A corrupt_block beyond the config's last
+    iteration is ignored; one the masks never run, or one that reads no
+    message columns, raises ValidationError.
     """
     params = init_params(config)
+    checked = params
+    if corrupt_block is not None and corrupt_block[1] <= config.iterations:
+        reason = uncorruptible(config, corrupt_block)
+        if reason is not None:
+            raise ValidationError(f"cannot corrupt partition: {reason}")
+        checked = corrupt_partition(params, config, corrupt_block)
     pyramid = make_raw_pyramid(config, BENCH_STREAM)
     naive_out = weave_forward(pyramid, config, params, "naive")
-    checked = params if corrupt_block is None else corrupt_partition(params, config, corrupt_block)
     simplified_out = weave_forward(pyramid, config, checked, "simplified")
     worst = compare_outputs(naive_out, simplified_out)
     if worst.deviation > EQUIVALENCE_TOL:
         raise EquivalenceError(
-            f"modes disagree by {worst.deviation:.3e} at scale {worst.scale}, "
-            f"channel {worst.channel}, y {worst.y}, x {worst.x} "
-            f"(tolerance {EQUIVALENCE_TOL:.0e})",
+            f"modes disagree by {worst.deviation:.3e} at {worst} (tolerance {EQUIVALENCE_TOL:.0e})",
             worst=worst,
         )
     naive = run_bench(config, "naive", warmup, reps, batch, params=params, pyramid=pyramid)
@@ -271,9 +272,9 @@ def data_row(report: BenchReport, flop_ratio: float, worst_deviation: float) -> 
     """Deterministic CSV cells (no wall-clock fields)."""
     return [
         report.mode,
-        str(report.k),
-        str(report.iterations),
-        report.masks,
+        str(report.config.k),
+        str(report.config.iterations),
+        masks_label(report.config),
         str(report.flops.precompute),
         str(sum(report.flops.per_iteration)),
         str(report.flops.total),
@@ -285,9 +286,9 @@ def data_row(report: BenchReport, flop_ratio: float, worst_deviation: float) -> 
 def timing_row(report: BenchReport) -> list[str]:
     return [
         report.mode,
-        str(report.k),
-        str(report.iterations),
-        report.masks,
+        str(report.config.k),
+        str(report.config.iterations),
+        masks_label(report.config),
         str(report.warmup),
         str(report.reps),
         str(report.batch),
@@ -300,8 +301,8 @@ def timing_row(report: BenchReport) -> list[str]:
 
 def ratio_row(cmp: ModeComparison) -> list[str]:
     return [
-        str(cmp.naive.k),
-        str(cmp.naive.iterations),
+        str(cmp.naive.config.k),
+        str(cmp.naive.config.iterations),
         f"{cmp.naive.mean_time:.6f}",
         f"{cmp.simplified.mean_time:.6f}",
         f"{cmp.time_ratio:.3f}",

@@ -59,20 +59,16 @@ def cmd_verify(args) -> int:
     pyramid = make_raw_pyramid(config)
     tol = bench_mod.EQUIVALENCE_TOL
 
-    combos = [
-        ("config", base.k, base.iterations, bench_mod.masks_label(base),
-         base.enable_top_down, base.enable_bottom_up)
+    combos = [("config", base)] + [
+        ("sweep", replace(base, k=k, iterations=t, enable_top_down=td, enable_bottom_up=bu))
+        for k in SWEEP_K for t in SWEEP_T for td, bu in DIRECTION_MASKS.values()
     ]
-    for k in SWEEP_K:
-        for t in SWEEP_T:
-            for masks, (td, bu) in DIRECTION_MASKS.items():
-                combos.append(("sweep", k, t, masks, td, bu))
 
     print(f"equivalence check: naive vs simplified, tolerance {tol:.1e}")
     failures = 0
     rows = []
-    for origin, k, t, masks, td, bu in combos:
-        cfg = replace(base, k=k, iterations=t, enable_top_down=td, enable_bottom_up=bu)
+    for origin, cfg in combos:
+        k, t, masks = cfg.k, cfg.iterations, bench_mod.masks_label(cfg)
         params = init_params(cfg)
         naive = weave_forward(pyramid, cfg, params, "naive")
         note = ""
@@ -87,12 +83,7 @@ def cmd_verify(args) -> int:
         ok = worst.deviation <= tol
         failures += 0 if ok else 1
         status = "PASS" if ok else "FAIL"
-        detail = ""
-        if not ok:
-            detail = (
-                f"  (scale {worst.scale}, channel {worst.channel},"
-                f" y {worst.y}, x {worst.x})"
-            )
+        detail = "" if ok else f"  ({worst})"
         print(
             f"  [{origin}] k={k:<3d} T={t} masks={masks:<15s}"
             f" worst={worst.deviation:.3e}  {status}{detail}{note}"
@@ -281,10 +272,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except EquivalenceError as err:
+    except (ValidationError, EquivalenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

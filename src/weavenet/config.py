@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .detect import ANCHOR_MODES, AnchorSpec, finite_float, shown
@@ -40,7 +41,11 @@ class RunConfig(WeaveConfig):
         super().__post_init__()
         if self.input_size < 1:
             raise ValidationError(f"input_size must be positive, got {shown(self.input_size)}")
-        finite_float("input_size", self.input_size)  # anchors are floats in input-image coordinates
+        size = finite_float("input_size", self.input_size)  # anchors are floats in input-image coordinates
+        if not math.isfinite(2.0 * (size * size)):  # BBox's rule for the full image, the largest clipped box
+            raise ValidationError(
+                f"input_size too large: twice the area of the image square overflows, got {shown(self.input_size)}"
+            )
         for name in ("nms_iou_threshold", "refine_iou_threshold", "score_floor"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

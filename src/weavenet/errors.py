@@ -24,3 +24,6 @@ class MismatchLocation:
     y: int
     x: int
     deviation: float
+
+    def __str__(self) -> str:
+        return f"scale {self.scale}, channel {self.channel}, y {self.y}, x {self.x}"

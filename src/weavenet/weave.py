@@ -381,19 +381,22 @@ def weave_states(
     _check_params(params, config)
 
     k, iterations = config.k, config.iterations
+
+    def channels(i: int, t: int) -> slice:
+        """Channels of scale i's state after t iterations within its buffer."""
+        up, raw, down = config.state_layout(i, iterations)
+        t_up, _, t_down = config.state_layout(i, t)
+        return slice(up - t_up, up + raw + t_down)
+
     buffers: dict[int, np.ndarray] = {}
-    edges: dict[int, tuple[int, int]] = {}  # channel range of the current state
     for i in config.woven_scales:
-        lo = config.state_layout(i, iterations)[0]
-        hi = lo + pyramid[i].channels
         buffers[i] = np.empty((config.state_channels(i, iterations),) + pyramid[i].shape[1:])
-        buffers[i][lo:hi] = pyramid[i].data
-        edges[i] = lo, hi
+        buffers[i][channels(i, 0)] = pyramid[i].data
 
     def snapshot(t: int) -> dict[int, ScaleState]:
         states = {}
-        for i, (lo, hi) in edges.items():
-            view = buffers[i][lo:hi]
+        for i, buffer in buffers.items():
+            view = buffer[channels(i, t)]
             view.flags.writeable = False
             states[i] = ScaleState(scale=i, t=t, data=view)
         return states
@@ -405,28 +408,20 @@ def weave_states(
 
     history: list[dict[int, ScaleState]] = []
     for t in range(1, iterations + 1):
-        msg_down: dict[int, Tensor] = {}
-        msg_up: dict[int, Tensor] = {}
+        messages: dict[int, tuple[Tensor | None, Tensor | None]] = {}  # (down, up) by scale
         for i, kernels in params.items():
             if mode == "naive":
-                down, up = block_naive(states[i], kernels[t - 1], config)
+                messages[i] = block_naive(states[i], kernels[t - 1], config)
             else:
-                down, up = block_simplified(states[i], sources[i][t - 1], kernels[t - 1], config)
-            if down is not None:
-                msg_down[i] = down
-            if up is not None:
-                msg_up[i] = up
+                messages[i] = block_simplified(states[i], sources[i][t - 1], kernels[t - 1], config)
 
         # every block has read the t-1 views; the writes land outside them
         for i in config.woven_scales:
-            lo, hi = edges[i]
+            new = channels(i, t)
             if config.receives_up(i):
-                lo -= k
-                buffers[i][lo : lo + k] = maxpool_2x2_s2(msg_up[i - 1]).data
+                buffers[i][new.start : new.start + k] = maxpool_2x2_s2(messages[i - 1][1]).data
             if config.receives_down(i):
-                buffers[i][hi : hi + k] = upsample_bilinear_x2(msg_down[i + 1]).data
-                hi += k
-            edges[i] = lo, hi
+                buffers[i][new.stop - k : new.stop] = upsample_bilinear_x2(messages[i + 1][0]).data
         states = snapshot(t)
         history.append(states)
     return history
@@ -492,25 +487,16 @@ def flops_weave(config: WeaveConfig, mode: str) -> WeaveFlops:
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     per_iteration = []
+    precompute = 0
     for t in range(1, config.iterations + 1):
         flops = 0
         for i in config.woven_scales:
-            e = config.emitted_directions(i)
-            if e == 0:
-                continue
-            size = config.pyramid_sizes[i]
+            cout, size = config.k * config.emitted_directions(i), config.pyramid_sizes[i]
             up, raw, down = config.state_layout(i, t - 1)
-            cin = up + raw + down if mode == "naive" else up + down
-            flops += conv_flops(cin, config.k * e, size, size)
+            if mode == "simplified":  # raw columns run once, before the loop
+                if t == 1:
+                    precompute += conv_flops(raw, cout, size, size)
+                raw = 0
+            flops += conv_flops(up + raw + down, cout, size, size)
         per_iteration.append(flops)
-
-    precompute = 0
-    if mode == "simplified" and config.iterations > 0:
-        for i in config.woven_scales:
-            e = config.emitted_directions(i)
-            if e == 0:
-                continue
-            size = config.pyramid_sizes[i]
-            precompute += conv_flops(config.raw_channels[i], config.k * e, size, size)
-
     return WeaveFlops(mode=mode, per_iteration=tuple(per_iteration), precompute=precompute)

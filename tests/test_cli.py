@@ -228,6 +228,9 @@ class TestRunConfig:
             ({"k": 10**4000, "iterations": 10**4000}, "state width raw + k*d*T is an integer of 8001 digits"),
             ({"woven_scales": [0, 10**30]}, "woven_scales must be consecutive indices, got (0, 10000"),
             ({"input_size": 2**1024}, "input_size must be a finite number"),
+            # each used to warn from iou_matrix before its error line
+            ({"input_size": 10**300, "iterations": 0}, "input_size too large"),
+            ({"input_size": 2**1023}, "input_size too large"),
         ],
     )
     def test_oversized_config_is_a_one_line_error(self, tmp_path, capsys, raw, fragment):
@@ -238,6 +241,17 @@ class TestRunConfig:
         assert code == 1
         assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
         assert not (tmp_path / "dets.jsonl").exists()
+
+    def test_input_size_bound_is_the_full_image_box(self):
+        # the largest float s with 2 * s * s finite, and the next one
+        below, above = 9.480751908109176e153, 9.480751908109177e153
+        assert math.nextafter(below, math.inf) == above
+        assert RunConfig(input_size=int(below)).input_size == int(below)
+        assert BBox(0.0, 0.0, below, below).area == below * below
+        with pytest.raises(ValidationError, match="^input_size too large: "):
+            RunConfig(input_size=int(above))
+        with pytest.raises(ValidationError, match="^box too large: "):
+            BBox(0.0, 0.0, above, above)
 
     def test_integers_accepted_for_float_fields(self):
         assert config_from_dict({"score_floor": 0, "nms_iou_threshold": 1}).nms_iou_threshold == 1
@@ -1139,6 +1153,25 @@ class TestBenchCommand:
         assert code == 1
         assert "disagree" in err
 
+
+    @pytest.mark.parametrize(
+        "flag,reason",
+        [
+            ("--top-down-only", "scale 2 iteration 2 has no message columns"),
+            ("--bottom-up-only", "scale 2 runs no block"),
+        ],
+    )
+    def test_uncorruptible_block_is_refused(self, tmp_path, capsys, flag, reason):
+        # scale 2 is the coarsest woven scale: it sends only down-messages and receives only up-messages
+        cfg = {
+            "pyramid_sizes": [8, 4, 2, 1], "raw_channels": [4, 4, 4, 4], "woven_scales": [0, 1, 2],
+            "corrupt_block": [2, 2], "iterations": 2,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["bench", "--config", str(path), flag, "--warmup", "0", "--reps", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot corrupt partition: {reason}\n"
 
     def test_ratio_table_follows_timing_table(self, tiny_config, tmp_path, capsys):
         timing = str(tmp_path / "timing.csv")

@@ -53,6 +53,41 @@ def random_pyramid(config: WeaveConfig, seed: int = 3) -> list[Tensor]:
     ]
 
 
+@st.composite
+def random_geometries(draw) -> WeaveConfig:
+    """Any valid geometry: 1-4 scales, unwoven scales of any size (odd
+    ones and 1 included) around 1-3 woven scales whose sizes halve down
+    to an odd size or 1, raw channels 1-4, k 1-4, T 0-4 and both masks."""
+    coarsest = draw(st.sampled_from([1, 2, 3, 5]), label="coarsest woven size")
+    woven = draw(st.integers(1, 3 if coarsest < 3 else 2), label="woven scales")
+    before = draw(st.lists(st.integers(1, 9), max_size=1), label="finer unwoven sizes")
+    after = draw(st.lists(st.integers(1, 3), max_size=4 - woven - len(before)), label="coarser unwoven sizes")
+    sizes = (*before, *(coarsest * 2**i for i in reversed(range(woven))), *after)
+    td, bu = draw(st.sampled_from([(True, True), (True, False), (False, True), (False, False)]))
+    return WeaveConfig(
+        k=draw(st.integers(1, 4), label="k"),
+        iterations=draw(st.integers(0, 4), label="T"),
+        woven_scales=tuple(range(len(before), len(before) + woven)),
+        raw_channels=tuple(draw(st.lists(st.integers(1, 4), min_size=len(sizes), max_size=len(sizes)))),
+        pyramid_sizes=sizes,
+        enable_top_down=td,
+        enable_bottom_up=bu,
+        seed=draw(st.integers(0, 3), label="seed"),
+    )
+
+
+def directions(cfg: WeaveConfig, i: int) -> tuple[int, int]:
+    """(received, emitted) message directions of scale i, from the masks and
+    the woven range alone."""
+    woven = cfg.woven_scales
+    if i not in woven:
+        return 0, 0
+    finer, coarser = i - 1 in woven, i + 1 in woven
+    td, bu = cfg.enable_top_down, cfg.enable_bottom_up
+    # down-messages pass from coarser to finer scales, up-messages the other way
+    return (td and coarser) + (bu and finer), (td and finer) + (bu and coarser)
+
+
 def shifted_partition(pyramid, cfg, params, block):
     """The simplified pass with one block's kernel split off by a column, the
     oracle of corrupt_partition: block (scale, t) takes its raw columns one
@@ -208,6 +243,20 @@ class TestScaleState:
                 assert layout == (up * t, cfg.raw_channels[i], state.channels - up * t - cfg.raw_channels[i])
                 raw = state.data[layout[0] : layout[0] + layout[1]]
                 assert raw.tobytes() == pyramid[i].data.tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(cfg=random_geometries(), mode=st.sampled_from(["naive", "simplified"]))
+    def test_states_have_their_layout_over_random_geometries(self, cfg, mode):
+        pyramid = random_pyramid(cfg, seed=cfg.seed + 7)
+        history = weave_states(pyramid, cfg, init_params(cfg), mode)
+        assert len(history) == cfg.iterations
+        for t, states in enumerate(history, start=1):
+            assert sorted(states) == list(cfg.woven_scales)
+            for i, state in states.items():
+                received, _ = directions(cfg, i)
+                assert state.channels == cfg.state_channels(i, t) == cfg.raw_channels[i] + cfg.k * t * received
+                up, raw, _ = cfg.state_layout(i, t)
+                assert state.data[up : up + raw].tobytes() == pyramid[i].data.tobytes()
 
     def test_state_is_a_read_only_view_that_full_wraps(self):
         data = np.arange(12.0).reshape(3, 2, 2)
@@ -374,27 +423,8 @@ class TestEquivalence:
 
 
     @settings(deadline=None, max_examples=60)
-    @given(data=st.data())
-    def test_modes_agree_over_random_geometries(self, data):
-        """Any valid geometry: 1-4 scales, unwoven scales of any size (odd
-        ones and 1 included) around 1-3 woven scales whose sizes halve down
-        to an odd size or 1, raw channels 1-4, k 1-4, T 0-4 and both masks."""
-        coarsest = data.draw(st.sampled_from([1, 2, 3, 5]), label="coarsest woven size")
-        woven = data.draw(st.integers(1, 3 if coarsest < 3 else 2), label="woven scales")
-        before = data.draw(st.lists(st.integers(1, 9), max_size=1), label="finer unwoven sizes")
-        after = data.draw(st.lists(st.integers(1, 3), max_size=4 - woven - len(before)), label="coarser unwoven sizes")
-        sizes = (*before, *(coarsest * 2**i for i in reversed(range(woven))), *after)
-        td, bu = data.draw(st.sampled_from([(True, True), (True, False), (False, True), (False, False)]))
-        cfg = WeaveConfig(
-            k=data.draw(st.integers(1, 4), label="k"),
-            iterations=data.draw(st.integers(0, 4), label="T"),
-            woven_scales=tuple(range(len(before), len(before) + woven)),
-            raw_channels=tuple(data.draw(st.lists(st.integers(1, 4), min_size=len(sizes), max_size=len(sizes)))),
-            pyramid_sizes=sizes,
-            enable_top_down=td,
-            enable_bottom_up=bu,
-            seed=data.draw(st.integers(0, 3), label="seed"),
-        )
+    @given(cfg=random_geometries())
+    def test_modes_agree_over_random_geometries(self, cfg):
         params = init_params(cfg)
         pyramid = random_pyramid(cfg, seed=cfg.seed + 7)
         naive = weave_forward(pyramid, cfg, params, mode="naive")
@@ -596,6 +626,28 @@ class TestFlops:
         assert simplified.per_iteration == (0, msg2)
         assert simplified.precompute == it1
         assert simplified.total == 40_896_000
+
+    @settings(deadline=None, max_examples=200)
+    @given(cfg=random_geometries())
+    def test_costs_follow_the_hand_formulas_over_random_geometries(self, cfg):
+        naive, simplified = flops_weave(cfg, "naive"), flops_weave(cfg, "simplified")
+        k, T, sizes = cfg.k, cfg.iterations, cfg.pyramid_sizes
+        raw_products = 0
+        for i, (raw, s) in enumerate(zip(cfg.raw_channels, sizes)):
+            raw_products += conv_flops(raw, k * directions(cfg, i)[1], s, s)
+        assert naive.total - simplified.total == max(T - 1, 0) * raw_products
+        assert naive.precompute == 0
+        assert simplified.precompute == (raw_products if T >= 1 else 0)
+        assert len(naive.per_iteration) == len(simplified.per_iteration) == T
+        for t in range(1, T + 1):
+            messages = [k * (t - 1) * directions(cfg, i)[0] for i in range(len(sizes))]
+            assert naive.per_iteration[t - 1] == sum(
+                conv_flops(raw + m, k * directions(cfg, i)[1], s, s)
+                for i, (raw, m, s) in enumerate(zip(cfg.raw_channels, messages, sizes))
+            )
+            assert simplified.per_iteration[t - 1] == sum(
+                conv_flops(m, k * directions(cfg, i)[1], s, s) for i, (m, s) in enumerate(zip(messages, sizes))
+            )
 
     def test_single_iteration_costs_match(self):
         cfg = WeaveConfig(k=16, iterations=1)
