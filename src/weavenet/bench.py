@@ -146,41 +146,30 @@ class ModeComparison:
         return self.naive.mean_time / self.simplified.mean_time
 
 
-def uncorruptible(config: WeaveConfig, block: tuple[int, int]) -> str | None:
-    """Why corrupt_partition cannot misplace a column of block (scale, t)
-    under config, or None when it can: the scale runs no block under the
-    direction masks, t is beyond the last iteration, or the block reads no
-    message columns because the scale receives no messages."""
-    scale, t = block
-    if config.emitted_directions(scale) == 0:
-        return f"scale {scale} runs no block"
-    if t > config.iterations:
-        return f"scale {scale} has no iteration {t}"
-    up, _raw, down = config.state_layout(scale, t - 1)
-    if up + down == 0:
-        return f"scale {scale} iteration {t} has no message columns"
-    return None
-
-
-def corrupt_partition(params: Params, config: WeaveConfig, block: tuple[int, int]) -> Params:
-    """A copy of params whose simplified pass misplaces one raw column.
+def corrupt_partition(
+    params: Params, config: WeaveConfig, block: tuple[int, int]
+) -> tuple[Params, str | None]:
+    """(A copy of params whose simplified pass misplaces one raw column, None),
+    or (params, why block cannot be corrupted under config).
 
     Iteration t's kernel of scale `block = (scale, t)` gets its columns
     permuted so that the ordinary message/raw split moves the raw group one
     column right (the first raw column joins the messages), or one column
     left when the scale receives no down-messages. The naive pass reads the
-    full state in canonical order and so is unaffected. Blocks the params
-    do not hold, such as an iteration beyond the last, are left alone; a
-    block without message columns raises ValidationError.
+    full state in canonical order and so is unaffected. A block cannot be
+    corrupted when the direction masks never run it, when t is beyond the
+    last iteration, or when it reads no message columns because the scale
+    receives no messages.
     """
     scale, t = block
-    kernels = params.get(scale, ())
-    if t > len(kernels):
-        return params
-    reason = uncorruptible(config, block)
-    if reason is not None:
-        raise ValidationError(f"cannot corrupt partition: {reason}")
+    if config.emitted_directions(scale) == 0:
+        return params, f"scale {scale} runs no block"
+    if t > config.iterations:
+        return params, f"scale {scale} has no iteration {t}"
     up, raw, down = config.state_layout(scale, t - 1)
+    if up + down == 0:
+        return params, f"scale {scale} iteration {t} has no message columns"
+    kernels = params[scale]
     kernel = kernels[t - 1]
     cols = list(range(kernel.in_channels))
     if down >= 1:
@@ -188,7 +177,7 @@ def corrupt_partition(params: Params, config: WeaveConfig, block: tuple[int, int
     else:
         cols[up - 1 : up + raw] = [up + raw - 1] + cols[up - 1 : up + raw - 1]
     corrupted = ConvKernel(kernel.weights[:, cols], kernel.bias)
-    return {**params, scale: kernels[: t - 1] + (corrupted,) + kernels[t:]}
+    return {**params, scale: kernels[: t - 1] + (corrupted,) + kernels[t:]}, None
 
 
 def compare_modes(
@@ -203,16 +192,15 @@ def compare_modes(
     The equivalence gate runs before any timing: if the modes' outputs
     differ by more than the tolerance anywhere, the comparison aborts with
     the worst-mismatch location. A corrupt_block beyond the config's last
-    iteration is ignored; one the masks never run, or one that reads no
-    message columns, raises ValidationError.
+    iteration is ignored; any other that corrupt_partition cannot corrupt
+    raises ValidationError.
     """
     params = init_params(config)
     checked = params
-    if corrupt_block is not None and corrupt_block[1] <= config.iterations:
-        reason = uncorruptible(config, corrupt_block)
-        if reason is not None:
+    if corrupt_block is not None:
+        checked, reason = corrupt_partition(params, config, corrupt_block)
+        if reason is not None and corrupt_block[1] <= config.iterations:
             raise ValidationError(f"cannot corrupt partition: {reason}")
-        checked = corrupt_partition(params, config, corrupt_block)
     pyramid = make_raw_pyramid(config, BENCH_STREAM)
     naive_out = weave_forward(pyramid, config, params, "naive")
     simplified_out = weave_forward(pyramid, config, checked, "simplified")

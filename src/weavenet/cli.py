@@ -73,10 +73,8 @@ def cmd_verify(args) -> int:
         naive = weave_forward(pyramid, cfg, params, "naive")
         note = ""
         if config.corrupt_block is not None:
-            reason = bench_mod.uncorruptible(cfg, config.corrupt_block)
-            if reason is None:
-                params = bench_mod.corrupt_partition(params, cfg, config.corrupt_block)
-            else:
+            params, reason = bench_mod.corrupt_partition(params, cfg, config.corrupt_block)
+            if reason is not None:
                 note = f"  (not corrupted: {reason})"
         simplified = weave_forward(pyramid, cfg, params, "simplified")
         worst = compare_outputs(naive, simplified)

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .detect import ANCHOR_MODES, AnchorSpec, finite_float, shown
+from .detect import AnchorSpec, finite_float, shown
 from .errors import ValidationError
 from .weave import DIRECTION_MASKS, WeaveConfig
 
@@ -50,13 +50,9 @@ class RunConfig(WeaveConfig):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {shown(v)}")
-        if self.anchor_mode not in ANCHOR_MODES:
-            raise ValidationError(
-                f"anchor_mode must be one of {ANCHOR_MODES}, got {self.anchor_mode!r}"
-            )
+        spec = AnchorSpec.for_mode(self.anchor_mode)  # the default scales hold the widest cell
         if self.num_classes < 1:
             raise ValidationError(f"num_classes must be positive, got {shown(self.num_classes)}")
-        spec = AnchorSpec.for_mode(self.anchor_mode)  # the default scales hold the widest cell
         head = (self.num_classes + 1) * max(map(spec.anchors_per_cell, range(len(spec.ratios))))
         if head > MAX_HEAD_CHANNELS:
             raise ValidationError(

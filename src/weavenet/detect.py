@@ -145,13 +145,10 @@ class AnchorSpec:
     fractions (the last scale pairs with 1.0).
     """
 
-    mode: str
     scale_fractions: tuple[float, ...]
     ratios: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.mode not in ANCHOR_MODES:
-            raise ValidationError(f"anchor mode must be one of {ANCHOR_MODES}, got {self.mode!r}")
         if len(self.scale_fractions) != len(self.ratios):
             raise ValidationError("scale_fractions and ratios lengths differ")
         if any(s <= 0 for s in self.scale_fractions):
@@ -176,8 +173,8 @@ class AnchorSpec:
         elif mode == "B":
             ratios = (_MODE_B_RATIOS,) * num_scales
         else:
-            raise ValidationError(f"anchor mode must be one of {ANCHOR_MODES}, got {mode!r}")
-        return cls(mode=mode, scale_fractions=fractions, ratios=ratios)
+            raise ValidationError(f"anchor_mode must be one of {ANCHOR_MODES}, got {mode!r}")
+        return cls(scale_fractions=fractions, ratios=ratios)
 
     def anchors_per_cell(self, scale: int) -> int:
         return len(self.ratios[scale]) + 1

@@ -24,7 +24,6 @@ from .detect import (
     priority_order,
     refine_rows,
 )
-from .errors import ValidationError
 from .evaluation import DetectionRecord
 from .fixtures import make_raw_pyramid
 from .weave import init_params, weave_forward
@@ -34,11 +33,11 @@ IMAGE_ID = "synthetic-0"
 
 def run_demo(config: RunConfig, refine: bool = True, mode: str = "simplified") -> list[DetectionRecord]:
     """Detections for the seeded synthetic image that `config` describes."""
+    num_scales = len(config.pyramid_sizes)
+    spec = AnchorSpec.for_mode(config.anchor_mode, num_scales=num_scales)
     pyramid = make_raw_pyramid(config)
     states = weave_forward(pyramid, config, init_params(config), mode)
 
-    num_scales = len(config.pyramid_sizes)
-    spec = AnchorSpec.for_mode(config.anchor_mode, num_scales=num_scales)
     anchors = anchor_array(spec, config.pyramid_sizes, config.input_size)
     per_cell = [spec.anchors_per_cell(i) for i in range(num_scales)]
     state_channels = [config.state_channels(i, config.iterations) for i in range(num_scales)]
@@ -50,10 +49,6 @@ def run_demo(config: RunConfig, refine: bool = True, mode: str = "simplified") -
     ]
     offsets = np.vstack([o for o, _ in outputs])
     scores = np.vstack([s for _, s in outputs])
-    if offsets.shape[0] != anchors.shape[0]:
-        raise ValidationError(
-            f"head rows ({offsets.shape[0]}) disagree with anchor count ({anchors.shape[0]})"
-        )
     return postprocess(anchors, offsets, scores, config, refine)
 
 

@@ -466,7 +466,6 @@ def conv_flops(cin: int, cout: int, height: int, width: int) -> int:
 class WeaveFlops:
     """Exact analytic FLOP figures of one forward pass."""
 
-    mode: str
     per_iteration: tuple[int, ...]
     precompute: int
 
@@ -499,4 +498,4 @@ def flops_weave(config: WeaveConfig, mode: str) -> WeaveFlops:
                 raw = 0
             flops += conv_flops(up + raw + down, cout, size, size)
         per_iteration.append(flops)
-    return WeaveFlops(mode=mode, per_iteration=tuple(per_iteration), precompute=precompute)
+    return WeaveFlops(per_iteration=tuple(per_iteration), precompute=precompute)

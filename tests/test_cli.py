@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import weavenet
-from weavenet import formats, tensor_core
+from weavenet import formats, pipeline, tensor_core
 from weavenet.bench import RATIO_COLUMNS, TIMING_COLUMNS
 from weavenet.cli import main
 from weavenet.config import (
@@ -88,6 +88,23 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(corrupt_block=(5, 2))
         assert RunConfig(corrupt_block=(1, 2)).corrupt_block == (1, 2)
+
+    def test_corrupt_block_needs_two_entries(self):
+        with pytest.raises(ValidationError, match=r"^corrupt_block must be \[scale, iteration\], got \(1,\)$"):
+            RunConfig(corrupt_block=(1,))
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"anchor_mode": "C"}, r"anchor_mode must be one of \('A', 'B'\), got 'C'"),
+            ({"anchor_mode": "C", "num_classes": 0, "pre_nms_top_k": 0}, r"anchor_mode must be one of"),
+            ({"anchor_mode": "C", "score_floor": 2.0}, r"score_floor must be in \[0, 1\], got 2.0"),
+        ],
+        ids=["mode", "mode-first", "floor-first"],
+    )
+    def test_unknown_anchor_mode_is_reported_in_check_order(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            RunConfig(**kwargs)
 
     def test_load_config_round_trip(self, tiny_config):
         cfg = load_config(tiny_config)
@@ -976,6 +993,17 @@ class TestDemoCommand:
         for r in records:
             assert 0 <= r.class_id < TINY["num_classes"]
             assert 0.0 <= r.box.xmin <= r.box.xmax <= TINY["input_size"]
+
+    def test_seven_scales_fail_before_any_weave_pass(self, tmp_path, capsys, monkeypatch):
+        # verify and bench run this config; demo has no anchor scale for the seventh
+        config = tmp_path / "seven.json"
+        config.write_text(json.dumps({"pyramid_sizes": [40, 20, 10, 5, 3, 2, 1], "raw_channels": [8] * 7}))
+        calls = []
+        real = pipeline.weave_forward
+        monkeypatch.setattr(pipeline, "weave_forward", lambda *a: calls.append(a) or real(*a))
+        assert main(["demo", "--config", str(config), "--out", str(tmp_path / "d.jsonl")]) == 1
+        assert capsys.readouterr().err == "error: no default scale fractions for 7 scales\n"
+        assert calls == []
 
     def test_naive_mode_agrees_with_default_demo(self, tiny_config, tmp_path, capsys):
         a, b = str(tmp_path / "n.jsonl"), str(tmp_path / "s.jsonl")

@@ -85,9 +85,25 @@ class TestAnchorSpec:
         with pytest.raises(ValidationError):
             AnchorSpec.for_mode("C")
         with pytest.raises(ValidationError):
-            AnchorSpec(mode="A", scale_fractions=(0.2, 0.1), ratios=((1.0,), (1.0,)))
+            AnchorSpec(scale_fractions=(0.2, 0.1), ratios=((1.0,), (1.0,)))
         with pytest.raises(ValidationError):
-            AnchorSpec(mode="A", scale_fractions=(0.1, 0.2), ratios=((1.0,), (-2.0,)))
+            AnchorSpec(scale_fractions=(0.1, 0.2), ratios=((1.0,), (-2.0,)))
+
+    @pytest.mark.parametrize(
+        "fractions,ratios,message",
+        [
+            ((0.1, 0.2), ((1.0,),), "scale_fractions and ratios lengths differ"),
+            ((0.0, 0.2), ((1.0,), (1.0,)), "scale fractions must be positive"),
+        ],
+        ids=["lengths", "zero-fraction"],
+    )
+    def test_malformed_specs_rejected(self, fractions, ratios, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            AnchorSpec(scale_fractions=fractions, ratios=ratios)
+
+    def test_unknown_mode_names_the_config_key(self):
+        with pytest.raises(ValidationError, match=r"^anchor_mode must be one of \('A', 'B'\), got 'C'$"):
+            AnchorSpec.for_mode("C")
 
 
 class TestGenerateAnchors:
@@ -134,8 +150,12 @@ class TestGenerateAnchors:
                 cx, cy = b.center
                 assert 0.0 < cx < 320.0 and 0.0 < cy < 320.0
 
+    def test_scale_count_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="^pyramid_sizes and anchor spec scale counts differ$"):
+            anchor_array(AnchorSpec.for_mode("A"), SIZES[:5], 320)
+
     def test_row_major_cell_order(self):
-        spec = AnchorSpec(mode="B", scale_fractions=(0.5,), ratios=((1.0,),))
+        spec = AnchorSpec(scale_fractions=(0.5,), ratios=((1.0,),))
         anchors = generate_anchors(spec, (2,), 4)
         # each cell holds its ratio box, then the extra square box on the same center
         centers = [b.center for b in anchors]
@@ -235,6 +255,12 @@ class TestHeadForward:
                 for anchor in range(a):
                     row = offsets[(y * w + x) * a + anchor]
                     assert np.all(row == data[0, y, x])
+
+    def test_head_params_reject_mismatched_lists_and_no_classes(self):
+        with pytest.raises(ValidationError, match="^state_channels and anchors_per_cell lengths differ$"):
+            init_head_params([32, 64], [4], 3, seed=0)
+        with pytest.raises(ValidationError, match="^num_classes must be positive, got 0$"):
+            init_head_params([32], [4], 0, seed=0)
 
     def test_seeded_params_deterministic(self):
         a = init_head_params([32, 64], [4, 6], 3, seed=9)
@@ -727,7 +753,6 @@ class TestArrayProperties:
     )
     def test_anchor_array_matches_scalar_loop(self, levels, input_size):
         spec = AnchorSpec(
-            mode="B",
             scale_fractions=tuple(0.1 * (i + 1) for i in range(len(levels))),
             ratios=tuple(tuple(r) for _, r in levels),
         )

@@ -215,6 +215,10 @@ class TestAveragePrecision:
     def test_tp_then_fp_over_two_gts(self):
         assert average_precision_11pt([True, False], 2) == pytest.approx(6.0 / 11.0, abs=1e-12)
 
+    def test_negative_positive_count_rejected(self):
+        with pytest.raises(ValidationError, match="^positive count must be non-negative, got -1$"):
+            average_precision_11pt([True], -1)
+
     def test_zero_positives_is_zero(self):
         assert average_precision_11pt([], 0) == 0.0
 

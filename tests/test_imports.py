@@ -6,7 +6,10 @@ imported name counts as used when the module reads it anywhere (an
 attribute base such as `np` in `np.zeros` included) or lists it in
 `__all__`; `from __future__` imports are exempt. A module-level `_name`
 (def, class or assignment; not a dunder) counts as read when some module of the package
-loads it as a name or an attribute, or imports it.
+loads it as a name or an attribute, or imports it. A module-level public name
+counts as read when a module of the package, a test module or a file under
+`benchmark/` does so, or names it in a string constant, as
+`benchmark/tracing.py` names the functions it wraps.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weavenet"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "weavenet"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,12 +48,10 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unused_private_definitions(sources: dict[str, str]) -> list[str]:
-    """`module: _name (line n)` for each module-level private definition in
-    sources (module name -> source) that no module of sources reads."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def names_read(trees) -> set[str]:
+    """Every name the trees load as a name or an attribute, or import."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -57,7 +59,11 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    unused = []
+    return read
+
+
+def module_definitions(trees: dict[str, ast.Module]):
+    """(module, name, line) of each module-level def, class or assignment target."""
     for module, tree in sorted(trees.items()):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -67,9 +73,35 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            unused += [f"{module}: {n} (line {node.lineno})" for n in names
-                       if n.startswith("_") and not n.endswith("__") and n not in read]
-    return sorted(unused)
+            yield from ((module, n, node.lineno) for n in names)
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """`module: _name (line n)` for each module-level private definition in
+    sources (module name -> source) that no module of sources reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = names_read(trees.values())
+    return sorted(
+        f"{module}: {n} (line {line})" for module, n, line in module_definitions(trees)
+        if n.startswith("_") and not n.endswith("__") and n not in read
+    )
+
+
+def unused_public_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """`module: name (line n)` for each module-level public definition in
+    sources that neither sources nor readers (test and benchmark files) read,
+    as a name, an attribute, an import or a string constant."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    everything = list(trees.values()) + [ast.parse(source) for source in readers]
+    read = names_read(everything)
+    read.update(
+        node.value for tree in everything for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    return sorted(
+        f"{module}: {n} (line {line})" for module, n, line in module_definitions(trees)
+        if not n.startswith("_") and n not in read
+    )
 
 
 def test_an_unused_private_definition_is_found():
@@ -86,3 +118,23 @@ def test_an_unused_private_definition_is_found():
 def test_every_private_definition_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_definitions(sources) == []
+
+
+def test_an_unused_public_definition_is_found():
+    sources = {
+        "a.py": "USED = 1\nLEFT, PAIR = 2, 3\ndef helper():\n    return USED\nclass Gone:\n    pass\n",
+        "b.py": "from .a import helper\nTARGETS = ('a', 'PAIR')\ndef traced():\n    pass\n",
+    }
+    readers = ["import b\nb.traced()\n", "print('Gone is not a name')\n"]
+    assert unused_public_definitions(sources, readers) == [
+        "a.py: Gone (line 5)", "a.py: LEFT (line 2)", "b.py: TARGETS (line 2)",
+    ]
+
+
+def test_every_public_definition_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [
+        path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "benchmark").rglob("*.py"))
+    ]
+    assert unused_public_definitions(sources, readers) == []

@@ -191,6 +191,22 @@ class TestConv3x3:
         assert np.array_equal(a.data, b.data)
 
 
+class TestConvKernel:
+    @pytest.mark.parametrize(
+        "weights,bias,message",
+        [
+            (np.ones((2, 3, 3)), np.zeros(2), r"kernel weights must be \(out, in, 3, 3\), got \(2, 3, 3\)"),
+            (np.ones((2, 0, 3, 3)), np.zeros(2), r"kernel channel counts must be positive, got \(2, 0, 3, 3\)"),
+            (np.ones((2, 1, 3, 3)), np.zeros(3), r"bias shape \(3,\) does not match 2 output channels"),
+            (np.ones((2, 1, 3, 3)), np.array([0.0, np.inf]), "kernel contains non-finite values"),
+        ],
+        ids=["rank", "empty", "bias", "non-finite"],
+    )
+    def test_malformed_kernels_rejected(self, weights, bias, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ConvKernel(weights, bias)
+
+
 class TestConv3x3MatchesLoop:
     """conv3x3 is byte-identical to conv3x3_loop, sign of zero included."""
 
@@ -355,6 +371,14 @@ class TestConcatSplit:
     def test_split_size_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             split_channels(Tensor(np.ones((8, 2, 2))), [4, 3])
+
+    def test_split_size_of_zero_rejected(self):
+        with pytest.raises(ValidationError, match=r"^split sizes must be positive, got \[8, 0\]$"):
+            split_channels(Tensor(np.ones((8, 2, 2))), [8, 0])
+
+    def test_concat_of_nothing_rejected(self):
+        with pytest.raises(ValidationError, match="^concat_channels needs a non-empty list$"):
+            concat_channels([])
 
 
 class TestConv3x3Layouts:

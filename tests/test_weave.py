@@ -188,6 +188,22 @@ class TestWeaveConfig:
         with pytest.raises(ValidationError):
             WeaveConfig(woven_scales=(4, 5))
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"raw_channels": (32, 0, 32, 32, 32, 32)}, "raw channel counts must be positive"),
+            ({"pyramid_sizes": (40, 20, 10, 5, 0, 1)}, "pyramid sizes must be positive"),
+            (
+                {"woven_scales": (0, 10**5000)},
+                r"woven_scales must be consecutive indices, got \(0, an integer of 5001 digits\)",
+            ),
+        ],
+        ids=["raw-zero", "size-zero", "huge-scale"],
+    )
+    def test_rejects_zero_sizes_and_huge_scales(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            WeaveConfig(**kwargs)
+
 
 class TestInitParams:
     def test_kernel_shapes_follow_state_growth(self):
@@ -379,24 +395,28 @@ class TestEquivalence:
         params = init_params(cfg)
         pyramid = random_pyramid(cfg)
         naive = weave_forward(pyramid, cfg, params, mode="naive")
-        bad = weave_forward(pyramid, cfg, corrupt_partition(params, cfg, (1, 2)), mode="simplified")
+        corrupted, reason = corrupt_partition(params, cfg, (1, 2))
+        assert reason is None
+        bad = weave_forward(pyramid, cfg, corrupted, mode="simplified")
         assert compare_outputs(naive, bad).deviation > 1e-9
 
     def test_corruption_requires_message_columns(self):
         cfg = small_config(iterations=2)
         params = init_params(cfg)
-        with pytest.raises(ValidationError, match="no message columns"):
-            corrupt_partition(params, cfg, (1, 1))
+        assert corrupt_partition(params, cfg, (1, 1)) == (
+            params, "scale 1 iteration 1 has no message columns"
+        )
 
     def test_corruption_copies_and_skips_absent_blocks(self):
         cfg = small_config(iterations=2)
         params = init_params(cfg)
         weights = params[1][1].weights.copy()
-        bad = corrupt_partition(params, cfg, (1, 2))
+        bad, _ = corrupt_partition(params, cfg, (1, 2))
         assert np.array_equal(params[1][1].weights, weights)
         assert bad[1] is not params[1] and bad[0] is params[0]
         assert bad[1][0] is params[1][0]
-        assert corrupt_partition(params, cfg, (1, 3)) is params
+        same, reason = corrupt_partition(params, cfg, (1, 3))
+        assert same is params and reason == "scale 1 has no iteration 3"
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -411,13 +431,14 @@ class TestEquivalence:
         cfg = small_config(k=k, iterations=iterations, enable_top_down=td, enable_bottom_up=bu, seed=seed)
         params = init_params(cfg)
         pyramid = random_pyramid(cfg, seed=seed)
+        corrupted, reason = corrupt_partition(params, cfg, block)
+        assert (corrupted is params) == (reason is not None)
         try:
             expected = shifted_partition(pyramid, cfg, params, block)
         except ValidationError:
-            with pytest.raises(ValidationError, match="no message columns"):
-                corrupt_partition(params, cfg, block)
+            assert reason.endswith("no message columns")
             return
-        got = weave_forward(pyramid, cfg, corrupt_partition(params, cfg, block), "simplified")
+        got = weave_forward(pyramid, cfg, corrupted, "simplified")
         for a, b in zip(expected, got):
             assert a.data.tobytes() == b.data.tobytes()
 
@@ -515,6 +536,13 @@ class TestForwardShapes:
         with pytest.raises(ValidationError):
             weave_forward(pyramid, cfg, params, mode="fast")
 
+    def test_rejects_wrong_channel_count(self):
+        cfg = small_config()
+        pyramid = random_pyramid(cfg)
+        bad = pyramid[:1] + [Tensor(np.ones((5, 4, 4)))] + pyramid[2:]
+        with pytest.raises(ValidationError, match="^scale 1: expected 6 channels, got 5$"):
+            weave_forward(bad, cfg, init_params(cfg))
+
 
 class TestParamsMatchConfig:
     """Params drawn for another config end in one ValidationError that names
@@ -588,6 +616,14 @@ class TestCompareOutputs:
         worst = compare_outputs(a, b)
         assert (worst.scale, worst.channel, worst.y, worst.x) == (1, 1, 0, 1)
         assert worst.deviation == pytest.approx(5e-7, rel=1e-6)
+
+    def test_rejects_mismatched_lists(self):
+        a = [Tensor(np.ones((2, 3, 3))), Tensor(np.ones((2, 2, 2)))]
+        with pytest.raises(ValidationError, match="^output lists have different scale counts$"):
+            compare_outputs(a, a[:1])
+        b = [a[0], Tensor(np.ones((3, 2, 2)))]
+        with pytest.raises(ValidationError, match=r"^scale 1: shape mismatch \(2, 2, 2\) vs \(3, 2, 2\)$"):
+            compare_outputs(a, b)
 
 
 class TestFlops:
@@ -670,3 +706,7 @@ class TestFlops:
         bu = flops_weave(WeaveConfig(iterations=3, enable_top_down=False), "naive")
         assert td.total < full.total
         assert bu.total < full.total
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"^mode must be one of \('naive', 'simplified'\), got 'fast'$"):
+            flops_weave(WeaveConfig(), "fast")
