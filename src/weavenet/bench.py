@@ -157,14 +157,14 @@ def corrupt_partition(
     column right (the first raw column joins the messages), or one column
     left when the scale receives no down-messages. The naive pass reads the
     full state in canonical order and so is unaffected. A block cannot be
-    corrupted when the direction masks never run it, when t is beyond the
-    last iteration, or when it reads no message columns because the scale
-    receives no messages.
+    corrupted when the direction masks never run it, when t is not one of
+    the iterations 1..T, or when it reads no message columns because the
+    scale receives no messages.
     """
     scale, t = block
     if config.emitted_directions(scale) == 0:
         return params, f"scale {scale} runs no block"
-    if t > config.iterations:
+    if not 1 <= t <= config.iterations:
         return params, f"scale {scale} has no iteration {t}"
     up, raw, down = config.state_layout(scale, t - 1)
     if up + down == 0:

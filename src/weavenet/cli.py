@@ -100,8 +100,7 @@ def cmd_verify(args) -> int:
 
 def cmd_demo(args) -> int:
     config = _load(args)
-    mode = args.mode or "simplified"
-    records = run_demo(config, refine=not args.no_refine, mode=mode)
+    records = run_demo(config, refine=not args.no_refine, mode=args.mode)
     write_detections(args.out, records)
     by_class: dict[int, int] = {}
     for r in records:
@@ -207,6 +206,9 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+# Built on the first main() call and reused after it: parse_args keeps no
+# state between calls, and no argument has a mutable default.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weavenet", description="Multi-scale feature weaving inference tools.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run the synthetic end-to-end detection pipeline")
     add_common(demo, with_anchors=True)
     demo.add_argument("--out", default="detections.jsonl", help="detections output path")
-    demo.add_argument("--mode", choices=("naive", "simplified"), help="fusion mode (default simplified)")
+    demo.add_argument(
+        "--mode", choices=("naive", "simplified"), default="simplified", help="fusion mode (default simplified)"
+    )
     demo.add_argument("--no-refine", action="store_true", help="skip box refinement")
     demo.set_defaults(func=cmd_demo)
 
@@ -256,19 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built on the first main() call and reused after it.
-
-    parse_args keeps no state between calls: every call fills a new
-    namespace, and no argument has a mutable default.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, EquivalenceError) as err:
         print(f"error: {err}", file=sys.stderr)

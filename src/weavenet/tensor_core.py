@@ -316,18 +316,3 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
         return parts[0]
     return Tensor._adopt(np.concatenate([p.data for p in parts], axis=0))
 
-
-def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
-    """Split along the channel axis into chunks of the given sizes."""
-    if any(s < 1 for s in sizes):
-        raise ValidationError(f"split sizes must be positive, got {list(sizes)}")
-    if sum(sizes) != x.channels:
-        raise ValidationError(
-            f"split sizes sum to {sum(sizes)} but tensor has {x.channels} channels"
-        )
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(Tensor._adopt(x.data[start : start + s]))
-        start += s
-    return out

@@ -19,6 +19,9 @@ where the raw features sit, both in the state buffers and in the kernel
 columns that the simplified path splits into a raw and a message group.
 Each woven scale keeps one buffer at its final width in this order, and
 the state after t iterations is a read-only view of the buffer's middle.
+A block returns one tensor, its down-message rows first, then its
+up-message rows (the order init_params draws the kernel rows in); each
+receiving scale reads its k rows from that tensor.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .tensor_core import (
     conv3x3,
     maxpool_2x2_s2,
     relu,
-    split_channels,
     upsample_bilinear_x2,
 )
 
@@ -274,33 +276,16 @@ def _check_params(params: Params, config: WeaveConfig) -> None:
                 )
 
 
-def _split_messages(
-    out: Tensor, config: WeaveConfig, scale: int
-) -> tuple[Tensor | None, Tensor | None]:
-    """Split block output rows into (down-message, up-message)."""
-    down, up = config.emits_down(scale), config.emits_up(scale)
-    if down and up:
-        return tuple(split_channels(out, [config.k, config.k]))
-    return (out, None) if down else (None, out)
-
-
-def block_naive(
-    state: ScaleState, kernel: ConvKernel, config: WeaveConfig
-) -> tuple[Tensor | None, Tensor | None]:
+def block_naive(state: ScaleState, kernel: ConvKernel) -> Tensor:
     """One block step (iteration state.t + 1) over the full state, both
-    emitted directions in one grouped convolution."""
-    out = relu(conv3x3(state.full(), kernel))
-    return _split_messages(out, config, state.scale)
+    emitted directions in one grouped convolution: down-message rows, then
+    up-message rows."""
+    return relu(conv3x3(state.full(), kernel))
 
 
-def block_simplified(
-    state: ScaleState,
-    source: Tensor,
-    kernel: ConvKernel,
-    config: WeaveConfig,
-) -> tuple[Tensor | None, Tensor | None]:
+def block_simplified(state: ScaleState, source: np.ndarray, kernel: ConvKernel, config: WeaveConfig) -> Tensor:
     """One block step (iteration state.t + 1) from the state's message
-    channels plus the precomputed raw source.
+    channels plus the precomputed raw source; rows as in block_naive.
 
     Computes relu(messages * message_columns + bias + source). Removing the
     raw group of config.state_layout(state.scale, state.t) from the state
@@ -309,29 +294,28 @@ def block_simplified(
     """
     up, raw, down = config.state_layout(state.scale, state.t)
     if up + down == 0:
-        pre = kernel.bias[:, None, None] + source.data
+        pre = kernel.bias[:, None, None] + source
     else:
         raw_group = slice(up, up + raw)
         messages = Tensor._adopt(np.delete(state.data, raw_group, axis=0))
         columns = np.delete(kernel.weights, raw_group, axis=1)
-        pre = conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source.data
-    out = relu(Tensor._adopt(pre))
-    return _split_messages(out, config, state.scale)
+        pre = conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source
+    return relu(Tensor._adopt(pre))
 
 
 def precompute_sources(
     raw: dict[int, Tensor],
     params: Params,
     config: WeaveConfig,
-) -> dict[int, list[Tensor]]:
+) -> dict[int, np.ndarray]:
     """Grouped raw-feature products, one convolution per scale.
 
     Each scale's raw-column kernels of all its iterations run stacked along
-    the output axis as one convolution. Entry t-1 of the scale's list is a
-    read-only view of that result's rows for iteration t: the raw features
-    convolved with iteration t's raw-column kernel, bias excluded.
+    the output axis as one convolution, whose read-only result is viewed,
+    not copied, as a (T, out rows, h, w) array: entry t-1 is the raw
+    features convolved with iteration t's raw-column kernel, bias excluded.
     """
-    sources: dict[int, list[Tensor]] = {}
+    sources: dict[int, np.ndarray] = {}
     for scale, kernels in params.items():
         if not kernels:
             continue
@@ -341,8 +325,8 @@ def precompute_sources(
             raw_columns.append(kernel.weights[:, up : up + width])
         stacked = np.concatenate(raw_columns, axis=0)
         grouped = ConvKernel(stacked, np.zeros(stacked.shape[0]))
-        rows = [kernels[0].out_channels] * len(kernels)
-        sources[scale] = split_channels(conv3x3(raw[scale], grouped), rows)
+        out = conv3x3(raw[scale], grouped)
+        sources[scale] = out.data.reshape(len(kernels), -1, *out.shape[1:])
     return sources
 
 
@@ -408,20 +392,22 @@ def weave_states(
 
     history: list[dict[int, ScaleState]] = []
     for t in range(1, iterations + 1):
-        messages: dict[int, tuple[Tensor | None, Tensor | None]] = {}  # (down, up) by scale
+        outputs: dict[int, Tensor] = {}  # rows: down-messages, then up-messages
         for i, kernels in params.items():
             if mode == "naive":
-                messages[i] = block_naive(states[i], kernels[t - 1], config)
+                outputs[i] = block_naive(states[i], kernels[t - 1])
             else:
-                messages[i] = block_simplified(states[i], sources[i][t - 1], kernels[t - 1], config)
+                outputs[i] = block_simplified(states[i], sources[i][t - 1], kernels[t - 1], config)
 
         # every block has read the t-1 views; the writes land outside them
         for i in config.woven_scales:
             new = channels(i, t)
             if config.receives_up(i):
-                buffers[i][new.start : new.start + k] = maxpool_2x2_s2(messages[i - 1][1]).data
+                up = Tensor._adopt(outputs[i - 1].data[-k:])
+                buffers[i][new.start : new.start + k] = maxpool_2x2_s2(up).data
             if config.receives_down(i):
-                buffers[i][new.stop - k : new.stop] = upsample_bilinear_x2(messages[i + 1][0]).data
+                down = Tensor._adopt(outputs[i + 1].data[:k])
+                buffers[i][new.stop - k : new.stop] = upsample_bilinear_x2(down).data
         states = snapshot(t)
         history.append(states)
     return history

@@ -115,6 +115,10 @@ class TestCompareModes:
         assert worst.deviation > EQUIVALENCE_TOL
         assert "scale" in str(err.value)
 
+    def test_corrupt_block_below_first_iteration_is_refused(self):
+        with pytest.raises(ValidationError, match="^cannot corrupt partition: scale 1 has no iteration 0$"):
+            compare_modes(tiny_config(iterations=2), warmup=0, reps=1, corrupt_block=(1, 0))
+
     def test_zero_iterations_ratio_is_one(self):
         cmp = compare_modes(tiny_config(iterations=0), warmup=0, reps=1)
         assert cmp.flop_ratio == 1.0

@@ -270,6 +270,10 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="^box too large: "):
             BBox(0.0, 0.0, above, above)
 
+    def test_input_size_must_be_positive(self):
+        with pytest.raises(ValidationError, match="^input_size must be positive, got 0$"):
+            RunConfig(input_size=0)
+
     def test_integers_accepted_for_float_fields(self):
         assert config_from_dict({"score_floor": 0, "nms_iou_threshold": 1}).nms_iou_threshold == 1
 

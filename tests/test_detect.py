@@ -542,6 +542,14 @@ class TestRefineBoxes:
         with pytest.raises(ValidationError):
             refine_boxes([det(0, 0, 1, 1, 0.5)], [])
 
+    def test_non_positive_total_weight_keeps_the_box(self):
+        a = det(0.0, 0.0, 10.0, 10.0, -1.0)
+        b = det(1.0, 1.0, 11.0, 11.0, 0.5)
+        assert iou(a.box, b.box) > 0.6
+        # weights -1.0 + 0.5 sum below zero: no average is taken
+        out = refine_boxes([a], [a, b], 0.6)
+        assert out == [a] and out[0] is a
+
 
 class TestPostprocessCut:
     # five identical anchors 40 px wide; offsets shift each decoded box right by 4*dx

@@ -7,9 +7,10 @@ attribute base such as `np` in `np.zeros` included) or lists it in
 `__all__`; `from __future__` imports are exempt. A module-level `_name`
 (def, class or assignment; not a dunder) counts as read when some module of the package
 loads it as a name or an attribute, or imports it. A module-level public name
-counts as read when a module of the package, a test module or a file under
-`benchmark/` does so, or names it in a string constant, as
-`benchmark/tracing.py` names the functions it wraps.
+counts as read when a module of the package or a file under `benchmark/`
+does so, or names it in a string constant, as `benchmark/tracing.py` names
+the functions it wraps. Test modules do not count: code that only tests
+read is dead code.
 """
 
 import ast
@@ -89,7 +90,7 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
 
 def unused_public_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
     """`module: name (line n)` for each module-level public definition in
-    sources that neither sources nor readers (test and benchmark files) read,
+    sources that neither sources nor readers (benchmark files) read,
     as a name, an attribute, an import or a string constant."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     everything = list(trees.values()) + [ast.parse(source) for source in readers]
@@ -133,8 +134,5 @@ def test_an_unused_public_definition_is_found():
 
 def test_every_public_definition_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    readers = [
-        path.read_text(encoding="utf-8")
-        for path in sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "benchmark").rglob("*.py"))
-    ]
+    readers = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "benchmark").rglob("*.py"))]
     assert unused_public_definitions(sources, readers) == []

@@ -24,7 +24,6 @@ from weavenet.tensor_core import (
     exactness_probe,
     maxpool_2x2_s2,
     relu,
-    split_channels,
     upsample_bilinear_x2,
 )
 from weavenet.weave import WeaveConfig, init_params, precompute_sources
@@ -355,26 +354,9 @@ class TestConcatSplit:
         assert out.data[3, 0, 0] == 2.0
         assert out.data[2, 0, 0] == 1.0
 
-    def test_split_inverts_concat(self):
-        rng = np.random.default_rng(10)
-        a = random_tensor(rng, 4, 3, 3)
-        b = random_tensor(rng, 4, 3, 3)
-        c = random_tensor(rng, 2, 3, 3)
-        back = split_channels(concat_channels([a, b, c]), [4, 4, 2])
-        for orig, got in zip([a, b, c], back):
-            assert np.array_equal(orig.data, got.data)
-
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             concat_channels([Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 3, 3)))])
-
-    def test_split_size_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            split_channels(Tensor(np.ones((8, 2, 2))), [4, 3])
-
-    def test_split_size_of_zero_rejected(self):
-        with pytest.raises(ValidationError, match=r"^split sizes must be positive, got \[8, 0\]$"):
-            split_channels(Tensor(np.ones((8, 2, 2))), [8, 0])
 
     def test_concat_of_nothing_rejected(self):
         with pytest.raises(ValidationError, match="^concat_channels needs a non-empty list$"):
@@ -432,7 +414,6 @@ class TestFreshTensorsAreSealed:
         "upsample": upsample_bilinear_x2,
         "maxpool": maxpool_2x2_s2,
         "concat": lambda x: concat_channels([x, x]),
-        "split": lambda x: split_channels(x, [1, 2])[1],
     }
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -449,15 +430,14 @@ class TestFreshTensorsAreSealed:
         assert not (x.data == 7.0).any()
 
     def test_precomputed_sources_are_read_only_views(self):
-        first, second = _tiny_sources()[0]
-        for got in (first, second):
-            assert not got.data.flags.writeable
+        sources = _tiny_sources()[0]
+        assert sources.shape == (2, 2, 4, 4)  # (T, rows, h, w)
+        assert not sources.flags.writeable
+        for got in (sources, sources[1]):
             with pytest.raises(ValueError):
-                got.data[0, 0, 0] = 1.0
-        # consecutive rows of one convolution's output
-        stacked = first.data.base
-        assert second.data.base is stacked
-        assert np.array_equal(stacked.reshape(-1, *first.shape[1:]), np.concatenate([first.data, second.data]))
+                got[0, 0, 0] = 1.0
+        # a view of one convolution's output rows, not a copy
+        assert sources.base is not None and not sources.flags.owndata
 
     def test_adopt_keeps_the_checks(self):
         with pytest.raises(ValidationError):

@@ -14,7 +14,6 @@ from weavenet.tensor_core import (
     conv3x3,
     maxpool_2x2_s2,
     relu,
-    split_channels,
     upsample_bilinear_x2,
 )
 from weavenet.weave import (
@@ -109,12 +108,7 @@ def shifted_partition(pyramid, cfg, params, block):
         columns = np.concatenate([w[:, :lo], w[:, lo + raw :]], axis=1)
         features = Tensor(state.data[up : up + raw])
         source = conv3x3(features, ConvKernel(w[:, lo : lo + raw], np.zeros(len(w))))
-        out = relu(Tensor(conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source.data))
-        parts = split_channels(out, [config.k] * config.emitted_directions(state.scale))
-        return (
-            parts[0] if config.emits_down(state.scale) else None,
-            parts[-1] if config.emits_up(state.scale) else None,
-        )
+        return relu(Tensor(conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source.data))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weave, "block_simplified", shifted_block)
@@ -197,8 +191,10 @@ class TestWeaveConfig:
                 {"woven_scales": (0, 10**5000)},
                 r"woven_scales must be consecutive indices, got \(0, an integer of 5001 digits\)",
             ),
+            ({"woven_scales": (5, 6)}, r"woven_scales \(5, 6\) outside pyramid of 6 scales"),
+            ({"woven_scales": (-1, 0)}, r"woven_scales \(-1, 0\) outside pyramid of 6 scales"),
         ],
-        ids=["raw-zero", "size-zero", "huge-scale"],
+        ids=["raw-zero", "size-zero", "huge-scale", "scale-above", "scale-below"],
     )
     def test_rejects_zero_sizes_and_huge_scales(self, kwargs, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -384,11 +380,11 @@ class TestEquivalence:
         params = init_params(cfg)
         kern = params[1][0]
         state = Tensor(np.random.default_rng(4).normal(size=(6, 4, 4)))
-        down, up = block_naive(ScaleState(scale=1, t=0, data=state.data), kern, cfg)
+        out = block_naive(ScaleState(scale=1, t=0, data=state.data), kern)
         down_kernel = ConvKernel(kern.weights[: cfg.k], kern.bias[: cfg.k])
         up_kernel = ConvKernel(kern.weights[cfg.k :], kern.bias[cfg.k :])
-        assert np.array_equal(down.data, relu(conv3x3(state, down_kernel)).data)
-        assert np.array_equal(up.data, relu(conv3x3(state, up_kernel)).data)
+        assert np.array_equal(out.data[: cfg.k], relu(conv3x3(state, down_kernel)).data)
+        assert np.array_equal(out.data[cfg.k :], relu(conv3x3(state, up_kernel)).data)
 
     def test_corrupted_partition_breaks_agreement(self):
         cfg = small_config(iterations=2)
@@ -417,6 +413,13 @@ class TestEquivalence:
         assert bad[1][0] is params[1][0]
         same, reason = corrupt_partition(params, cfg, (1, 3))
         assert same is params and reason == "scale 1 has no iteration 3"
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_corruption_refuses_iterations_below_one(self, t):
+        # kernels[t - 1] would wrap round to a real kernel
+        cfg = small_config(iterations=2)
+        params = init_params(cfg)
+        assert corrupt_partition(params, cfg, (1, t)) == (params, f"scale 1 has no iteration {t}")
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -463,15 +466,14 @@ class TestPrecomputedSources:
         sources = precompute_sources(raw, params, cfg)
         assert sorted(sources) == sorted(params)
         for i, kernels in params.items():
-            assert len(sources[i]) == cfg.iterations
-            # views of one stacked convolution
-            assert len({id(view.data.base) for view in sources[i]}) == 1
+            # one stacked convolution, entry t-1 holding iteration t's rows
+            assert sources[i].shape == (cfg.iterations, kernels[0].out_channels, *pyramid[i].shape[1:])
+            assert not sources[i].flags.writeable
             for t, (got, kern) in enumerate(zip(sources[i], kernels), start=1):
                 up, raw_width, _ = cfg.state_layout(i, t - 1)
                 raw_cols = kern.weights[:, up : up + raw_width]
                 single = conv3x3(raw[i], ConvKernel(raw_cols, np.zeros(kern.out_channels)))
-                assert not got.data.flags.writeable
-                assert got.data.tobytes() == single.data.tobytes()
+                assert got.tobytes() == single.data.tobytes()
 
     def test_no_iterations_no_sources(self):
         cfg = small_config(iterations=0)
@@ -485,9 +487,9 @@ class TestPrecomputedSources:
         sources = precompute_sources({1: pyramid[1]}, {1: params[1]}, cfg)
         state = ScaleState(scale=1, t=0, data=pyramid[1].data)
         kern = params[1][0]
-        down, up = block_simplified(state, sources[1][0], kern, cfg)
-        expected = np.maximum(kern.bias[:, None, None] + sources[1][0].data, 0.0)
-        assert np.array_equal(np.concatenate([down.data, up.data]), expected)
+        out = block_simplified(state, sources[1][0], kern, cfg)
+        expected = np.maximum(kern.bias[:, None, None] + sources[1][0], 0.0)
+        assert np.array_equal(out.data, expected)
 
 
 class TestForwardShapes:
