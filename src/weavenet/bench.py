@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EquivalenceError, ValidationError
+from .errors import EquivalenceError, MismatchLocation, ValidationError
 from .fixtures import make_raw_pyramid
 from .tensor_core import ConvKernel, Tensor
 from .weave import (
@@ -21,6 +21,7 @@ from .weave import (
     WeaveConfig,
     WeaveFlops,
     compare_outputs,
+    conv_flops,
     flops_weave,
     init_params,
     weave_forward,
@@ -42,8 +43,8 @@ BENCH_STREAM = 4
 class BenchReport:
     """One mode's timing and analytic cost on a fixed config.
 
-    times holds one wall-clock sample per repetition, each covering `batch`
-    sequential forward passes. outputs is the last pass's result, kept so
+    times holds one wall-clock sample per repetition, each covering one
+    forward pass. outputs is the last pass's result, kept so
     callers can confirm that measurement never altered the computation.
     """
 
@@ -51,7 +52,6 @@ class BenchReport:
     config: WeaveConfig
     warmup: int
     reps: int
-    batch: int
     times: tuple[float, ...]
     flops: WeaveFlops
     outputs: list[Tensor] = field(compare=False, repr=False)
@@ -72,7 +72,7 @@ class BenchReport:
     @property
     def throughput(self) -> float:
         """Forward passes per second over all measured repetitions."""
-        return self.batch * self.reps / self.total_time
+        return self.reps / self.total_time
 
     @property
     def flops_per_second(self) -> float:
@@ -84,25 +84,19 @@ def run_bench(
     mode: str,
     warmup: int = 3,
     reps: int = 20,
-    batch: int = 1,
-    params: Params | None = None,
-    pyramid: list[Tensor] | None = None,
+    *,
+    params: Params,
+    pyramid: list[Tensor],
 ) -> BenchReport:
-    """Time `reps` measured repetitions of `batch` forward passes each.
+    """Time `reps` measured forward passes of params on pyramid.
 
-    Warmup passes run unmeasured first; inputs and parameters are seeded
-    from the config, so FLOP figures and outputs are identical across runs.
+    Warmup passes run unmeasured first, so FLOP figures and outputs are
+    identical across runs on the same params and pyramid.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     if warmup < 0:
         raise ValidationError(f"warmup must be >= 0, got {warmup}")
-    if batch < 1:
-        raise ValidationError(f"batch must be >= 1, got {batch}")
-    if params is None:
-        params = init_params(config)
-    if pyramid is None:
-        pyramid = make_raw_pyramid(config, BENCH_STREAM)
 
     for _ in range(warmup):
         weave_forward(pyramid, config, params, mode)
@@ -111,8 +105,7 @@ def run_bench(
     outputs = None
     for _ in range(reps):
         start = time.perf_counter()
-        for _ in range(batch):
-            outputs = weave_forward(pyramid, config, params, mode)
+        outputs = weave_forward(pyramid, config, params, mode)
         times.append(time.perf_counter() - start)
 
     return BenchReport(
@@ -120,7 +113,6 @@ def run_bench(
         config=config,
         warmup=warmup,
         reps=reps,
-        batch=batch,
         times=tuple(times),
         flops=flops_weave(config, mode),
         outputs=outputs,
@@ -135,11 +127,10 @@ class ModeComparison:
 
     @property
     def flop_ratio(self) -> float:
-        """Naive FLOPs over simplified FLOPs (1.0 when both are zero)."""
+        """Naive FLOPs over simplified FLOPs (1.0 when both are zero, the
+        only way the simplified total can be zero)."""
         n, s = self.naive.flops.total, self.simplified.flops.total
-        if s == 0:
-            return 1.0 if n == 0 else float("inf")
-        return n / s
+        return n / s if s else 1.0
 
     @property
     def time_ratio(self) -> float:
@@ -180,11 +171,27 @@ def corrupt_partition(
     return {**params, scale: kernels[: t - 1] + (corrupted,) + kernels[t:]}, None
 
 
+def check_modes(
+    config: WeaveConfig, pyramid: list[Tensor], corrupt_block: tuple[int, int] | None = None
+) -> tuple[Params, MismatchLocation, str | None]:
+    """(params, worst deviation, reason) of the naive-vs-simplified check.
+
+    One naive pass runs on fresh params from the config and one simplified
+    pass on the same params with corrupt_block's partition corrupted. reason
+    is None, or why corrupt_partition left the block alone; the simplified
+    pass then reads the clean params too.
+    """
+    params = init_params(config)
+    checked, reason = (params, None) if corrupt_block is None else corrupt_partition(params, config, corrupt_block)
+    naive = weave_forward(pyramid, config, params, "naive")
+    simplified = weave_forward(pyramid, config, checked, "simplified")
+    return params, compare_outputs(naive, simplified), reason
+
+
 def compare_modes(
     config: WeaveConfig,
     warmup: int = 3,
     reps: int = 20,
-    batch: int = 1,
     corrupt_block: tuple[int, int] | None = None,
 ) -> ModeComparison:
     """Benchmark both modes on identical inputs after checking they agree.
@@ -193,27 +200,19 @@ def compare_modes(
     differ by more than the tolerance anywhere, the comparison aborts with
     the worst-mismatch location. A corrupt_block beyond the config's last
     iteration is ignored; any other that corrupt_partition cannot corrupt
-    raises ValidationError.
+    raises ValidationError. The timed passes read the clean params.
     """
-    params = init_params(config)
-    checked = params
-    if corrupt_block is not None:
-        checked, reason = corrupt_partition(params, config, corrupt_block)
-        if reason is not None and corrupt_block[1] <= config.iterations:
-            raise ValidationError(f"cannot corrupt partition: {reason}")
     pyramid = make_raw_pyramid(config, BENCH_STREAM)
-    naive_out = weave_forward(pyramid, config, params, "naive")
-    simplified_out = weave_forward(pyramid, config, checked, "simplified")
-    worst = compare_outputs(naive_out, simplified_out)
+    params, worst, reason = check_modes(config, pyramid, corrupt_block)
+    if reason is not None and corrupt_block[1] <= config.iterations:
+        raise ValidationError(f"cannot corrupt partition: {reason}")
     if worst.deviation > EQUIVALENCE_TOL:
         raise EquivalenceError(
             f"modes disagree by {worst.deviation:.3e} at {worst} (tolerance {EQUIVALENCE_TOL:.0e})",
             worst=worst,
         )
-    naive = run_bench(config, "naive", warmup, reps, batch, params=params, pyramid=pyramid)
-    simplified = run_bench(
-        config, "simplified", warmup, reps, batch, params=params, pyramid=pyramid
-    )
+    naive = run_bench(config, "naive", warmup, reps, params=params, pyramid=pyramid)
+    simplified = run_bench(config, "simplified", warmup, reps, params=params, pyramid=pyramid)
     return ModeComparison(naive=naive, simplified=simplified, worst_deviation=worst.deviation)
 
 
@@ -236,7 +235,6 @@ TIMING_COLUMNS = (
     "masks",
     "warmup",
     "reps",
-    "batch",
     "mean_s",
     "stddev_s",
     "throughput_passes_per_s",
@@ -271,6 +269,13 @@ def data_row(report: BenchReport, flop_ratio: float, worst_deviation: float) -> 
     ]
 
 
+def baseline_row() -> list[str]:
+    """DATA_COLUMNS cells of the reference cost: one 3x3 convolution from
+    256 to 256 channels on a 40x40 map."""
+    flops = str(conv_flops(256, 256, 40, 40))
+    return ["baseline-3x3-256", "256", "1", "-", "0", flops, flops, "", ""]
+
+
 def timing_row(report: BenchReport) -> list[str]:
     return [
         report.mode,
@@ -279,7 +284,6 @@ def timing_row(report: BenchReport) -> list[str]:
         masks_label(report.config),
         str(report.warmup),
         str(report.reps),
-        str(report.batch),
         f"{report.mean_time:.6f}",
         f"{report.stddev_time:.6f}",
         f"{report.throughput:.3f}",

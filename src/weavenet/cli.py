@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from . import bench as bench_mod
 from .config import RunConfig, apply_overrides, load_config
+from .detect import ANCHOR_MODES
 from .errors import EquivalenceError, ValidationError
 from .evaluation import ALL_STRATA, evaluate
 from .fixtures import make_raw_pyramid, write_fixtures
@@ -24,14 +25,11 @@ from .formats import (
 )
 from .pipeline import run_demo
 from .tensor_core import exactness_probe
-from .weave import DIRECTION_MASKS, compare_outputs, conv_flops, init_params, weave_forward
+from .weave import DIRECTION_MASKS, MODES
 
 SWEEP_K = (16, 32, 64)
 SWEEP_T = (1, 3, 5)
 BENCH_SWEEP_K = (16, 32)
-
-BASELINE_CHANNELS = 256
-BASELINE_SIZE = 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,15 +67,8 @@ def cmd_verify(args) -> int:
     rows = []
     for origin, cfg in combos:
         k, t, masks = cfg.k, cfg.iterations, bench_mod.masks_label(cfg)
-        params = init_params(cfg)
-        naive = weave_forward(pyramid, cfg, params, "naive")
-        note = ""
-        if config.corrupt_block is not None:
-            params, reason = bench_mod.corrupt_partition(params, cfg, config.corrupt_block)
-            if reason is not None:
-                note = f"  (not corrupted: {reason})"
-        simplified = weave_forward(pyramid, cfg, params, "simplified")
-        worst = compare_outputs(naive, simplified)
+        _, worst, reason = bench_mod.check_modes(cfg, pyramid, config.corrupt_block)
+        note = "" if reason is None else f"  (not corrupted: {reason})"
         ok = worst.deviation <= tol
         failures += 0 if ok else 1
         status = "PASS" if ok else "FAIL"
@@ -148,41 +139,23 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     config = _load(args)
     base = config.weave_config()
+    if config.corrupt_block is not None and config.corrupt_block[1] > max(SWEEP_T):
+        scale, t = config.corrupt_block
+        raise ValidationError(
+            f"cannot corrupt partition: scale {scale} has no iteration {t} at any sweep T (largest {max(SWEEP_T)})"
+        )
     data_rows = []
     timing_rows = []
     ratio_rows = []
     for k in BENCH_SWEEP_K:
         for t in SWEEP_T:
             cfg = replace(base, k=k, iterations=t)
-            cmp = bench_mod.compare_modes(
-                cfg,
-                warmup=args.warmup,
-                reps=args.reps,
-                batch=args.batch,
-                corrupt_block=config.corrupt_block,
-            )
-            for report, ratio in (
-                (cmp.naive, 1.0),
-                (cmp.simplified, cmp.flop_ratio),
-            ):
+            cmp = bench_mod.compare_modes(cfg, args.warmup, args.reps, config.corrupt_block)
+            for report, ratio in ((cmp.naive, 1.0), (cmp.simplified, cmp.flop_ratio)):
                 data_rows.append(bench_mod.data_row(report, ratio, cmp.worst_deviation))
                 timing_rows.append(bench_mod.timing_row(report))
             ratio_rows.append(bench_mod.ratio_row(cmp))
-
-    baseline_flops = conv_flops(BASELINE_CHANNELS, BASELINE_CHANNELS, BASELINE_SIZE, BASELINE_SIZE)
-    data_rows.append(
-        [
-            "baseline-3x3-256",
-            str(BASELINE_CHANNELS),
-            "1",
-            "-",
-            "0",
-            str(baseline_flops),
-            str(baseline_flops),
-            "",
-            "",
-        ]
-    )
+    data_rows.append(bench_mod.baseline_row())
 
     print(format_table(list(bench_mod.DATA_COLUMNS), data_rows))
     print()
@@ -220,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--top-down-only", action="store_true", help="disable bottom-up messages")
             sp.add_argument("--bottom-up-only", action="store_true", help="disable top-down messages")
         if with_anchors:
-            sp.add_argument("--anchors", choices=("A", "B"), help="anchor configuration")
+            sp.add_argument("--anchors", choices=ANCHOR_MODES, help="anchor configuration")
 
     verify = sub.add_parser("verify", help="check naive/simplified agreement over a sweep")
     add_common(verify)
@@ -230,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run the synthetic end-to-end detection pipeline")
     add_common(demo, with_anchors=True)
     demo.add_argument("--out", default="detections.jsonl", help="detections output path")
-    demo.add_argument(
-        "--mode", choices=("naive", "simplified"), default="simplified", help="fusion mode (default simplified)"
-    )
+    demo.add_argument("--mode", choices=MODES, default="simplified", help="fusion mode (default simplified)")
     demo.add_argument("--no-refine", action="store_true", help="skip box refinement")
     demo.set_defaults(func=cmd_demo)
 
@@ -248,12 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--timing-out", help="optional CSV of wall-clock rows")
     bench.add_argument("--warmup", type=int, default=3, help="unmeasured passes per mode")
     bench.add_argument("--reps", type=int, default=20, help="measured repetitions per mode")
-    bench.add_argument("--batch", type=int, default=1, help="forward passes per repetition")
     bench.set_defaults(func=cmd_bench)
 
     fixtures = sub.add_parser("fixtures", help="write seeded synthetic input files")
-    fixtures.add_argument("--config", help="JSON config file (defaults used when omitted)")
-    fixtures.add_argument("--seed", type=int, help="override the config seed")
+    add_common(fixtures, with_masks=False)
     fixtures.add_argument("--out", default="fixtures", help="output directory")
     fixtures.set_defaults(func=cmd_fixtures)
 

@@ -6,8 +6,8 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .detect import AnchorSpec, finite_float, shown
-from .errors import ValidationError
+from .detect import AnchorSpec
+from .errors import ValidationError, finite_float, shown
 from .weave import DIRECTION_MASKS, WeaveConfig
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_float, shown
 from .tensor_core import ConvKernel, Tensor, conv3x3
 
 DEFAULT_SCALE_FRACTIONS = (0.1, 0.2, 0.375, 0.55, 0.725, 0.9)
@@ -24,39 +24,6 @@ BOX_KEYS = ("xmin", "ymin", "xmax", "ymax")
 _MODE_A_SHORT = (1.0, 2.0, 0.5)
 _MODE_A_LONG = (1.0, 2.0, 0.5, 3.0, 1.0 / 3.0)
 _MODE_B_RATIOS = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
-
-
-def shown(value) -> str:
-    """repr(value), with the digit count of each integer too long to convert
-    to text in its place, a list's or tuple's items included."""
-    try:
-        return repr(value)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        if isinstance(value, (list, tuple)):
-            items = ", ".join(map(shown, value)) + "," * (type(value) is tuple and len(value) == 1)
-            return f"[{items}]" if isinstance(value, list) else f"({items})"
-        magnitude = abs(value)
-        digits = int((magnitude.bit_length() - 1) * math.log10(2)) + 1
-        while digits > 1 and 10 ** (digits - 1) > magnitude:
-            digits -= 1
-        while 10**digits <= magnitude:
-            digits += 1
-        return f"an integer of {digits} digits"
-
-
-def finite_float(name: str, value) -> float:
-    """value as a float; ValidationError unless it is a finite real number, not a bool.
-
-    An integer too large for a float is not finite.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ValidationError(f"{name} must be a finite number, got {shown(value)}")
 
 
 def check_image_id(value) -> None:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import BBox, block_rows, check_class_id, check_image_id, check_scored, iou_matrix, shown
-from .errors import ValidationError
+from .detect import BBox, block_rows, check_class_id, check_image_id, check_scored, iou_matrix
+from .errors import ValidationError, shown
 
 SIZE_STRATA = ("small", "medium", "large")
 ALL_STRATA = SIZE_STRATA + ("overall",)

@@ -31,8 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .detect import shown
-from .errors import MismatchLocation, ValidationError
+from .errors import MismatchLocation, ValidationError, shown
 from .tensor_core import (
     ConvKernel,
     Tensor,

@@ -5,8 +5,10 @@ from weavenet.bench import (
     BENCH_STREAM,
     EQUIVALENCE_TOL,
     DATA_COLUMNS,
+    TIMING_COLUMNS,
     BenchReport,
     ModeComparison,
+    check_modes,
     compare_modes,
     data_row,
     masks_label,
@@ -31,12 +33,17 @@ def tiny_config(**overrides) -> WeaveConfig:
     return WeaveConfig(**base)
 
 
+def inputs(cfg: WeaveConfig) -> dict:
+    """run_bench's params and pyramid, as compare_modes draws them."""
+    return dict(params=init_params(cfg), pyramid=make_raw_pyramid(cfg, BENCH_STREAM))
+
+
 class TestRunBench:
     def test_single_sample_report(self):
         cfg = tiny_config()
-        report = run_bench(cfg, "simplified", warmup=0, reps=1)
+        report = run_bench(cfg, "simplified", warmup=0, reps=1, **inputs(cfg))
         assert len(report.times) == 1
-        assert report.warmup == 0 and report.reps == 1 and report.batch == 1
+        assert report.warmup == 0 and report.reps == 1
         assert report.mode == "simplified"
         assert report.flops == flops_weave(cfg, "simplified")
         assert report.mean_time > 0.0
@@ -45,14 +52,14 @@ class TestRunBench:
 
     def test_flops_identical_across_runs(self):
         cfg = tiny_config()
-        a = run_bench(cfg, "naive", warmup=0, reps=2)
-        b = run_bench(cfg, "naive", warmup=0, reps=2)
+        a = run_bench(cfg, "naive", warmup=0, reps=2, **inputs(cfg))
+        b = run_bench(cfg, "naive", warmup=0, reps=2, **inputs(cfg))
         assert a.flops == b.flops
         assert a.flops.total == b.flops.total
 
     def test_measurement_never_alters_outputs(self):
         cfg = tiny_config()
-        report = run_bench(cfg, "naive", warmup=1, reps=2, batch=2)
+        report = run_bench(cfg, "naive", warmup=1, reps=2, **inputs(cfg))
         fresh = weave_forward(make_raw_pyramid(cfg, BENCH_STREAM), cfg, init_params(cfg), "naive")
         for a, b in zip(report.outputs, fresh):
             assert np.array_equal(a.data, b.data)
@@ -71,12 +78,12 @@ class TestRunBench:
 
     def test_stddev_and_throughput_formulas(self):
         cfg = tiny_config(iterations=1)
-        report = run_bench(cfg, "simplified", warmup=0, reps=3, batch=2)
+        report = run_bench(cfg, "simplified", warmup=0, reps=3, **inputs(cfg))
         times = np.array(report.times)
         assert report.mean_time == pytest.approx(times.mean(), rel=1e-12)
         assert report.stddev_time == pytest.approx(times.std(), rel=1e-9)
         assert report.stddev_time >= 0.0
-        assert report.throughput == pytest.approx(6.0 / times.sum(), rel=1e-12)
+        assert report.throughput == pytest.approx(3.0 / times.sum(), rel=1e-12)
         assert report.flops_per_second == pytest.approx(
             report.flops.total * report.throughput, rel=1e-12
         )
@@ -84,13 +91,11 @@ class TestRunBench:
     def test_rejects_bad_counts(self):
         cfg = tiny_config()
         with pytest.raises(ValidationError):
-            run_bench(cfg, "naive", reps=0)
+            run_bench(cfg, "naive", reps=0, **inputs(cfg))
         with pytest.raises(ValidationError):
-            run_bench(cfg, "naive", warmup=-1)
+            run_bench(cfg, "naive", warmup=-1, **inputs(cfg))
         with pytest.raises(ValidationError):
-            run_bench(cfg, "naive", batch=0)
-        with pytest.raises(ValidationError):
-            run_bench(cfg, "fast")
+            run_bench(cfg, "fast", **inputs(cfg))
 
 
 class TestCompareModes:
@@ -119,6 +124,26 @@ class TestCompareModes:
         with pytest.raises(ValidationError, match="^cannot corrupt partition: scale 1 has no iteration 0$"):
             compare_modes(tiny_config(iterations=2), warmup=0, reps=1, corrupt_block=(1, 0))
 
+    def test_check_modes_returns_the_clean_params(self):
+        cfg = tiny_config(iterations=2)
+        pyramid = make_raw_pyramid(cfg, BENCH_STREAM)
+        params, worst, reason = check_modes(cfg, pyramid, corrupt_block=(1, 2))
+        assert reason is None and worst.deviation > EQUIVALENCE_TOL
+        clean = init_params(cfg)
+        assert params.keys() == clean.keys()
+        for scale, kernels in clean.items():
+            for a, b in zip(params[scale], kernels, strict=True):
+                assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
+    @pytest.mark.parametrize(
+        "block,reason", [(None, None), ((1, 3), "scale 1 has no iteration 3")], ids=["none", "beyond-T"]
+    )
+    def test_check_modes_without_corruption_agrees(self, block, reason):
+        cfg = tiny_config(iterations=2)
+        _, worst, why = check_modes(cfg, make_raw_pyramid(cfg, BENCH_STREAM), block)
+        assert why == reason
+        assert worst.deviation <= EQUIVALENCE_TOL
+
     def test_zero_iterations_ratio_is_one(self):
         cmp = compare_modes(tiny_config(iterations=0), warmup=0, reps=1)
         assert cmp.flop_ratio == 1.0
@@ -136,13 +161,14 @@ class TestLabelsAndRows:
 
     def test_data_row_is_deterministic_and_aligned(self):
         cfg = tiny_config()
-        a = run_bench(cfg, "naive", warmup=0, reps=1)
-        b = run_bench(cfg, "naive", warmup=0, reps=1)
+        a = run_bench(cfg, "naive", warmup=0, reps=1, **inputs(cfg))
+        b = run_bench(cfg, "naive", warmup=0, reps=1, **inputs(cfg))
         assert data_row(a, 1.5, 0.0) == data_row(b, 1.5, 0.0)
         assert len(data_row(a, 1.5, 0.0)) == len(DATA_COLUMNS)
 
     def test_timing_row_shape(self):
-        report = run_bench(tiny_config(), "simplified", warmup=0, reps=2)
+        cfg = tiny_config()
+        report = run_bench(cfg, "simplified", warmup=0, reps=2, **inputs(cfg))
         row = timing_row(report)
         assert row[0] == "simplified"
-        assert len(row) == 11
+        assert len(row) == len(TIMING_COLUMNS) == 10

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import weavenet
-from weavenet import formats, pipeline, tensor_core
+from weavenet import bench, formats, pipeline, tensor_core
 from weavenet.bench import RATIO_COLUMNS, TIMING_COLUMNS
 from weavenet.cli import main
 from weavenet.config import (
@@ -1224,8 +1224,32 @@ class TestBenchCommand:
         with open(timing) as fh:
             lines = fh.read().splitlines()
         assert lines[0].split(",") == list(TIMING_COLUMNS)
-        assert [line.split(",")[7] for line in lines[1::2]] == [r[2] for r in rows]
-        assert [line.split(",")[7] for line in lines[2::2]] == [r[3] for r in rows]
+        assert [line.split(",")[6] for line in lines[1::2]] == [r[2] for r in rows]
+        assert [line.split(",")[6] for line in lines[2::2]] == [r[3] for r in rows]
+
+    def test_block_past_the_sweep_is_refused_before_any_pass(self, tmp_path, capsys, monkeypatch):
+        # every sweep T (1, 3, 5) is below 6, so no sweep point would corrupt the block
+        cfg = {
+            "pyramid_sizes": [8, 4, 2, 1], "raw_channels": [4, 4, 4, 4], "woven_scales": [0, 1, 2],
+            "corrupt_block": [1, 6],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        calls = []
+        real = bench.weave_forward
+        monkeypatch.setattr(bench, "weave_forward", lambda *a: calls.append(a) or real(*a))
+        code = main(["bench", "--config", str(path), "--warmup", "0", "--reps", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, len(calls)) == (1, "", 0)
+        assert captured.err == (
+            "error: cannot corrupt partition: scale 1 has no iteration 6 at any sweep T (largest 5)\n"
+        )
+
+    def test_batch_flag_is_gone(self, tiny_config, capsys):
+        code = main(["bench", "--config", tiny_config, "--warmup", "0", "--reps", "1", "--batch", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: unrecognized arguments: --batch 2\n"
 
 
 class TestFixturesCommand:

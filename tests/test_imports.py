@@ -136,3 +136,28 @@ def test_every_public_definition_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     readers = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "benchmark").rglob("*.py"))]
     assert unused_public_definitions(sources, readers) == []
+
+
+# The fusion core and the tensor kernels under it stand alone: neither reads
+# the detection, evaluation, config or CLI layers above them.
+CORE_MODULES = ("tensor_core.py", "weave.py")
+CORE_IMPORTS = {"errors", "tensor_core"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports by relative import."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules.update([node.module] if node.module else (alias.name for alias in node.names))
+    return modules
+
+
+def test_package_imports_are_found():
+    source = "import numpy\nfrom .errors import shown\nfrom . import detect, weave\nfrom .tensor_core import Tensor\n"
+    assert package_imports(source) == {"errors", "detect", "weave", "tensor_core"}
+
+
+@pytest.mark.parametrize("name", CORE_MODULES)
+def test_core_imports_only_errors_and_tensor_core(name):
+    assert package_imports((PACKAGE / name).read_text(encoding="utf-8")) <= CORE_IMPORTS

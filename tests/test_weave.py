@@ -687,6 +687,13 @@ class TestFlops:
                 conv_flops(m, k * directions(cfg, i)[1], s, s) for i, (m, s) in enumerate(zip(messages, sizes))
             )
 
+    @settings(deadline=None, max_examples=200)
+    @given(cfg=random_geometries())
+    def test_simplified_costs_nothing_only_when_naive_does(self, cfg):
+        # so ModeComparison.flop_ratio never divides a nonzero naive total by zero
+        naive, simplified = flops_weave(cfg, "naive"), flops_weave(cfg, "simplified")
+        assert (naive.total == 0) == (simplified.total == 0)
+
     def test_single_iteration_costs_match(self):
         cfg = WeaveConfig(k=16, iterations=1)
         assert flops_weave(cfg, "naive").total == flops_weave(cfg, "simplified").total
