@@ -8,7 +8,7 @@ precomputation included) on seeded synthetic pyramids.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class BenchReport:
     """One mode's timing and analytic cost on a fixed config.
 
     times holds one wall-clock sample per repetition, each covering one
-    forward pass. outputs is the last pass's result, kept so
-    callers can confirm that measurement never altered the computation.
+    forward pass.
     """
 
     mode: str
@@ -54,7 +53,6 @@ class BenchReport:
     reps: int
     times: tuple[float, ...]
     flops: WeaveFlops
-    outputs: list[Tensor] = field(compare=False, repr=False)
 
     @property
     def total_time(self) -> float:
@@ -77,46 +75,6 @@ class BenchReport:
     @property
     def flops_per_second(self) -> float:
         return self.flops.total * self.throughput
-
-
-def run_bench(
-    config: WeaveConfig,
-    mode: str,
-    warmup: int = 3,
-    reps: int = 20,
-    *,
-    params: Params,
-    pyramid: list[Tensor],
-) -> BenchReport:
-    """Time `reps` measured forward passes of params on pyramid.
-
-    Warmup passes run unmeasured first, so FLOP figures and outputs are
-    identical across runs on the same params and pyramid.
-    """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    if warmup < 0:
-        raise ValidationError(f"warmup must be >= 0, got {warmup}")
-
-    for _ in range(warmup):
-        weave_forward(pyramid, config, params, mode)
-
-    times = []
-    outputs = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        outputs = weave_forward(pyramid, config, params, mode)
-        times.append(time.perf_counter() - start)
-
-    return BenchReport(
-        mode=mode,
-        config=config,
-        warmup=warmup,
-        reps=reps,
-        times=tuple(times),
-        flops=flops_weave(config, mode),
-        outputs=outputs,
-    )
 
 
 @dataclass(frozen=True)
@@ -189,31 +147,59 @@ def check_modes(
 
 
 def compare_modes(
-    config: WeaveConfig,
+    configs: list[WeaveConfig],
     warmup: int = 3,
     reps: int = 20,
     corrupt_block: tuple[int, int] | None = None,
-) -> ModeComparison:
-    """Benchmark both modes on identical inputs after checking they agree.
+) -> list[ModeComparison]:
+    """Check, then time, both modes of every config on identical inputs.
 
-    The equivalence gate runs before any timing: if the modes' outputs
-    differ by more than the tolerance anywhere, the comparison aborts with
-    the worst-mismatch location. A corrupt_block beyond the config's last
-    iteration is ignored; any other that corrupt_partition cannot corrupt
-    raises ValidationError. The timed passes read the clean params.
+    A corrupt_block past every config's T, and bad counts, are refused
+    before any pass. Every config's check pair then runs before the first
+    timed pass: a mismatch beyond the tolerance aborts with its worst
+    location, and a block corrupt_partition cannot corrupt raises
+    ValidationError unless its iteration is past that config's T (the
+    config then runs uncorrupted). Last, each config's clean params run
+    per mode, naive first: `warmup` unmeasured passes, then `reps` timed.
     """
-    pyramid = make_raw_pyramid(config, BENCH_STREAM)
-    params, worst, reason = check_modes(config, pyramid, corrupt_block)
-    if reason is not None and corrupt_block[1] <= config.iterations:
-        raise ValidationError(f"cannot corrupt partition: {reason}")
-    if worst.deviation > EQUIVALENCE_TOL:
-        raise EquivalenceError(
-            f"modes disagree by {worst.deviation:.3e} at {worst} (tolerance {EQUIVALENCE_TOL:.0e})",
-            worst=worst,
+    largest = max((config.iterations for config in configs), default=0)
+    if corrupt_block is not None and corrupt_block[1] > largest:
+        scale, t = corrupt_block
+        raise ValidationError(
+            f"cannot corrupt partition: scale {scale} has no iteration {t} at any sweep T (largest {largest})"
         )
-    naive = run_bench(config, "naive", warmup, reps, params=params, pyramid=pyramid)
-    simplified = run_bench(config, "simplified", warmup, reps, params=params, pyramid=pyramid)
-    return ModeComparison(naive=naive, simplified=simplified, worst_deviation=worst.deviation)
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+    if warmup < 0:
+        raise ValidationError(f"warmup must be >= 0, got {warmup}")
+
+    checked = []
+    for config in configs:
+        pyramid = make_raw_pyramid(config, BENCH_STREAM)
+        params, worst, reason = check_modes(config, pyramid, corrupt_block)
+        if reason is not None and corrupt_block[1] <= config.iterations:
+            raise ValidationError(f"cannot corrupt partition: {reason}")
+        if worst.deviation > EQUIVALENCE_TOL:
+            raise EquivalenceError(
+                f"modes disagree by {worst.deviation:.3e} at {worst} (tolerance {EQUIVALENCE_TOL:.0e})",
+                worst=worst,
+            )
+        checked.append((config, pyramid, params, worst.deviation))
+
+    comparisons = []
+    for config, pyramid, params, deviation in checked:
+        reports = []
+        for mode in ("naive", "simplified"):
+            for _ in range(warmup):
+                weave_forward(pyramid, config, params, mode)
+            times = []
+            for _ in range(reps):
+                start = time.perf_counter()
+                weave_forward(pyramid, config, params, mode)
+                times.append(time.perf_counter() - start)
+            reports.append(BenchReport(mode, config, warmup, reps, tuple(times), flops_weave(config, mode)))
+        comparisons.append(ModeComparison(*reports, worst_deviation=deviation))
+    return comparisons
 
 
 DATA_COLUMNS = (

@@ -139,22 +139,15 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     config = _load(args)
     base = config.weave_config()
-    if config.corrupt_block is not None and config.corrupt_block[1] > max(SWEEP_T):
-        scale, t = config.corrupt_block
-        raise ValidationError(
-            f"cannot corrupt partition: scale {scale} has no iteration {t} at any sweep T (largest {max(SWEEP_T)})"
-        )
+    configs = [replace(base, k=k, iterations=t) for k in BENCH_SWEEP_K for t in SWEEP_T]
     data_rows = []
     timing_rows = []
     ratio_rows = []
-    for k in BENCH_SWEEP_K:
-        for t in SWEEP_T:
-            cfg = replace(base, k=k, iterations=t)
-            cmp = bench_mod.compare_modes(cfg, args.warmup, args.reps, config.corrupt_block)
-            for report, ratio in ((cmp.naive, 1.0), (cmp.simplified, cmp.flop_ratio)):
-                data_rows.append(bench_mod.data_row(report, ratio, cmp.worst_deviation))
-                timing_rows.append(bench_mod.timing_row(report))
-            ratio_rows.append(bench_mod.ratio_row(cmp))
+    for cmp in bench_mod.compare_modes(configs, args.warmup, args.reps, config.corrupt_block):
+        for report, ratio in ((cmp.naive, 1.0), (cmp.simplified, cmp.flop_ratio)):
+            data_rows.append(bench_mod.data_row(report, ratio, cmp.worst_deviation))
+            timing_rows.append(bench_mod.timing_row(report))
+        ratio_rows.append(bench_mod.ratio_row(cmp))
     data_rows.append(bench_mod.baseline_row())
 
     print(format_table(list(bench_mod.DATA_COLUMNS), data_rows))

@@ -163,14 +163,9 @@ class WeaveConfig:
         """Scale receives upsampled messages from the coarser scale above it."""
         return self.enable_top_down and self.is_woven(scale) and self.is_woven(scale + 1)
 
-    def emits_up(self, scale: int) -> bool:
-        return self.enable_bottom_up and self.is_woven(scale) and self.is_woven(scale + 1)
-
-    def emits_down(self, scale: int) -> bool:
-        return self.enable_top_down and self.is_woven(scale) and self.is_woven(scale - 1)
-
     def emitted_directions(self, scale: int) -> int:
-        return int(self.emits_up(scale)) + int(self.emits_down(scale))
+        """Message directions scale sends: up to the coarser neighbour, down to the finer one."""
+        return int(self.receives_up(scale + 1)) + int(self.receives_down(scale - 1))
 
     def state_layout(self, scale: int, t: int) -> tuple[int, int, int]:
         """(up, raw, down) channel counts of scale's state after t iterations."""

@@ -6,18 +6,15 @@ from weavenet.bench import (
     EQUIVALENCE_TOL,
     DATA_COLUMNS,
     TIMING_COLUMNS,
-    BenchReport,
-    ModeComparison,
     check_modes,
     compare_modes,
     data_row,
     masks_label,
-    run_bench,
     timing_row,
 )
 from weavenet.errors import EquivalenceError, ValidationError
 from weavenet.fixtures import make_raw_pyramid
-from weavenet.weave import WeaveConfig, flops_weave, init_params, weave_forward
+from weavenet.weave import WeaveConfig, flops_weave, init_params
 
 
 def tiny_config(**overrides) -> WeaveConfig:
@@ -33,15 +30,11 @@ def tiny_config(**overrides) -> WeaveConfig:
     return WeaveConfig(**base)
 
 
-def inputs(cfg: WeaveConfig) -> dict:
-    """run_bench's params and pyramid, as compare_modes draws them."""
-    return dict(params=init_params(cfg), pyramid=make_raw_pyramid(cfg, BENCH_STREAM))
-
-
-class TestRunBench:
+class TestBenchReport:
     def test_single_sample_report(self):
         cfg = tiny_config()
-        report = run_bench(cfg, "simplified", warmup=0, reps=1, **inputs(cfg))
+        (cmp,) = compare_modes([cfg], warmup=0, reps=1)
+        report = cmp.simplified
         assert len(report.times) == 1
         assert report.warmup == 0 and report.reps == 1
         assert report.mode == "simplified"
@@ -52,17 +45,9 @@ class TestRunBench:
 
     def test_flops_identical_across_runs(self):
         cfg = tiny_config()
-        a = run_bench(cfg, "naive", warmup=0, reps=2, **inputs(cfg))
-        b = run_bench(cfg, "naive", warmup=0, reps=2, **inputs(cfg))
+        a, b = (compare_modes([cfg], warmup=0, reps=2)[0].naive for _ in range(2))
         assert a.flops == b.flops
         assert a.flops.total == b.flops.total
-
-    def test_measurement_never_alters_outputs(self):
-        cfg = tiny_config()
-        report = run_bench(cfg, "naive", warmup=1, reps=2, **inputs(cfg))
-        fresh = weave_forward(make_raw_pyramid(cfg, BENCH_STREAM), cfg, init_params(cfg), "naive")
-        for a, b in zip(report.outputs, fresh):
-            assert np.array_equal(a.data, b.data)
 
     def test_bench_pyramid_keeps_its_seed_stream(self):
         cfg = tiny_config()
@@ -78,7 +63,7 @@ class TestRunBench:
 
     def test_stddev_and_throughput_formulas(self):
         cfg = tiny_config(iterations=1)
-        report = run_bench(cfg, "simplified", warmup=0, reps=3, **inputs(cfg))
+        report = compare_modes([cfg], warmup=0, reps=3)[0].simplified
         times = np.array(report.times)
         assert report.mean_time == pytest.approx(times.mean(), rel=1e-12)
         assert report.stddev_time == pytest.approx(times.std(), rel=1e-9)
@@ -88,33 +73,31 @@ class TestRunBench:
             report.flops.total * report.throughput, rel=1e-12
         )
 
-    def test_rejects_bad_counts(self):
-        cfg = tiny_config()
-        with pytest.raises(ValidationError):
-            run_bench(cfg, "naive", reps=0, **inputs(cfg))
-        with pytest.raises(ValidationError):
-            run_bench(cfg, "naive", warmup=-1, **inputs(cfg))
-        with pytest.raises(ValidationError):
-            run_bench(cfg, "fast", **inputs(cfg))
+    def test_rejects_bad_counts_before_any_pass(self, bench_passes):
+        with pytest.raises(ValidationError, match="^reps must be >= 1, got 0$"):
+            compare_modes([tiny_config()], reps=0)
+        with pytest.raises(ValidationError, match="^warmup must be >= 0, got -1$"):
+            compare_modes([tiny_config()], warmup=-1)
+        assert bench_passes == []
 
 
 class TestCompareModes:
     def test_equivalence_gate_and_ratios(self):
         cfg = tiny_config(iterations=3)
-        cmp = compare_modes(cfg, warmup=0, reps=1)
+        (cmp,) = compare_modes([cfg], warmup=0, reps=1)
         assert cmp.worst_deviation <= EQUIVALENCE_TOL
         assert cmp.flop_ratio > 1.0
         assert cmp.time_ratio > 0.0
         assert cmp.naive.flops.total > cmp.simplified.flops.total
 
     def test_single_iteration_flop_ratio_is_one(self):
-        cmp = compare_modes(tiny_config(iterations=1), warmup=0, reps=1)
+        (cmp,) = compare_modes([tiny_config(iterations=1)], warmup=0, reps=1)
         assert cmp.flop_ratio == 1.0
 
     def test_corrupted_partition_aborts_with_location(self):
         cfg = tiny_config(iterations=2)
         with pytest.raises(EquivalenceError) as err:
-            compare_modes(cfg, warmup=0, reps=1, corrupt_block=(1, 2))
+            compare_modes([cfg], warmup=0, reps=1, corrupt_block=(1, 2))
         worst = err.value.worst
         assert worst is not None
         assert worst.deviation > EQUIVALENCE_TOL
@@ -122,7 +105,23 @@ class TestCompareModes:
 
     def test_corrupt_block_below_first_iteration_is_refused(self):
         with pytest.raises(ValidationError, match="^cannot corrupt partition: scale 1 has no iteration 0$"):
-            compare_modes(tiny_config(iterations=2), warmup=0, reps=1, corrupt_block=(1, 0))
+            compare_modes([tiny_config(iterations=2)], warmup=0, reps=1, corrupt_block=(1, 0))
+
+    def test_corrupt_block_past_every_config_is_refused_before_any_pass(self, bench_passes):
+        configs = [tiny_config(iterations=1), tiny_config(iterations=2)]
+        message = "^cannot corrupt partition: scale 1 has no iteration 3 at any sweep T \\(largest 2\\)$"
+        with pytest.raises(ValidationError, match=message):
+            compare_modes(configs, warmup=0, reps=1, corrupt_block=(1, 3))
+        assert bench_passes == []
+
+    def test_every_check_pass_runs_before_the_first_timed_pass(self, bench_passes):
+        # the block is past T=1, so that config checks clean; T=2 then disagrees
+        configs = [tiny_config(iterations=1), tiny_config(iterations=2)]
+        with pytest.raises(EquivalenceError):
+            compare_modes(configs, warmup=0, reps=1, corrupt_block=(1, 2))
+        assert [(c[1].iterations, c[3]) for c in bench_passes] == [
+            (1, "naive"), (1, "simplified"), (2, "naive"), (2, "simplified")
+        ]
 
     def test_check_modes_returns_the_clean_params(self):
         cfg = tiny_config(iterations=2)
@@ -145,7 +144,7 @@ class TestCompareModes:
         assert worst.deviation <= EQUIVALENCE_TOL
 
     def test_zero_iterations_ratio_is_one(self):
-        cmp = compare_modes(tiny_config(iterations=0), warmup=0, reps=1)
+        (cmp,) = compare_modes([tiny_config(iterations=0)], warmup=0, reps=1)
         assert cmp.flop_ratio == 1.0
         assert cmp.worst_deviation == 0.0
 
@@ -161,14 +160,13 @@ class TestLabelsAndRows:
 
     def test_data_row_is_deterministic_and_aligned(self):
         cfg = tiny_config()
-        a = run_bench(cfg, "naive", warmup=0, reps=1, **inputs(cfg))
-        b = run_bench(cfg, "naive", warmup=0, reps=1, **inputs(cfg))
+        a, b = (compare_modes([cfg], warmup=0, reps=1)[0].naive for _ in range(2))
         assert data_row(a, 1.5, 0.0) == data_row(b, 1.5, 0.0)
         assert len(data_row(a, 1.5, 0.0)) == len(DATA_COLUMNS)
 
     def test_timing_row_shape(self):
         cfg = tiny_config()
-        report = run_bench(cfg, "simplified", warmup=0, reps=2, **inputs(cfg))
+        report = compare_modes([cfg], warmup=0, reps=2)[0].simplified
         row = timing_row(report)
         assert row[0] == "simplified"
         assert len(row) == len(TIMING_COLUMNS) == 10

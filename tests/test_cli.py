@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import weavenet
-from weavenet import bench, formats, pipeline, tensor_core
+from weavenet import formats, pipeline, tensor_core
 from weavenet.bench import RATIO_COLUMNS, TIMING_COLUMNS
 from weavenet.cli import main
 from weavenet.config import (
@@ -1193,7 +1193,7 @@ class TestBenchCommand:
             ("--bottom-up-only", "scale 2 runs no block"),
         ],
     )
-    def test_uncorruptible_block_is_refused(self, tmp_path, capsys, flag, reason):
+    def test_uncorruptible_block_is_refused(self, tmp_path, capsys, bench_passes, flag, reason):
         # scale 2 is the coarsest woven scale: it sends only down-messages and receives only up-messages
         cfg = {
             "pyramid_sizes": [8, 4, 2, 1], "raw_channels": [4, 4, 4, 4], "woven_scales": [0, 1, 2],
@@ -1201,9 +1201,13 @@ class TestBenchCommand:
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        code = main(["bench", "--config", str(path), flag, "--warmup", "0", "--reps", "1"])
+        code = main(["bench", "--config", str(path), flag])
         assert code == 1
         assert capsys.readouterr().err == f"error: cannot corrupt partition: {reason}\n"
+        # only the check pairs of k=16 at T=1 (block past T, run clean) and T=3 (refused); no timed pass
+        assert [(a[1].k, a[1].iterations, a[3]) for a in bench_passes] == [
+            (16, 1, "naive"), (16, 1, "simplified"), (16, 3, "naive"), (16, 3, "simplified")
+        ]
 
     def test_ratio_table_follows_timing_table(self, tiny_config, tmp_path, capsys):
         timing = str(tmp_path / "timing.csv")
@@ -1227,23 +1231,30 @@ class TestBenchCommand:
         assert [line.split(",")[6] for line in lines[1::2]] == [r[2] for r in rows]
         assert [line.split(",")[6] for line in lines[2::2]] == [r[3] for r in rows]
 
-    def test_block_past_the_sweep_is_refused_before_any_pass(self, tmp_path, capsys, monkeypatch):
-        # every sweep T (1, 3, 5) is below 6, so no sweep point would corrupt the block
+    @pytest.mark.parametrize(
+        "block,counts,message",
+        [
+            # every sweep T (1, 3, 5) is below 6, so no sweep point would corrupt the block
+            ([1, 6], ["--warmup", "0", "--reps", "1"],
+             "cannot corrupt partition: scale 1 has no iteration 6 at any sweep T (largest 5)"),
+            ([1, 2], ["--warmup", "0", "--reps", "0"], "reps must be >= 1, got 0"),
+            ([1, 2], ["--warmup", "-1", "--reps", "1"], "warmup must be >= 0, got -1"),
+        ],
+        ids=["past-the-sweep", "reps-0", "warmup-negative"],
+    )
+    def test_block_past_the_sweep_is_refused_before_any_pass(
+        self, tmp_path, capsys, bench_passes, block, counts, message
+    ):
         cfg = {
             "pyramid_sizes": [8, 4, 2, 1], "raw_channels": [4, 4, 4, 4], "woven_scales": [0, 1, 2],
-            "corrupt_block": [1, 6],
+            "corrupt_block": block,
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        calls = []
-        real = bench.weave_forward
-        monkeypatch.setattr(bench, "weave_forward", lambda *a: calls.append(a) or real(*a))
-        code = main(["bench", "--config", str(path), "--warmup", "0", "--reps", "1"])
+        code = main(["bench", "--config", str(path), *counts])
         captured = capsys.readouterr()
-        assert (code, captured.out, len(calls)) == (1, "", 0)
-        assert captured.err == (
-            "error: cannot corrupt partition: scale 1 has no iteration 6 at any sweep T (largest 5)\n"
-        )
+        assert (code, captured.out, len(bench_passes)) == (1, "", 0)
+        assert captured.err == f"error: {message}\n"
 
     def test_batch_flag_is_gone(self, tiny_config, capsys):
         code = main(["bench", "--config", tiny_config, "--warmup", "0", "--reps", "1", "--batch", "2"])

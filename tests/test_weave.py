@@ -146,8 +146,9 @@ class TestWeaveConfig:
         assert [cfg.emitted_directions(i) for i in range(6)] == [1, 2, 2, 1, 0, 0]
         assert cfg.receives_down(0) and not cfg.receives_up(0)
         assert cfg.receives_up(3) and not cfg.receives_down(3)
-        assert cfg.emits_up(0) and not cfg.emits_down(0)
-        assert cfg.emits_down(3) and not cfg.emits_up(3)
+        # scale 0 sends only up (scale 1 receives it), scale 3 only down (scale 2 receives it)
+        assert cfg.emitted_directions(0) == 1 and cfg.receives_up(1) and not cfg.receives_down(-1)
+        assert cfg.emitted_directions(3) == 1 and cfg.receives_down(2) and not cfg.receives_up(4)
 
     def test_masks_remove_directions(self):
         td = WeaveConfig(enable_bottom_up=False)
