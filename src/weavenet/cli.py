@@ -1,6 +1,9 @@
 """Command-line surface: verify, demo, eval, bench, fixtures.
 
 Exit codes: 0 success, 1 validation or verification failure, 2 I/O error.
+
+`bench`, `pipeline` and `fixtures` are imported by the commands that run
+them, not here, so importing the CLI (or running `eval`) does not load them.
 """
 
 from __future__ import annotations
@@ -10,12 +13,10 @@ import functools
 import sys
 from dataclasses import replace
 
-from . import bench as bench_mod
 from .config import RunConfig, apply_overrides, load_config
 from .detect import ANCHOR_MODES
 from .errors import EquivalenceError, ValidationError
 from .evaluation import ALL_STRATA, evaluate
-from .fixtures import make_raw_pyramid, write_fixtures
 from .formats import (
     format_table,
     read_detection_table,
@@ -23,7 +24,6 @@ from .formats import (
     write_csv,
     write_detections,
 )
-from .pipeline import run_demo
 from .tensor_core import exactness_probe
 from .weave import DIRECTION_MASKS, MODES
 
@@ -49,6 +49,9 @@ def _load(args) -> RunConfig:
 
 
 def cmd_verify(args) -> int:
+    from . import bench as bench_mod
+    from .fixtures import make_raw_pyramid
+
     config = _load(args)
     mismatch = exactness_probe()
     if mismatch is not None:
@@ -90,6 +93,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .pipeline import run_demo
+
     config = _load(args)
     records = run_demo(config, refine=not args.no_refine, mode=args.mode)
     write_detections(args.out, records)
@@ -137,6 +142,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     config = _load(args)
     base = config.weave_config()
     configs = [replace(base, k=k, iterations=t) for k in BENCH_SWEEP_K for t in SWEEP_T]
@@ -165,6 +172,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from .fixtures import write_fixtures
+
     config = _load(args)
     paths = write_fixtures(config, args.out)
     for p in paths:

@@ -82,19 +82,21 @@ def make_detections(gts: list[GroundTruth], seed: int) -> list[DetectionRecord]:
 
 def write_fixtures(config: RunConfig, out_dir: str) -> list[str]:
     """Write pyramid arrays plus matching GT and detection files, all drawn
-    from config.seed; returns paths."""
+    from config.seed; returns paths. Everything is built, and so checked,
+    before the first file is written."""
+    pyramid = make_raw_pyramid(config)
+    gts = make_ground_truth(config.seed, config.input_size)
+    dets = make_detections(gts, config.seed)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    pyramid = make_raw_pyramid(config)
     for i, tensor in enumerate(pyramid):
         path = os.path.join(out_dir, f"pyramid_scale{i}.npy")
         np.save(path, tensor.data)
         paths.append(path)
-    gts = make_ground_truth(config.seed, config.input_size)
     gt_path = os.path.join(out_dir, "ground_truth.jsonl")
     write_ground_truth(gt_path, gts)
     paths.append(gt_path)
     det_path = os.path.join(out_dir, "detections.jsonl")
-    write_detections(det_path, make_detections(gts, config.seed))
+    write_detections(det_path, dets)
     paths.append(det_path)
     return paths

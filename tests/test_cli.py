@@ -1291,6 +1291,16 @@ class TestFixturesCommand:
         assert len(ga) == len(gb)
         assert ga != gb
 
+    def test_refused_run_writes_no_file(self, tmp_path, capsys):
+        # the six pyramid files used to be written before the boxes were checked
+        config = tmp_path / "c.json"
+        config.write_text('{"input_size": 100}')
+        fx = tmp_path / "fx"
+        assert main(["fixtures", "--config", str(config), "--out", str(fx)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: fixture box escapes the image: ") and captured.out == ""
+        assert not fx.exists()
+
 
 class TestExitCodes:
     def test_missing_config_is_io_error(self, capsys):

@@ -11,9 +11,16 @@ counts as read when a module of the package or a file under `benchmark/`
 does so, or names it in a string constant, as `benchmark/tracing.py` names
 the functions it wraps. Test modules do not count: code that only tests
 read is dead code.
+
+A fresh `import weavenet.cli` loads only the modules every command needs:
+`bench`, `pipeline` and `fixtures` load in the commands that run them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,3 +168,46 @@ def test_package_imports_are_found():
 @pytest.mark.parametrize("name", CORE_MODULES)
 def test_core_imports_only_errors_and_tensor_core(name):
     assert package_imports((PACKAGE / name).read_text(encoding="utf-8")) <= CORE_IMPORTS
+
+
+# What importing the CLI loads, and what each command (run in a directory
+# holding the files below) adds to it; `eval` adds nothing.
+CLI_IMPORTS = {"weavenet", "cli", "config", "detect", "errors", "evaluation", "formats", "tensor_core", "weave"}
+COMMAND_IMPORTS = [
+    (["eval", "dets.jsonl", "gt.jsonl"], set()),
+    (["demo", "--config", "config.json", "--out", "d.jsonl"], {"pipeline", "fixtures"}),
+    (["fixtures", "--config", "config.json", "--out", "fx"], {"fixtures"}),
+    (["verify", "--config", "config.json"], {"bench", "fixtures"}),
+    (["bench", "--config", "config.json", "--warmup", "0", "--reps", "1"], {"bench", "fixtures"}),
+]
+TINY_CONFIG = {"pyramid_sizes": [4, 2, 1], "raw_channels": [3, 3, 3], "woven_scales": [0, 1], "k": 2}
+BOX = '"class_id": 0, "xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2'
+
+LOADED = """
+import json, sys
+def loaded():
+    return sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "weavenet")
+from weavenet.cli import main
+before = loaded()
+code = main(sys.argv[1:])
+print(json.dumps([code, before, loaded()]))
+"""
+
+
+def modules_loaded(tmp_path, argv: list[str]) -> tuple[int, set[str], set[str]]:
+    """(exit code, weavenet modules after `import weavenet.cli`, after main(argv)),
+    in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv], capture_output=True, text=True, env=env, cwd=tmp_path, check=True
+    )
+    code, before, after = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(before), set(after)
+
+
+@pytest.mark.parametrize("argv,extra", COMMAND_IMPORTS, ids=[argv[0] for argv, _ in COMMAND_IMPORTS])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
+    (tmp_path / "gt.jsonl").write_text('{"image_id": "a", %s}\n' % BOX)
+    (tmp_path / "dets.jsonl").write_text('{"image_id": "a", "score": 0.5, %s}\n' % BOX)
+    assert modules_loaded(tmp_path, argv) == (0, CLI_IMPORTS, CLI_IMPORTS | extra)

@@ -1,4 +1,4 @@
-"""Golden bytes of `weavenet demo --out`.
+"""Golden bytes of `weavenet demo --out`, and the two fusion modes' detections.
 
 The digests were recorded from the scalar (one Python object per box)
 post-processing that the array pipeline replaced, so any change to the
@@ -10,8 +10,15 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weavenet.bench import EQUIVALENCE_TOL
 from weavenet.cli import main
+from weavenet.config import RunConfig
+from weavenet.detect import ANCHOR_MODES
+from weavenet.pipeline import run_demo
+from weavenet.weave import DIRECTION_MASKS
 
 # (seed, anchors, iterations, refine, mode, sha256 of the detections file)
 GOLDEN = [
@@ -60,3 +67,27 @@ def test_demo_bytes_match_golden(tmp_path, capsys, seed, anchors, iterations, re
         argv.append("--no-refine")
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    iterations=st.integers(0, 3),
+    anchors=st.sampled_from(ANCHOR_MODES),
+    masks=st.sampled_from(sorted(DIRECTION_MASKS)),
+)
+@settings(deadline=None, max_examples=20)
+def test_naive_and_simplified_demo_give_the_same_detections(seed, iterations, anchors, masks):
+    # the 1e-9 weave gate carried through heads, top-k, NMS and refinement:
+    # a near-tie flipped by the simplified sums would move or drop a detection
+    top_down, bottom_up = DIRECTION_MASKS[masks]
+    config = RunConfig(
+        seed=seed, iterations=iterations, anchor_mode=anchors,
+        enable_top_down=top_down, enable_bottom_up=bottom_up,
+    )
+    naive = run_demo(config, mode="naive")
+    simplified = run_demo(config, mode="simplified")
+    assert [d.class_id for d in naive] == [d.class_id for d in simplified]
+    for i, (a, b) in enumerate(zip(naive, simplified)):
+        assert abs(a.score - b.score) <= EQUIVALENCE_TOL, (i, a.score, b.score)
+        for field, x, y in zip(("xmin", "ymin", "xmax", "ymax"), a.box.coords(), b.box.coords()):
+            assert abs(x - y) <= EQUIVALENCE_TOL * config.input_size, (i, field, x, y)
