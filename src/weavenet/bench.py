@@ -8,11 +8,10 @@ precomputation included) on seeded synthetic pyramids.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EquivalenceError, MismatchLocation, ValidationError
+from .errors import EquivalenceError, MismatchLocation, Record, ValidationError
 from .fixtures import make_raw_pyramid
 from .tensor_core import ConvKernel, Tensor
 from .weave import (
@@ -39,20 +38,24 @@ def masks_label(config: WeaveConfig) -> str:
 BENCH_STREAM = 4
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(Record):
     """One mode's timing and analytic cost on a fixed config.
 
     times holds one wall-clock sample per repetition, each covering one
     forward pass.
     """
 
-    mode: str
-    config: WeaveConfig
-    warmup: int
-    reps: int
-    times: tuple[float, ...]
-    flops: WeaveFlops
+    __slots__ = ("mode", "config", "warmup", "reps", "times", "flops")
+
+    def __init__(
+        self, mode: str, config: WeaveConfig, warmup: int, reps: int, times: tuple[float, ...], flops: WeaveFlops
+    ):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "warmup", warmup)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "flops", flops)
 
     @property
     def total_time(self) -> float:
@@ -77,11 +80,13 @@ class BenchReport:
         return self.flops.total * self.throughput
 
 
-@dataclass(frozen=True)
-class ModeComparison:
-    naive: BenchReport
-    simplified: BenchReport
-    worst_deviation: float
+class ModeComparison(Record):
+    __slots__ = ("naive", "simplified", "worst_deviation")
+
+    def __init__(self, naive: BenchReport, simplified: BenchReport, worst_deviation: float):
+        object.__setattr__(self, "naive", naive)
+        object.__setattr__(self, "simplified", simplified)
+        object.__setattr__(self, "worst_deviation", worst_deviation)
 
     @property
     def flop_ratio(self) -> float:

@@ -8,11 +8,10 @@ score-weighted box refinement step applied after suppression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, finite_float, shown
+from .errors import Record, ValidationError, finite_float, shown
 from .tensor_core import ConvKernel, Tensor, conv3x3
 
 DEFAULT_SCALE_FRACTIONS = (0.1, 0.2, 0.375, 0.55, 0.725, 0.9)
@@ -36,16 +35,16 @@ def check_class_id(value) -> None:
         raise ValidationError(f"class_id must be a non-negative integer, got {shown(value)}")
 
 
-def check_scored(record) -> None:
+def checked_score(score, class_id) -> float:
     """The checks Detection and DetectionRecord share: class_id is an int >= 0,
-    not a bool, and score a finite real number, stored as a float."""
-    check_class_id(record.class_id)
-    if type(record.score) is not float or not math.isfinite(record.score):
-        object.__setattr__(record, "score", finite_float("score", record.score))
+    not a bool, and score a finite real number, returned as a float."""
+    check_class_id(class_id)
+    if type(score) is not float or not math.isfinite(score):
+        return finite_float("score", score)
+    return score
 
 
-@dataclass(frozen=True)
-class BBox:
+class BBox(Record):
     """Axis-aligned box in input-image coordinates.
 
     Coordinates must be finite real numbers and are stored as floats.
@@ -54,23 +53,21 @@ class BBox:
     an identical box.
     """
 
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
+    __slots__ = ("xmin", "ymin", "xmax", "ymax")
 
-    def __post_init__(self):
-        coords = self.coords()
+    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float):
+        coords = xmin, ymin, xmax, ymax
         if not all(type(c) is float and math.isfinite(c) for c in coords):
-            coords = tuple(map(finite_float, BOX_KEYS, coords))
-            for name, value in zip(BOX_KEYS, coords):
-                object.__setattr__(self, name, value)
-        xmin, ymin, xmax, ymax = coords
+            coords = xmin, ymin, xmax, ymax = tuple(map(finite_float, BOX_KEYS, coords))
         if xmin > xmax or ymin > ymax:
             raise ValidationError(f"box corners out of order: {coords}")
         width, height = xmax - xmin, ymax - ymin  # as the width and height properties
         if not (math.isfinite(width) and math.isfinite(height) and math.isfinite(2.0 * (width * height))):
             raise ValidationError(f"box too large: its width, height or twice its area overflows, got {coords}")
+        object.__setattr__(self, "xmin", xmin)
+        object.__setattr__(self, "ymin", ymin)
+        object.__setattr__(self, "xmax", xmax)
+        object.__setattr__(self, "ymax", ymax)
 
     @property
     def width(self) -> float:
@@ -92,18 +89,16 @@ class BBox:
         return self.xmin, self.ymin, self.xmax, self.ymax
 
 
-@dataclass(frozen=True)
-class Detection:
-    box: BBox
-    score: float
-    class_id: int
+class Detection(Record):
+    __slots__ = ("box", "score", "class_id")
 
-    def __post_init__(self):
-        check_scored(self)
+    def __init__(self, box: BBox, score: float, class_id: int):
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "score", checked_score(score, class_id))
+        object.__setattr__(self, "class_id", class_id)
 
 
-@dataclass(frozen=True)
-class AnchorSpec:
+class AnchorSpec(Record):
     """Per-scale anchor shape configuration.
 
     Mode A uses three aspect ratios on the outer scales and five on the
@@ -112,20 +107,21 @@ class AnchorSpec:
     fractions (the last scale pairs with 1.0).
     """
 
-    scale_fractions: tuple[float, ...]
-    ratios: tuple[tuple[float, ...], ...]
+    __slots__ = ("scale_fractions", "ratios")
 
-    def __post_init__(self):
-        if len(self.scale_fractions) != len(self.ratios):
+    def __init__(self, scale_fractions: tuple[float, ...], ratios: tuple[tuple[float, ...], ...]):
+        if len(scale_fractions) != len(ratios):
             raise ValidationError("scale_fractions and ratios lengths differ")
-        if any(s <= 0 for s in self.scale_fractions):
+        if any(s <= 0 for s in scale_fractions):
             raise ValidationError("scale fractions must be positive")
-        for a, b in zip(self.scale_fractions, self.scale_fractions[1:]):
+        for a, b in zip(scale_fractions, scale_fractions[1:]):
             if b <= a:
                 raise ValidationError("scale fractions must increase across levels")
-        for rs in self.ratios:
+        for rs in ratios:
             if not rs or any(r <= 0 for r in rs):
                 raise ValidationError("aspect ratios must be positive and non-empty")
+        object.__setattr__(self, "scale_fractions", scale_fractions)
+        object.__setattr__(self, "ratios", ratios)
 
     @classmethod
     def for_mode(cls, mode: str, num_scales: int = 6) -> AnchorSpec:

@@ -1,8 +1,8 @@
-"""Error types shared across the package, and the helpers that format
-the values their messages show."""
+"""Error types shared across the package, the helpers that format the
+values their messages show, and the base of the package's record types."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 
 class ValidationError(ValueError):
@@ -50,15 +50,54 @@ class EquivalenceError(RuntimeError):
         self.worst = worst
 
 
-@dataclass(frozen=True)
-class MismatchLocation:
+class Record:
+    """An immutable record: what a frozen dataclass gives, without the code a
+    dataclass generates for every class when its module is imported.
+
+    A record names its fields in `__slots__` and sets them in its own
+    `__init__` with object.__setattr__. Its repr shows its fields; it equals
+    an instance of its own class with equal fields, hashes by its fields,
+    and raises FrozenInstanceError on assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+
+class MismatchLocation(Record):
     """Worst-deviation coordinates reported by an equivalence check."""
 
-    scale: int
-    channel: int
-    y: int
-    x: int
-    deviation: float
+    __slots__ = ("scale", "channel", "y", "x", "deviation")
+
+    def __init__(self, scale: int, channel: int, y: int, x: int, deviation: float):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "deviation", deviation)
 
     def __str__(self) -> str:
         return f"scale {self.scale}, channel {self.channel}, y {self.y}, x {self.x}"

@@ -14,12 +14,11 @@ same code for lists of records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import BBox, block_rows, check_class_id, check_image_id, check_scored, iou_matrix
-from .errors import ValidationError, shown
+from .detect import BBox, block_rows, check_class_id, check_image_id, checked_score, iou_matrix
+from .errors import Record, ValidationError, shown
 
 SIZE_STRATA = ("small", "medium", "large")
 ALL_STRATA = SIZE_STRATA + ("overall",)
@@ -30,36 +29,34 @@ LABEL_NAMES = ("fp", "tp", "ignored")
 RECALL_LEVELS = np.array([level / 10 for level in range(11)])
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    image_id: str
-    box: BBox
-    class_id: int
-    ignored: bool = False
+class GroundTruth(Record):
+    __slots__ = ("image_id", "box", "class_id", "ignored")
 
-    def __post_init__(self):
-        check_image_id(self.image_id)
-        check_class_id(self.class_id)
-        if not isinstance(self.ignored, bool):
-            raise ValidationError(f"ignored must be a boolean, got {shown(self.ignored)}")
-        if self.box.area <= 0.0:
-            raise ValidationError(f"ground-truth box must have positive area, got {self.box}")
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    image_id: str
-    box: BBox
-    score: float
-    class_id: int
-
-    def __post_init__(self):
-        check_image_id(self.image_id)
-        check_scored(self)
+    def __init__(self, image_id: str, box: BBox, class_id: int, ignored: bool = False):
+        check_image_id(image_id)
+        check_class_id(class_id)
+        if not isinstance(ignored, bool):
+            raise ValidationError(f"ignored must be a boolean, got {shown(ignored)}")
+        if box.area <= 0.0:
+            raise ValidationError(f"ground-truth box must have positive area, got {box}")
+        object.__setattr__(self, "image_id", image_id)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "class_id", class_id)
+        object.__setattr__(self, "ignored", ignored)
 
 
-@dataclass(frozen=True)
-class BoxTable:
+class DetectionRecord(Record):
+    __slots__ = ("image_id", "box", "score", "class_id")
+
+    def __init__(self, image_id: str, box: BBox, score: float, class_id: int):
+        check_image_id(image_id)
+        object.__setattr__(self, "image_id", image_id)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "score", checked_score(score, class_id))
+        object.__setattr__(self, "class_id", class_id)
+
+
+class BoxTable(Record):
     """Detections or ground truth as columns; row i is record i.
 
     image_id and class_id are lists of str and int, so class ids keep any
@@ -69,11 +66,21 @@ class BoxTable:
     only from values that the record types accept.
     """
 
-    image_id: list[str]
-    class_id: list[int]
-    boxes: np.ndarray
-    score: np.ndarray | None = None
-    ignored: np.ndarray | None = None
+    __slots__ = ("image_id", "class_id", "boxes", "score", "ignored")
+
+    def __init__(
+        self,
+        image_id: list[str],
+        class_id: list[int],
+        boxes: np.ndarray,
+        score: np.ndarray | None = None,
+        ignored: np.ndarray | None = None,
+    ):
+        object.__setattr__(self, "image_id", image_id)
+        object.__setattr__(self, "class_id", class_id)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "ignored", ignored)
 
     def __len__(self) -> int:
         return len(self.image_id)
@@ -92,20 +99,30 @@ def ground_truth_table(records: list[GroundTruth]) -> BoxTable:
     return _table(records, ignored=np.array([r.ignored for r in records], dtype=bool))
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """Per-class AP by stratum, stratum mAPs, and bookkeeping counts.
 
     ap[stratum][class_id] is None when that class has no scorable box in
     the stratum; such classes are excluded from the stratum's mAP.
     """
 
-    ap: dict[str, dict[int, float | None]]
-    mean_ap: dict[str, float]
-    gt_count: int
-    det_count: int
-    positives: dict[str, dict[int, int]]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("ap", "mean_ap", "gt_count", "det_count", "positives", "notes")
+
+    def __init__(
+        self,
+        ap: dict[str, dict[int, float | None]],
+        mean_ap: dict[str, float],
+        gt_count: int,
+        det_count: int,
+        positives: dict[str, dict[int, int]],
+        notes: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "ap", ap)
+        object.__setattr__(self, "mean_ap", mean_ap)
+        object.__setattr__(self, "gt_count", gt_count)
+        object.__setattr__(self, "det_count", det_count)
+        object.__setattr__(self, "positives", positives)
+        object.__setattr__(self, "notes", notes)
 
     def classes(self) -> list[int]:
         return sorted(self.ap["overall"])

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import MismatchLocation, ValidationError, shown
+from .errors import MismatchLocation, Record, ValidationError, shown
 from .tensor_core import (
     ConvKernel,
     Tensor,
@@ -197,17 +197,22 @@ class Kernels(tuple):
 Params = dict[int, tuple[ConvKernel, ...]]
 
 
-@dataclass(frozen=True, eq=False)
-class ScaleState:
+class ScaleState(Record):
     """One scale's state after t iterations.
 
     data is a read-only view into the scale's state buffer, channels in the
-    canonical order; the view never changes once made.
+    canonical order; the view never changes once made. States compare and
+    hash by identity.
     """
 
-    scale: int
-    t: int
-    data: np.ndarray
+    __slots__ = ("scale", "t", "data")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, scale: int, t: int, data: np.ndarray):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "data", data)
 
     @property
     def channels(self) -> int:
@@ -427,7 +432,8 @@ def compare_outputs(a: list[Tensor], b: list[Tensor]) -> MismatchLocation:
     for scale, (ta, tb) in enumerate(zip(a, b)):
         if ta.shape != tb.shape:
             raise ValidationError(f"scale {scale}: shape mismatch {ta.shape} vs {tb.shape}")
-        diff = np.abs(ta.data - tb.data)
+        diff = ta.data - tb.data
+        np.abs(diff, out=diff)
         dev = float(diff.max())
         if dev > worst.deviation or worst.scale < 0:
             c, y, x = np.unravel_index(int(diff.argmax()), diff.shape)
@@ -442,12 +448,14 @@ def conv_flops(cin: int, cout: int, height: int, width: int) -> int:
     return 2 * cin * cout * 9 * height * width
 
 
-@dataclass(frozen=True)
-class WeaveFlops:
+class WeaveFlops(Record):
     """Exact analytic FLOP figures of one forward pass."""
 
-    per_iteration: tuple[int, ...]
-    precompute: int
+    __slots__ = ("per_iteration", "precompute")
+
+    def __init__(self, per_iteration: tuple[int, ...], precompute: int):
+        object.__setattr__(self, "per_iteration", per_iteration)
+        object.__setattr__(self, "precompute", precompute)
 
     @property
     def total(self) -> int:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -417,7 +416,8 @@ class TestEvaluate:
             total = 0
             for stratum in ("small", "medium", "large"):
                 view = [
-                    replace(g, ignored=label != stratum) for g, label in zip(gts, labels)
+                    GroundTruth(g.image_id, g.box, g.class_id, ignored=label != stratum)
+                    for g, label in zip(gts, labels)
                 ]
                 cls_gts = [g for g in view if g.class_id == cls]
                 marks = match_detections(cls_dets, cls_gts)
@@ -569,7 +569,7 @@ def list_evaluate(dets, gts, iou_threshold=0.5):
             view = gts
         else:
             view = [
-                replace(g, ignored=g.ignored or label != stratum)
+                GroundTruth(g.image_id, g.box, g.class_id, ignored=g.ignored or label != stratum)
                 for g, label in zip(gts, strata_labels)
             ]
         ap[stratum], positives[stratum] = {}, {}

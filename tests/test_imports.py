@@ -13,7 +13,8 @@ the functions it wraps. Test modules do not count: code that only tests
 read is dead code.
 
 A fresh `import weavenet.cli` loads only the modules every command needs:
-`bench`, `pipeline` and `fixtures` load in the commands that run them.
+`bench`, `pipeline` and `fixtures` load in the commands that run them. Only
+the two config classes are dataclasses.
 """
 
 import ast
@@ -168,6 +169,38 @@ def test_package_imports_are_found():
 @pytest.mark.parametrize("name", CORE_MODULES)
 def test_core_imports_only_errors_and_tensor_core(name):
     assert package_imports((PACKAGE / name).read_text(encoding="utf-8")) <= CORE_IMPORTS
+
+
+# A dataclass generates and compiles its methods when its module is
+# imported, so records derive from errors.Record instead. The two configs
+# stay dataclasses: `fields()` drives their type checks, and
+# `dataclasses.replace` derives one config from another.
+DATACLASSES = {"config.py": ["RunConfig"], "weave.py": ["WeaveConfig"]}
+
+
+def dataclasses_defined(source: str) -> list[str]:
+    """The classes a module decorates with `dataclass` or `dataclasses.dataclass`, called or not."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+                    names.append(node.name)
+    return names
+
+
+def test_a_dataclass_is_found():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n@dataclass\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    pass\n@other\nclass C:\n    pass\n"
+    )
+    assert dataclasses_defined(source) == ["A", "B"]
+
+
+def test_only_the_configs_are_dataclasses():
+    found = {path.name: dataclasses_defined(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: classes for name, classes in found.items() if classes} == DATACLASSES
 
 
 # What importing the CLI loads, and what each command (run in a directory
