@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .detect import AnchorSpec
+from .detect import anchor_ratios
 from .errors import ValidationError, finite_float, shown
 from .weave import DIRECTION_MASKS, WeaveConfig
 
@@ -50,10 +50,10 @@ class RunConfig(WeaveConfig):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {shown(v)}")
-        spec = AnchorSpec.for_mode(self.anchor_mode)  # the default scales hold the widest cell
+        ratios = anchor_ratios(self.anchor_mode)  # the default scales hold the widest cell
         if self.num_classes < 1:
             raise ValidationError(f"num_classes must be positive, got {shown(self.num_classes)}")
-        head = (self.num_classes + 1) * max(map(spec.anchors_per_cell, range(len(spec.ratios))))
+        head = (self.num_classes + 1) * (max(map(len, ratios)) + 1)
         if head > MAX_HEAD_CHANNELS:
             raise ValidationError(
                 f"head width (num_classes + 1) x anchors per cell is {shown(head)}, above the cap of "

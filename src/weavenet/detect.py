@@ -98,70 +98,41 @@ class Detection(Record):
         object.__setattr__(self, "class_id", class_id)
 
 
-class AnchorSpec(Record):
-    """Per-scale anchor shape configuration.
+def anchor_ratios(mode: str, num_scales: int = len(DEFAULT_SCALE_FRACTIONS)) -> tuple[tuple[float, ...], ...]:
+    """Each scale's aspect ratios under anchor_mode; a cell holds len(ratios) + 1 anchors.
 
     Mode A uses three aspect ratios on the outer scales and five on the
     middle ones; mode B uses the same five ratios at every scale. Both add
     one extra square anchor at the geometric mean of adjacent scale
     fractions (the last scale pairs with 1.0).
     """
-
-    __slots__ = ("scale_fractions", "ratios")
-
-    def __init__(self, scale_fractions: tuple[float, ...], ratios: tuple[tuple[float, ...], ...]):
-        if len(scale_fractions) != len(ratios):
-            raise ValidationError("scale_fractions and ratios lengths differ")
-        if any(s <= 0 for s in scale_fractions):
-            raise ValidationError("scale fractions must be positive")
-        for a, b in zip(scale_fractions, scale_fractions[1:]):
-            if b <= a:
-                raise ValidationError("scale fractions must increase across levels")
-        for rs in ratios:
-            if not rs or any(r <= 0 for r in rs):
-                raise ValidationError("aspect ratios must be positive and non-empty")
-        object.__setattr__(self, "scale_fractions", scale_fractions)
-        object.__setattr__(self, "ratios", ratios)
-
-    @classmethod
-    def for_mode(cls, mode: str, num_scales: int = 6) -> AnchorSpec:
-        fractions = DEFAULT_SCALE_FRACTIONS[:num_scales]
-        if len(fractions) != num_scales:
-            raise ValidationError(f"no default scale fractions for {num_scales} scales")
-        if mode == "A":
-            ratios = tuple(
-                _MODE_A_LONG if 0 < i < num_scales - 2 else _MODE_A_SHORT
-                for i in range(num_scales)
-            )
-        elif mode == "B":
-            ratios = (_MODE_B_RATIOS,) * num_scales
-        else:
-            raise ValidationError(f"anchor_mode must be one of {ANCHOR_MODES}, got {mode!r}")
-        return cls(scale_fractions=fractions, ratios=ratios)
-
-    def anchors_per_cell(self, scale: int) -> int:
-        return len(self.ratios[scale]) + 1
+    if num_scales > len(DEFAULT_SCALE_FRACTIONS):
+        raise ValidationError(f"no default scale fractions for {num_scales} scales")
+    if mode == "A":
+        return tuple(_MODE_A_LONG if 0 < i < num_scales - 2 else _MODE_A_SHORT for i in range(num_scales))
+    if mode == "B":
+        return (_MODE_B_RATIOS,) * num_scales
+    raise ValidationError(f"anchor_mode must be one of {ANCHOR_MODES}, got {shown(mode)}")
 
 
-def anchor_array(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_size: int) -> np.ndarray:
+def anchor_array(mode: str, pyramid_sizes: tuple[int, ...], input_size: int) -> np.ndarray:
     """All anchors as an (N, 4) array of (xmin, ymin, xmax, ymax) rows.
 
     Rows are ordered scale-major, then row-major over cells, then ratio.
-    Each cell's anchors are the listed ratios in order followed by the extra
-    geometric-mean square box; anchors are centered at cell centers and are
-    not clipped.
+    Each cell's anchors are the scale's anchor_ratios in order followed by
+    the extra geometric-mean square box; anchors are centered at cell
+    centers and are not clipped.
     """
-    if len(pyramid_sizes) != len(spec.scale_fractions):
-        raise ValidationError("pyramid_sizes and anchor spec scale counts differ")
+    ratios = anchor_ratios(mode, len(pyramid_sizes))
     blocks = [np.empty((0, 4))]
-    fractions = spec.scale_fractions
+    fractions = DEFAULT_SCALE_FRACTIONS[: len(pyramid_sizes)]
     for scale, fm in enumerate(pyramid_sizes):
         s = fractions[scale]
         s_next = fractions[scale + 1] if scale + 1 < len(fractions) else 1.0
         side = math.sqrt(s * s_next) * input_size
         shapes = [
             (s * input_size * math.sqrt(r), s * input_size / math.sqrt(r))
-            for r in spec.ratios[scale]
+            for r in ratios[scale]
         ] + [(side, side)]
         half_w, half_h = np.array(shapes).T / 2
         centers = (np.arange(fm) + 0.5) / fm * input_size
@@ -171,9 +142,9 @@ def anchor_array(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_size: i
     return np.concatenate(blocks)
 
 
-def generate_anchors(spec: AnchorSpec, pyramid_sizes: tuple[int, ...], input_size: int) -> list[BBox]:
+def generate_anchors(mode: str, pyramid_sizes: tuple[int, ...], input_size: int) -> list[BBox]:
     """anchor_array as one BBox per anchor, in the same order."""
-    return [BBox(*row) for row in anchor_array(spec, pyramid_sizes, input_size).tolist()]
+    return [BBox(*row) for row in anchor_array(mode, pyramid_sizes, input_size).tolist()]
 
 
 def init_head_params(
@@ -215,7 +186,7 @@ def head_forward(
     kernel holds the 4*A location rows, then the (C+1)*A confidence rows.
     Returns (offsets of shape (H*W*A, 4), scores of shape (H*W*A, C+1));
     rows are ordered row-major over cells then by anchor, matching
-    generate_anchors within the scale. Scores are the normalized
+    anchor_array within the scale. Scores are the normalized
     exponential of the confidence logits per anchor.
 
     conv3x3 computes output channels independently, so the one convolution
@@ -320,7 +291,7 @@ def iou(a: BBox, b: BBox) -> float:
 
 
 # Elements of one block of pairwise overlaps (8 bytes each); nms_rows,
-# refine_rows and evaluation.match_detections take as many rows per block as
+# refine_rows and evaluation._match take as many rows per block as
 # fit, at least one, so their memory stays flat however many boxes they get.
 # 2^14 (128 KiB a buffer) stays in a 2 MiB L2 cache; NMS measured 9-18% slower at 2^16 and 2^13.
 IOU_BLOCK_ELEMENTS = 1 << 14

@@ -13,9 +13,9 @@ import numpy as np
 
 from .config import RunConfig
 from .detect import (
-    AnchorSpec,
     BBox,
     anchor_array,
+    anchor_ratios,
     check_offsets,
     decode_boxes,
     head_forward,
@@ -34,12 +34,11 @@ IMAGE_ID = "synthetic-0"
 def run_demo(config: RunConfig, refine: bool = True, mode: str = "simplified") -> list[DetectionRecord]:
     """Detections for the seeded synthetic image that `config` describes."""
     num_scales = len(config.pyramid_sizes)
-    spec = AnchorSpec.for_mode(config.anchor_mode, num_scales=num_scales)
+    per_cell = [len(r) + 1 for r in anchor_ratios(config.anchor_mode, num_scales)]
     pyramid = make_raw_pyramid(config)
     states = weave_forward(pyramid, config, init_params(config), mode)
 
-    anchors = anchor_array(spec, config.pyramid_sizes, config.input_size)
-    per_cell = [spec.anchors_per_cell(i) for i in range(num_scales)]
+    anchors = anchor_array(config.anchor_mode, config.pyramid_sizes, config.input_size)
     state_channels = [config.state_channels(i, config.iterations) for i in range(num_scales)]
     heads = init_head_params(state_channels, per_cell, config.num_classes, config.seed)
 

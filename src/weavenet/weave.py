@@ -359,7 +359,7 @@ def weave_states(
     returned list has one entry per iteration 1..T.
     """
     if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ValidationError(f"mode must be one of {MODES}, got {shown(mode)}")
     _validate_pyramid(pyramid, config)
     _check_params(params, config)
 
@@ -472,7 +472,7 @@ def flops_weave(config: WeaveConfig, mode: str) -> WeaveFlops:
     columns are not re-charged for every t.
     """
     if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ValidationError(f"mode must be one of {MODES}, got {shown(mode)}")
     per_iteration = []
     precompute = 0
     for t in range(1, config.iterations + 1):

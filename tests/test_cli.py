@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from weavenet.formats import (
     write_ground_truth,
 )
 from weavenet.pipeline import run_demo
-from weavenet.weave import MAX_STATE_CHANNELS, MAX_STATE_ELEMENTS, WeaveConfig
+from weavenet.weave import MAX_STATE_CHANNELS, MAX_STATE_ELEMENTS, WeaveConfig, flops_weave, weave_forward
 
 TINY = {
     "input_size": 64,
@@ -67,6 +69,13 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.input_size == 320
         assert cfg.weave_config().pyramid_sizes == (40, 20, 10, 5, 3, 1)
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        table = {key: json.loads(default) for key, default in re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, re.M)}
+        cfg = RunConfig()
+        assert table == {f.name: json.loads(json.dumps(getattr(cfg, f.name))) for f in fields(RunConfig)}
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValidationError, match="unknown config keys.*budget"):
@@ -555,8 +564,15 @@ class TestFormats:
             (lambda: GroundTruth("a", BBox(0, 0, 1, 1), 0, ignored=10**5000),
              "ignored must be a boolean, got an integer of 5001 digits"),
             (lambda: DetectionRecord("a", BBox(0, 0, 1, 1), 10**4299, 0), f"score must be a finite number, got 1{'0' * 4299}"),
+            (lambda: RunConfig(anchor_mode=10**5000),
+             "anchor_mode must be one of ('A', 'B'), got an integer of 5001 digits"),
+            (lambda: flops_weave(WeaveConfig(), 10**5000),
+             "mode must be one of ('naive', 'simplified'), got an integer of 5001 digits"),
+            (lambda: weave_forward([], WeaveConfig(), [], 10**5000),
+             "mode must be one of ('naive', 'simplified'), got an integer of 5001 digits"),
         ],
-        ids=["xmax", "xmin", "image_id", "class_id", "ignored", "score-printable"],
+        ids=["xmax", "xmin", "image_id", "class_id", "ignored", "score-printable", "anchor_mode", "flops-mode",
+             "forward-mode"],
     )
     def test_integer_too_long_to_print_is_a_validation_error(self, make, message):
         # repr() of an integer past 4300 digits raises ValueError, so the message gives its length

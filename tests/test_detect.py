@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from weavenet import detect
 from weavenet.config import RunConfig
 from weavenet.detect import (
-    AnchorSpec,
     BBox,
     BOX_VARIANCES,
+    DEFAULT_SCALE_FRACTIONS,
     Detection,
     anchor_array,
+    anchor_ratios,
     decode_box,
     decode_boxes,
     generate_anchors,
@@ -74,52 +75,34 @@ class TestBBox:
             Detection(box=box, score=0.5, class_id=-1)
 
 
-class TestAnchorSpec:
+class TestAnchorRatios:
     def test_mode_counts_per_cell(self):
-        a = AnchorSpec.for_mode("A")
-        b = AnchorSpec.for_mode("B")
-        assert [a.anchors_per_cell(i) for i in range(6)] == [4, 6, 6, 6, 4, 4]
-        assert [b.anchors_per_cell(i) for i in range(6)] == [6] * 6
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            AnchorSpec.for_mode("C")
-        with pytest.raises(ValidationError):
-            AnchorSpec(scale_fractions=(0.2, 0.1), ratios=((1.0,), (1.0,)))
-        with pytest.raises(ValidationError):
-            AnchorSpec(scale_fractions=(0.1, 0.2), ratios=((1.0,), (-2.0,)))
-
-    @pytest.mark.parametrize(
-        "fractions,ratios,message",
-        [
-            ((0.1, 0.2), ((1.0,),), "scale_fractions and ratios lengths differ"),
-            ((0.0, 0.2), ((1.0,), (1.0,)), "scale fractions must be positive"),
-        ],
-        ids=["lengths", "zero-fraction"],
-    )
-    def test_malformed_specs_rejected(self, fractions, ratios, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            AnchorSpec(scale_fractions=fractions, ratios=ratios)
+        assert [len(r) + 1 for r in anchor_ratios("A")] == [4, 6, 6, 6, 4, 4]
+        assert [len(r) + 1 for r in anchor_ratios("B")] == [6] * 6
+        assert [len(r) + 1 for r in anchor_ratios("A", 3)] == [4, 4, 4]
 
     def test_unknown_mode_names_the_config_key(self):
         with pytest.raises(ValidationError, match=r"^anchor_mode must be one of \('A', 'B'\), got 'C'$"):
-            AnchorSpec.for_mode("C")
+            anchor_ratios("C")
+
+    def test_scale_count_is_checked_before_the_mode(self):
+        with pytest.raises(ValidationError, match="^no default scale fractions for 7 scales$"):
+            anchor_ratios("C", 7)
 
 
 class TestGenerateAnchors:
     def test_total_counts(self):
         cells = [s * s for s in SIZES]
-        b = generate_anchors(AnchorSpec.for_mode("B"), SIZES, 320)
+        b = generate_anchors("B", SIZES, 320)
         assert len(b) == 6 * sum(cells) == 12_810
-        a = generate_anchors(AnchorSpec.for_mode("A"), SIZES, 320)
+        a = generate_anchors("A", SIZES, 320)
         expected = sum(
             c * n for c, n in zip(cells, [4, 6, 6, 6, 4, 4])
         )
         assert len(a) == expected == 9_590
 
     def test_unit_ratio_box_side_and_center(self):
-        spec = AnchorSpec.for_mode("B")
-        anchors = generate_anchors(spec, SIZES, 320)
+        anchors = generate_anchors("B", SIZES, 320)
         # first cell of scale 0, ratio list (1/3, 1/2, 1, 2, 3): unit ratio is index 2
         unit = anchors[2]
         assert unit.width == pytest.approx(320 * 0.1, abs=1e-12)
@@ -127,8 +110,7 @@ class TestGenerateAnchors:
         assert unit.center == (pytest.approx(4.0), pytest.approx(4.0))
 
     def test_extra_box_uses_geometric_mean_and_last_pairs_with_one(self):
-        spec = AnchorSpec.for_mode("B")
-        anchors = generate_anchors(spec, SIZES, 320)
+        anchors = generate_anchors("B", SIZES, 320)
         first_extra = anchors[5]
         assert first_extra.width == pytest.approx(math.sqrt(0.1 * 0.2) * 320, abs=1e-9)
         last_extra = anchors[-1]
@@ -136,8 +118,7 @@ class TestGenerateAnchors:
         assert last_extra.width == pytest.approx(last_extra.height, abs=1e-12)
 
     def test_ratio_shapes_preserve_area(self):
-        spec = AnchorSpec.for_mode("B")
-        anchors = generate_anchors(spec, SIZES, 320)
+        anchors = generate_anchors("B", SIZES, 320)
         cell0 = anchors[:6]
         areas = [b.area for b in cell0[:5]]
         assert areas == pytest.approx([(320 * 0.1) ** 2] * 5, rel=1e-12)
@@ -145,22 +126,18 @@ class TestGenerateAnchors:
 
     def test_all_centers_inside_image(self):
         for mode in ("A", "B"):
-            anchors = generate_anchors(AnchorSpec.for_mode(mode), SIZES, 320)
+            anchors = generate_anchors(mode, SIZES, 320)
             for b in anchors:
                 cx, cy = b.center
                 assert 0.0 < cx < 320.0 and 0.0 < cy < 320.0
 
-    def test_scale_count_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="^pyramid_sizes and anchor spec scale counts differ$"):
-            anchor_array(AnchorSpec.for_mode("A"), SIZES[:5], 320)
-
     def test_row_major_cell_order(self):
-        spec = AnchorSpec(scale_fractions=(0.5,), ratios=((1.0,),))
-        anchors = generate_anchors(spec, (2,), 4)
-        # each cell holds its ratio box, then the extra square box on the same center
+        anchors = generate_anchors("B", (2,), 4)
+        # each cell holds its five ratio boxes, then the extra square box, all on the cell's center
         centers = [b.center for b in anchors]
-        assert centers[::2] == [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0), (3.0, 3.0)]
-        assert [pytest.approx(c) for c in centers[1::2]] == centers[::2]
+        assert centers[::6] == [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0), (3.0, 3.0)]
+        for cell in range(4):
+            assert [pytest.approx(c) for c in centers[6 * cell : 6 * cell + 6]] == [centers[6 * cell]] * 6
 
 
 def head_kernel(loc_weights, loc_bias, conf_weights, conf_bias) -> ConvKernel:
@@ -658,13 +635,14 @@ def scalar_refine(kept, candidates, iou_threshold):
     return out
 
 
-def scalar_anchors(spec, pyramid_sizes, input_size):
+def scalar_anchors(mode, pyramid_sizes, input_size):
     out = []
-    fractions = spec.scale_fractions
+    fractions = DEFAULT_SCALE_FRACTIONS
+    ratios = anchor_ratios(mode, len(pyramid_sizes))
     for scale, fm in enumerate(pyramid_sizes):
         s = fractions[scale]
-        s_next = fractions[scale + 1] if scale + 1 < len(fractions) else 1.0
-        shapes = [(s * input_size * math.sqrt(r), s * input_size / math.sqrt(r)) for r in spec.ratios[scale]]
+        s_next = fractions[scale + 1] if scale + 1 < len(pyramid_sizes) else 1.0
+        shapes = [(s * input_size * math.sqrt(r), s * input_size / math.sqrt(r)) for r in ratios[scale]]
         shapes.append((math.sqrt(s * s_next) * input_size,) * 2)
         for y in range(fm):
             cy = (y + 0.5) / fm * input_size
@@ -749,27 +727,16 @@ class TestArrayProperties:
 
     @settings(deadline=None)
     @given(
-        levels=st.lists(
-            st.tuples(
-                st.integers(0, 6),
-                st.lists(st.floats(0.2, 5.0), min_size=1, max_size=4),
-            ),
-            min_size=1,
-            max_size=4,
-        ),
+        mode=st.sampled_from(["A", "B"]),
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=6).map(tuple),
         input_size=st.integers(1, 512),
     )
-    def test_anchor_array_matches_scalar_loop(self, levels, input_size):
-        spec = AnchorSpec(
-            scale_fractions=tuple(0.1 * (i + 1) for i in range(len(levels))),
-            ratios=tuple(tuple(r) for _, r in levels),
-        )
-        sizes = tuple(fm for fm, _ in levels)
-        arr = anchor_array(spec, sizes, input_size)
-        want = scalar_anchors(spec, sizes, input_size)
+    def test_anchor_array_matches_scalar_loop(self, mode, sizes, input_size):
+        arr = anchor_array(mode, sizes, input_size)
+        want = scalar_anchors(mode, sizes, input_size)
         assert arr.shape == (len(want), 4)
         assert bits(arr) == bits(want)
-        assert [b.coords() for b in generate_anchors(spec, sizes, input_size)] == [tuple(r) for r in want]
+        assert [b.coords() for b in generate_anchors(mode, sizes, input_size)] == [tuple(r) for r in want]
 
     @settings(deadline=None)
     @given(

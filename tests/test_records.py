@@ -9,6 +9,8 @@ shows its fields in its repr, which error messages quote.
 """
 
 import copy
+import importlib
+import pkgutil
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weavenet
 from weavenet.bench import BenchReport, ModeComparison
-from weavenet.detect import AnchorSpec, BBox, Detection
-from weavenet.errors import MismatchLocation, ValidationError
+from weavenet.detect import BBox, Detection
+from weavenet.errors import MismatchLocation, Record, ValidationError
 from weavenet.evaluation import BoxTable, DetectionRecord, EvalReport, GroundTruth
 from weavenet.weave import ScaleState, WeaveConfig, WeaveFlops
 
@@ -48,16 +51,6 @@ def gt_boxes(draw):
     """Boxes of positive area, as GroundTruth requires."""
     x0, y0 = draw(finite), draw(finite)
     return BBox(x0, y0, x0 + draw(st.floats(1.0, 10.0)), y0 + draw(st.floats(1.0, 10.0)))
-
-
-@st.composite
-def anchor_fields(draw):
-    fractions = sorted(set(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))))
-    ratios = draw(st.lists(
-        st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3).map(tuple),
-        min_size=len(fractions), max_size=len(fractions),
-    ))
-    return [tuple(fractions), tuple(ratios)]
 
 
 @st.composite
@@ -97,7 +90,6 @@ RECORDS = {
     ),
     "BBox": (BBox, ("xmin", "ymin", "xmax", "ymax"), boxes().map(lambda b: list(b.coords())), (), True),
     "Detection": (Detection, ("box", "score", "class_id"), in_order(boxes(), finite, class_ids), (), True),
-    "AnchorSpec": (AnchorSpec, ("scale_fractions", "ratios"), anchor_fields(), (), True),
     "ScaleState": (
         ScaleState, ("scale", "t", "data"), in_order(st.integers(0, 5), st.integers(0, 5), state_views), (), False,
     ),
@@ -125,6 +117,19 @@ RECORDS = {
         in_order(bench_reports(), bench_reports(), st.floats(0.0, 1.0)), (), True,
     ),
 }
+
+
+def test_every_record_type_of_the_package_is_covered():
+    for module in pkgutil.iter_modules(weavenet.__path__):
+        if module.name != "__main__":  # importing it runs the command line
+            importlib.import_module(f"weavenet.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("weavenet."):
+                found.add(cls)
+    assert found == {cls for cls, *_ in RECORDS.values()}
 
 
 class Other:
