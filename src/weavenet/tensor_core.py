@@ -9,8 +9,10 @@ conv3x3 lowers the convolution to one matrix product per chunk of output
 rows, ``np.einsum("ko,kp->op", wt, cols, optimize=False)``, where ``wt`` is
 the kernel as a (1 + 9*cin, cout) matrix with the bias in row 0 and
 ``cols`` holds a row of ones over the 9*cin shifted input windows, one
-column per output pixel. The unoptimised einsum keeps the documented
-summation order bit for bit:
+column per output pixel. ``cols`` is a view of one float64 workspace per
+thread, at most CONV_CHUNK_BYTES, that every chunk and call reuses: a
+fresh buffer per chunk cost page faults, not arithmetic. The unoptimised
+einsum keeps the documented summation order bit for bit:
 
 - NumPy's iterator puts the spatial axis ``p`` innermost (only ``cols``
   and the output have a stride along it, and both are contiguous there)
@@ -37,6 +39,7 @@ summation order bit for bit:
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -144,6 +147,26 @@ class ConvKernel:
 # however wide the input; a single output row may exceed it.
 CONV_CHUNK_BYTES = 1 << 20
 
+# Each thread's column workspace, reused by every chunk of every conv3x3 call
+# it runs. A fresh buffer per chunk went back to the OS when freed, so each
+# new one cost up to 256 first-touch page faults on zeroed pages.
+_columns = threading.local()
+
+
+def _column_workspace(size: int) -> np.ndarray:
+    """A float64 buffer of at least `size` elements for conv3x3's columns.
+
+    Up to CONV_CHUNK_BYTES it is the calling thread's workspace, grown to
+    `size` if smaller; a larger request (one output row wider than the cap)
+    gets a buffer of its own.
+    """
+    if size * 8 > CONV_CHUNK_BYTES:
+        return np.empty(size, dtype=np.float64)
+    workspace = getattr(_columns, "workspace", None)
+    if workspace is None or workspace.size < size:
+        workspace = _columns.workspace = np.empty(size, dtype=np.float64)
+    return workspace
+
 
 def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
@@ -161,12 +184,15 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     its n*w output pixels. The last read in a plane is at
     (y0 + n + 1)*wp + w + 1 <= (h + 1)*wp + wp - 1 = hp*wp - 1, because
     y0 + n <= h, so the view stays inside each plane. A chunk holds as
-    many rows as fit in CONV_CHUNK_BYTES of columns (at least one) and is
-    one unoptimised einsum written straight into its slice of the
-    (cout, h*w) output. A chunk of one pixel gets a zero pad column,
-    dropped afterwards, so that NumPy keeps the pixel axis innermost; the
-    module docstring gives the argument that the sums follow the reference
-    order.
+    many rows as fit in CONV_CHUNK_BYTES of columns (at least one). Its
+    columns are the contiguous (taps, n*w) prefix of the calling thread's
+    workspace, which every chunk and call reuses and which never grows past
+    CONV_CHUNK_BYTES; only an output row wider than that gets a buffer of
+    its own for the call. Each chunk is one unoptimised einsum written
+    straight into its slice of the (cout, h*w) output. A chunk of one
+    pixel gets a zero pad column, dropped afterwards, so that NumPy keeps
+    the pixel axis innermost; the module docstring gives the argument that
+    the sums follow the reference order.
     """
     if x.channels != kernel.in_channels:
         raise ValidationError(
@@ -186,6 +212,7 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     wt[1:] = kernel.weights.reshape(cout, taps - 1).T
 
     rows_per_chunk = max(1, CONV_CHUNK_BYTES // (taps * w * step))
+    workspace = _column_workspace(taps * min(h, rows_per_chunk) * w)
     out = np.empty((cout, h * w), dtype=np.float64)
     for y0 in range(0, h, rows_per_chunk):
         n = min(rows_per_chunk, h - y0)
@@ -196,7 +223,7 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
             strides=(hp * wp * step, wp * step, step, wp * step, step),
             writeable=False,
         )
-        cols = np.empty((taps, span), dtype=np.float64)
+        cols = workspace[: taps * span].reshape(taps, span)
         cols[0] = 1.0
         cols[1:].reshape(cin, 3, 3, n, w)[...] = windows
         target = out[:, y0 * w : y0 * w + span]

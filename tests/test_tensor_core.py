@@ -5,6 +5,9 @@ elementwise loop it replaced, both accumulating in the same documented
 order, so agreement is expected to be bit-exact.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +98,21 @@ def chunk_rows(monkeypatch, x: Tensor, kernel: ConvKernel) -> list[int]:
     conv3x3(x, kernel)
     monkeypatch.undo()
     return rows
+
+
+def column_operands(monkeypatch, x: Tensor, kernel: ConvKernel) -> list[np.ndarray]:
+    """The column operand of each chunk's einsum when conv3x3 runs on x."""
+    operands = []
+    einsum = np.einsum
+
+    def spying(subscripts, wt, cols, **kwargs):
+        operands.append(cols)
+        return einsum(subscripts, wt, cols, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spying)
+    conv3x3(x, kernel)
+    monkeypatch.undo()
+    return operands
 
 
 def random_tensor(rng, channels, height, width):
@@ -255,6 +273,73 @@ class TestConv3x3MatchesLoop:
         k = ConvKernel(np.full((1, 1, 3, 3), 2.0), np.zeros(1))
         x = Tensor(np.full((1, 2, 2), -0.0))
         assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
+
+
+class TestColumnWorkspace:
+    """A thread's conv3x3 calls build their columns in one reused buffer."""
+
+    def test_one_buffer_serves_every_chunk_and_every_call(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(160, 41, 40)))
+        k = ConvKernel(rng.normal(size=(16, 160, 3, 3)), np.zeros(16))
+        first = column_operands(monkeypatch, x, k)
+        second = column_operands(monkeypatch, x, k)
+        assert len(first) > 1 and len(second) == len(first)
+        assert all(np.shares_memory(cols, first[0]) for cols in first)
+        assert all(np.shares_memory(cols, first[0]) for cols in second)
+
+    def test_row_wider_than_chunk_cap_gets_a_buffer_of_its_own(self, monkeypatch):
+        cin, w = 1200, 16
+        assert 8 * (1 + 9 * cin) * w > CONV_CHUNK_BYTES
+        rng = np.random.default_rng(12)
+        wide = Tensor(spread_values(rng, (cin, 3, w)))
+        wide_kernel = ConvKernel(spread_values(rng, (2, cin, 3, 3)), spread_values(rng, 2))
+        x = Tensor(rng.normal(size=(160, 41, 40)))
+        k = ConvKernel(rng.normal(size=(16, 160, 3, 3)), np.zeros(16))
+        before = column_operands(monkeypatch, x, k)
+        own = column_operands(monkeypatch, wide, wide_kernel)
+        after = column_operands(monkeypatch, x, k)
+        assert len(own) == 3 and all(np.shares_memory(cols, own[0]) for cols in own)
+        assert not any(np.shares_memory(cols, after[0]) for cols in own)
+        assert np.shares_memory(after[0], before[0])
+
+    def test_values_left_in_the_workspace_are_never_read(self):
+        rng = np.random.default_rng(30)
+        for cin, cout, h, w in ((160, 4, 41, 40), (3, 2, 5, 7), (2, 3, 1, 1), (5, 1, 9, 1), (4, 2, 2, 6)):
+            tensor_core._column_workspace(CONV_CHUNK_BYTES // 8)[:] = np.nan  # the whole workspace
+            x = Tensor(spread_values(rng, (cin, h, w)))
+            k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
+            assert_same_bits(conv3x3(x, k).data, conv3x3_loop(x, k))
+
+    def test_two_threads_at_once_equal_the_loop(self):
+        rng = np.random.default_rng(24)
+        jobs = []
+        for cin, cout, h, w in ((160, 16, 41, 40), (96, 8, 30, 50)):  # 21 and 10 chunks
+            x = Tensor(spread_values(rng, (cin, h, w)))
+            k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
+            jobs.append((x, k, conv3x3_loop(x, k)))
+        start = threading.Barrier(len(jobs))
+        outputs = {}
+
+        def run(i, x, k):
+            start.wait(timeout=60)
+            outputs[i] = [conv3x3(x, k).data for _ in range(20)]
+
+        threads = [threading.Thread(target=run, args=(i, x, k)) for i, (x, k, _) in enumerate(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads between chunks, not only when einsum drops the GIL
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outputs) == [0, 1]
+        for i, (_, _, want) in enumerate(jobs):
+            for got in outputs[i]:
+                assert_same_bits(got, want)
 
 
 class TestRelu:
