@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
+from contextlib import contextmanager
 from itertools import filterfalse
 from operator import itemgetter
 
@@ -42,13 +45,26 @@ _GROUND_TRUTH_LINE = '{"image_id": %s, "class_id": %d, "xmin": %r, "ymin": %r, "
 _IGNORED = ("", ', "ignored": true')  # written only when set, so other files keep their bytes
 
 
+@contextmanager
+def _rewrite(path: str, newline: str):
+    """open(path, "w") without O_TRUNC, which can wait on ext4's writeback of the
+    last output; a regular file is cut after the bytes written, as O_TRUNC would."""
+    with open(path, "w", encoding="utf-8", newline=newline,
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:  # 0o666 as open() creates
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a pipe or device
+                fh.truncate()
+
+
 def write_detections(path: str, records: list[DetectionRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(path, "\n") as fh:
         fh.writelines(_DETECTION_LINE % (json.dumps(r.image_id), r.class_id, r.score, *r.box.coords()) for r in records)
 
 
 def write_ground_truth(path: str, records: list[GroundTruth]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(path, "\n") as fh:
         fh.writelines(_GROUND_TRUTH_LINE % (json.dumps(r.image_id), r.class_id, *r.box.coords(), _IGNORED[r.ignored])
                       for r in records)
 
@@ -174,7 +190,7 @@ def read_ground_truth_table(path: str) -> BoxTable:
 
 
 def write_csv(path: str, header: tuple[str, ...] | list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _rewrite(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

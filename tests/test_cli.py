@@ -1036,6 +1036,27 @@ class TestDemoCommand:
             assert x.class_id == y.class_id
             assert x.score == pytest.approx(y.score, abs=1e-9)
 
+    def test_rerun_keeps_the_out_file_and_its_links(self, tiny_config, tmp_path, capsys):
+        out, fresh = tmp_path / "d.jsonl", tmp_path / "fresh.jsonl"
+        out.write_bytes(b"stale\n" * 10000)  # longer than the output, so a stale tail would show
+        os.chmod(out, 0o640)
+        os.link(out, tmp_path / "hard.jsonl")
+        os.symlink(out, tmp_path / "soft.jsonl")
+        inode = os.stat(out).st_ino
+        for path in (out, fresh):
+            assert main(["demo", "--config", tiny_config, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert fresh.read_bytes()
+        for name in ("d.jsonl", "hard.jsonl", "soft.jsonl"):
+            assert (tmp_path / name).read_bytes() == fresh.read_bytes()
+        assert (os.stat(out).st_ino, os.stat(out).st_mode & 0o7777) == (inode, 0o640)
+
+    def test_out_to_a_device_is_written_without_truncating(self, tiny_config, capsys):
+        # truncating a character device fails (EINVAL), which would exit 2
+        assert main(["demo", "--config", tiny_config, "--out", os.devnull]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"wrote {os.devnull}\n") and captured.err == ""
+
 
 class TestEvalCommand:
     def test_fixture_evaluates_to_one(self, tmp_path, capsys):
@@ -1391,6 +1412,25 @@ class TestExitCodes:
         assert main(["eval", str(paths["dets"]), str(paths["gt"])]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {paths[which]}: not valid UTF-8: invalid start byte\n"
+
+    @pytest.mark.parametrize("target", ["existing directory", "missing directory"])
+    def test_unwritable_out_is_one_line_io_error(self, tiny_config, tmp_path, capsys, target):
+        if target == "existing directory":
+            out = tmp_path / "dir"
+            out.mkdir()
+            argv = ["demo", "--config", tiny_config, "--out", str(out)]
+        else:
+            out = tmp_path / "missing" / "r.csv"
+            paths = []
+            for kind in ("detections", "ground truth"):
+                paths.append(tmp_path / f"{kind.replace(' ', '_')}.jsonl")
+                paths[-1].write_text(VALID_LINES[kind] + "\n")
+            argv = ["eval", *map(str, paths), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.rstrip("\n").endswith(f": '{out}'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out.is_dir() if target == "existing directory" else not out.parent.exists()
 
     def test_bad_flag_is_validation_error(self, capsys):
         assert main(["demo", "--mode", "fast"]) == 1
