@@ -35,10 +35,31 @@ einsum keeps the documented summation order bit for bit:
 - ``optimize=False`` must stay: ``optimize=True`` routes a two-operand
   contraction to tensordot, i.e. BLAS, whose blocked and fused sums change
   the bits (and break the stacked-kernel identity the weave relies on).
+
+A call of at least SPLIT_MIN_MACS multiply-adds runs on two threads when
+``os.sched_getaffinity`` lets the process use two or more CPUs. The caller
+and one long-lived daemon helper thread take its row chunks one at a time
+from a shared counter (both the column copy and the einsum release the
+GIL); whoever takes a chunk builds its columns in its own workspace and
+runs the chunk's einsum there, into a (cout, n*w) block after the columns,
+then copies the block into the chunk's slice of the output. Accumulating
+straight into the shared output had both threads writing the cache lines
+where two chunks meet once per tap, and a 10x10 call ran 7x slower. The
+bits do not depend on which thread runs a chunk: every output element is
+still one einsum over the same columns in the same tap order, and the copy
+moves finished values. The caller returns when every chunk has finished
+and raises the first exception any chunk raised; the helper lives on. A
+helper that gets no CPU costs the caller at most the chunk it has taken,
+since the caller runs every chunk nobody has taken. The helper starts with
+the first split call, so importing this module and calls that are never
+split (a single CPU, or a platform without ``sched_getaffinity``) start no
+thread, and a forked child forgets its parent's helper
+(``os.register_at_fork``) and starts its own.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Sequence
 
@@ -147,6 +168,13 @@ class ConvKernel:
 # however wide the input; a single output row may exceed it.
 CONV_CHUNK_BYTES = 1 << 20
 
+# Multiply-adds (taps x cout x pixels) from which a conv3x3 call runs on two
+# threads. Calls from 4.6M up ran about twice as fast split. Smaller ones
+# (5x5 and 10x10 maps) gained 14-30% back to back but lost 26-44% when the
+# helper's CPU had idled 0.5 ms between calls (2-vCPU x86-64 VM); 2^20, 2^21
+# and 2^22 read alike on the benchmark's detect-stream and fusion-t5.
+SPLIT_MIN_MACS = 1 << 21
+
 # Each thread's column workspace, reused by every chunk of every conv3x3 call
 # it runs. A fresh buffer per chunk went back to the OS when freed, so each
 # new one cost up to 256 first-touch page faults on zeroed pages.
@@ -168,6 +196,115 @@ def _column_workspace(size: int) -> np.ndarray:
     return workspace
 
 
+class _RowChunks:
+    """The row chunks of one conv3x3 call, taken one at a time by each thread on it.
+
+    A thread that comes late finds fewer chunks left, or none, so the caller
+    waits only for chunks another thread has already started.
+    """
+
+    def __init__(self, run, count: int, size: int):
+        self._run = run  # run(i, workspace) computes chunk i
+        self._count = count
+        self._size = size  # workspace elements one chunk needs
+        self._next = 0  # first chunk no thread has taken
+        self._running = 0  # chunks taken and not finished
+        self._error: BaseException | None = None
+        self._idle = threading.Condition(threading.Lock())
+
+    def work(self) -> None:
+        """Take and run chunks in this thread's workspace until none is left.
+
+        An exception is kept for join(), and no more chunks are taken.
+        """
+        workspace = None
+        while True:
+            with self._idle:
+                i = self._next
+                if i >= self._count:
+                    return
+                self._next = i + 1
+                self._running += 1
+            error = None
+            try:
+                if workspace is None:
+                    workspace = _column_workspace(self._size)
+                self._run(i, workspace)
+            except BaseException as err:  # raised again in the caller by join()
+                error = err
+            with self._idle:
+                self._running -= 1
+                if error is not None and self._error is None:
+                    self._error = error
+                    self._next = self._count
+                if not self._running:
+                    self._idle.notify_all()
+
+    def join(self) -> None:
+        """Wait until no chunk is running; raise the first exception a chunk raised."""
+        with self._idle:
+            self._idle.wait_for(lambda: not self._running)
+        if self._error is not None:
+            raise self._error
+
+
+class _Helper:
+    """A daemon thread that works on the chunks of each split conv3x3 call."""
+
+    def __init__(self):
+        self._posted = threading.Condition(threading.Lock())
+        self._chunks: _RowChunks | None = None
+        self.thread = threading.Thread(target=self._serve, name="conv3x3-helper", daemon=True)
+        self.thread.start()
+
+    def post(self, chunks: _RowChunks) -> None:
+        with self._posted:
+            self._chunks = chunks
+            self._posted.notify()
+
+    def _take(self) -> _RowChunks:
+        with self._posted:
+            self._posted.wait_for(lambda: self._chunks is not None)
+            chunks, self._chunks = self._chunks, None
+            return chunks
+
+    def _serve(self) -> None:
+        while True:
+            # no reference outlives the call: it would keep the call's padded input alive
+            self._take().work()
+
+
+_helper: _Helper | None = None
+_helper_start = threading.Lock()
+
+
+def _the_helper() -> _Helper:
+    """The process's helper thread, started by the first split call."""
+    global _helper
+    with _helper_start:
+        if _helper is None:
+            _helper = _Helper()
+        return _helper
+
+
+def _forget_helper() -> None:
+    """In a forked child: the parent's helper thread does not exist there."""
+    global _helper, _helper_start
+    _helper = None
+    _helper_start = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and so no helper to forget, on Windows
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where the OS cannot say."""
+    if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
@@ -183,16 +320,27 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     with strides (plane, wp, 1, wp, 1), and a chunk's columns are exactly
     its n*w output pixels. The last read in a plane is at
     (y0 + n + 1)*wp + w + 1 <= (h + 1)*wp + wp - 1 = hp*wp - 1, because
-    y0 + n <= h, so the view stays inside each plane. A chunk holds as
-    many rows as fit in CONV_CHUNK_BYTES of columns (at least one). Its
-    columns are the contiguous (taps, n*w) prefix of the calling thread's
-    workspace, which every chunk and call reuses and which never grows past
-    CONV_CHUNK_BYTES; only an output row wider than that gets a buffer of
-    its own for the call. Each chunk is one unoptimised einsum written
-    straight into its slice of the (cout, h*w) output. A chunk of one
-    pixel gets a zero pad column, dropped afterwards, so that NumPy keeps
-    the pixel axis innermost; the module docstring gives the argument that
-    the sums follow the reference order.
+    y0 + n <= h, so the view stays inside each plane. The rows are cut
+    into as few equal chunks (the last may be shorter) as keep each
+    chunk's workspace within CONV_CHUNK_BYTES, at least one row each. A
+    chunk's columns are the contiguous (taps, n*w) prefix of the running
+    thread's workspace, which every chunk and call reuses and which never
+    grows past CONV_CHUNK_BYTES; only an output row wider than that gets a
+    buffer of its own, per thread and call. Each chunk is one unoptimised
+    einsum. A chunk of one pixel gets a zero pad column, dropped
+    afterwards, so that NumPy keeps the pixel axis innermost; the module
+    docstring gives the argument that the sums follow the reference order.
+
+    A call of at least SPLIT_MIN_MACS multiply-adds, when
+    os.sched_getaffinity offers two or more CPUs, is split: it is cut into
+    at least two chunks, and the caller and the helper thread take them
+    one at a time until none is left. Each such chunk's einsum writes a
+    (cout, n*w) block right after its columns in the workspace (which
+    counts towards the cap), and the block is copied into the chunk's slice
+    of the (cout, h*w) output. The caller returns once every chunk has
+    finished, raising the first exception any chunk raised. Any other call
+    runs its chunks on the caller, each einsum written straight into its
+    output slice.
     """
     if x.channels != kernel.in_channels:
         raise ValidationError(
@@ -211,11 +359,16 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     wt[0] = kernel.bias
     wt[1:] = kernel.weights.reshape(cout, taps - 1).T
 
-    rows_per_chunk = max(1, CONV_CHUNK_BYTES // (taps * w * step))
-    workspace = _column_workspace(taps * min(h, rows_per_chunk) * w)
+    split = h > 1 and taps * cout * h * w >= SPLIT_MIN_MACS and _cpus() > 1
+    per_row = (taps + (cout if split else 0)) * w  # workspace elements per output row
+    count = max(-(-h // max(1, CONV_CHUNK_BYTES // (per_row * step))), 2 if split else 1)
+    rows = -(-h // count)
+    count = -(-h // rows)
     out = np.empty((cout, h * w), dtype=np.float64)
-    for y0 in range(0, h, rows_per_chunk):
-        n = min(rows_per_chunk, h - y0)
+
+    def run(i: int, workspace: np.ndarray) -> None:
+        y0 = i * rows
+        n = min(rows, h - y0)
         span = n * w
         windows = as_strided(
             flat[y0 * wp :],
@@ -227,11 +380,25 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
         cols[0] = 1.0
         cols[1:].reshape(cin, 3, 3, n, w)[...] = windows
         target = out[:, y0 * w : y0 * w + span]
+        # a split chunk accumulates away from the cache lines it shares with its neighbours
+        part = workspace[taps * span : (taps + cout) * span].reshape(cout, span) if split else target
         if span > 1:
-            np.einsum("ko,kp->op", wt, cols, out=target, optimize=False)
+            np.einsum("ko,kp->op", wt, cols, out=part, optimize=False)
         else:
             two = np.pad(cols, ((0, 0), (0, 1)))
-            target[...] = np.einsum("ko,kp->op", wt, two, optimize=False)[:, :1]
+            part[...] = np.einsum("ko,kp->op", wt, two, optimize=False)[:, :1]
+        if split:
+            target[...] = part
+
+    if split:
+        chunks = _RowChunks(run, count, per_row * rows)
+        _the_helper().post(chunks)
+        chunks.work()
+        chunks.join()
+    else:
+        workspace = _column_workspace(per_row * rows)
+        for i in range(count):
+            run(i, workspace)
     return Tensor._adopt(out.reshape(cout, h, w))
 
 
@@ -255,33 +422,35 @@ def conv3x3_taps(x: Tensor, kernel: ConvKernel) -> np.ndarray:
 
 
 # (cin, cout, h, w) of the probe's inputs: odd sizes, a one-pixel-wide map,
-# and two 1x1 inputs, one with a single output channel (the one-column case
-# conv3x3 pads).
-PROBE_SHAPES = ((3, 5, 7, 5), (5, 4, 1, 1), (63, 1, 1, 1), (2, 3, 9, 1))
+# two 1x1 inputs, one with a single output channel (the one-column case
+# conv3x3 pads), and a call of six row chunks that is split between the
+# caller and the helper thread when the process may use two CPUs.
+PROBE_SHAPES = ((3, 5, 7, 5), (5, 4, 1, 1), (63, 1, 1, 1), (2, 3, 9, 1), (160, 8, 11, 40))
 
 
 def exactness_probe() -> str | None:
     """Whether conv3x3 equals conv3x3_taps bit for bit on this NumPy build.
 
-    Runs PROBE_SHAPES on fixed random inputs; returns None when every
-    output matches, otherwise a one-line description of the first input
-    that does not. It fails on a build whose einsum loops fuse or reorder
-    the multiply-adds.
+    Runs PROBE_SHAPES on fixed random inputs, each ten times, so that
+    the helper thread a first split call starts takes chunks in the later
+    ones; returns None when every output matches, otherwise a one-line
+    description of the first input that does not. It fails on a build
+    whose einsum loops fuse or reorder the multiply-adds.
     """
     rng = np.random.default_rng(0)
     for cin, cout, h, w in PROBE_SHAPES:
         x = Tensor._adopt(rng.normal(size=(cin, h, w)))
         kernel = ConvKernel(rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
-        got = conv3x3(x, kernel).data
         want = conv3x3_taps(x, kernel)
-        differ = got.view(np.uint64) != want.view(np.uint64)
-        if differ.any():
-            c, y, xx = (int(i) for i in np.argwhere(differ)[0])
-            return (
-                f"{int(differ.sum())} of {differ.size} outputs of a ({cin}, {h}, {w}) input"
-                f" and {cout} output channel(s) differ from the tap loop,"
-                f" first at channel {c}, y {y}, x {xx}"
-            )
+        for _ in range(10):
+            differ = conv3x3(x, kernel).data.view(np.uint64) != want.view(np.uint64)
+            if differ.any():
+                c, y, xx = (int(i) for i in np.argwhere(differ)[0])
+                return (
+                    f"{int(differ.sum())} of {differ.size} outputs of a ({cin}, {h}, {w}) input"
+                    f" and {cout} output channel(s) differ from the tap loop,"
+                    f" first at channel {c}, y {y}, x {xx}"
+                )
     return None
 
 

@@ -244,3 +244,36 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     (tmp_path / "gt.jsonl").write_text('{"image_id": "a", %s}\n' % BOX)
     (tmp_path / "dets.jsonl").write_text('{"image_id": "a", "score": 0.5, %s}\n' % BOX)
     assert modules_loaded(tmp_path, argv) == (0, CLI_IMPORTS, CLI_IMPORTS | extra)
+
+
+THREADS = """
+import json, os, sys, threading
+import numpy as np
+from weavenet.cli import main
+counts = [threading.active_count()]
+code = main(sys.argv[1:])
+counts.append(threading.active_count())
+from weavenet import tensor_core
+rng = np.random.default_rng(0)
+for cin, cout, h, w in ((32, 48, 5, 5), (80, 32, 40, 40), (32, 96, 20, 20)):
+    x = tensor_core.Tensor(rng.normal(size=(cin, h, w)))
+    tensor_core.conv3x3(x, tensor_core.ConvKernel(rng.normal(size=(cout, cin, 3, 3)), np.zeros(cout)))
+    counts.append(threading.active_count())
+print(json.dumps([code, len(os.sched_getaffinity(0)), tensor_core.SPLIT_MIN_MACS, counts]))
+"""
+
+
+def test_only_a_split_convolution_starts_a_thread(tmp_path):
+    """Importing the CLI and a whole `eval` start no thread; the first split
+    conv3x3 (on two or more CPUs) starts the helper, and later calls reuse it."""
+    (tmp_path / "gt.jsonl").write_text('{"image_id": "a", %s}\n' % BOX)
+    (tmp_path / "dets.jsonl").write_text('{"image_id": "a", "score": 0.5, %s}\n' % BOX)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS, "eval", "dets.jsonl", "gt.jsonl", "--out", "report.csv"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+    )
+    code, cpus, split_min, counts = json.loads(proc.stdout.splitlines()[-1])
+    assert (1 + 9 * 32) * 48 * 5 * 5 < split_min <= (1 + 9 * 80) * 32 * 40 * 40
+    helper = 1 if cpus > 1 else 0
+    assert code == 0 and counts == [1, 1, 1, 1 + helper, 1 + helper]

@@ -5,8 +5,11 @@ elementwise loop it replaced, both accumulating in the same documented
 order, so agreement is expected to be bit-exact.
 """
 
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -101,12 +104,15 @@ def chunk_rows(monkeypatch, x: Tensor, kernel: ConvKernel) -> list[int]:
 
 
 def column_operands(monkeypatch, x: Tensor, kernel: ConvKernel) -> list[np.ndarray]:
-    """The column operand of each chunk's einsum when conv3x3 runs on x."""
+    """The column operand of each chunk's einsum that the calling thread runs
+    when conv3x3 runs on x (the helper thread may run others)."""
     operands = []
     einsum = np.einsum
+    caller = threading.get_ident()
 
     def spying(subscripts, wt, cols, **kwargs):
-        operands.append(cols)
+        if threading.get_ident() == caller:
+            operands.append(cols)
         return einsum(subscripts, wt, cols, **kwargs)
 
     monkeypatch.setattr(np, "einsum", spying)
@@ -248,7 +254,8 @@ class TestConv3x3MatchesLoop:
     def test_example_spans_several_chunks_with_a_partial_last(self, monkeypatch):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(160, 41, 40)))
-        rows = chunk_rows(monkeypatch, x, ConvKernel(rng.normal(size=(16, 160, 3, 3)), np.zeros(16)))
+        # either thread may take any chunk, so the order the chunks start in is not fixed
+        rows = sorted(chunk_rows(monkeypatch, x, ConvKernel(rng.normal(size=(16, 160, 3, 3)), np.zeros(16))), reverse=True)
         assert len(rows) > 1 and sum(rows) == 41
         assert rows[-1] < rows[0] and set(rows[:-1]) == {rows[0]}
 
@@ -282,11 +289,24 @@ class TestColumnWorkspace:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(160, 41, 40)))
         k = ConvKernel(rng.normal(size=(16, 160, 3, 3)), np.zeros(16))
-        first = column_operands(monkeypatch, x, k)
-        second = column_operands(monkeypatch, x, k)
-        assert len(first) > 1 and len(second) == len(first)
-        assert all(np.shares_memory(cols, first[0]) for cols in first)
-        assert all(np.shares_memory(cols, first[0]) for cols in second)
+        operands = []  # (thread, column operand) of each chunk, over two calls
+        einsum = np.einsum
+
+        def spying(subscripts, wt, cols, **kwargs):
+            operands.append((threading.get_ident(), cols))
+            return einsum(subscripts, wt, cols, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spying)
+        conv3x3(x, k)
+        first = len(operands)
+        conv3x3(x, k)
+        monkeypatch.undo()
+        assert first > 1 and len(operands) == 2 * first
+        own = {}  # each thread's first operand
+        for thread, cols in operands:
+            assert np.shares_memory(cols, own.setdefault(thread, cols))
+        buffers = list(own.values())
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1 :])
 
     def test_row_wider_than_chunk_cap_gets_a_buffer_of_its_own(self, monkeypatch):
         cin, w = 1200, 16
@@ -340,6 +360,142 @@ class TestColumnWorkspace:
         for i, (_, _, want) in enumerate(jobs):
             for got in outputs[i]:
                 assert_same_bits(got, want)
+
+
+def split_case(seed: int):
+    """An input, kernel and loop output that conv3x3 splits into many chunks."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(spread_values(rng, (160, 21, 40)))
+    k = ConvKernel(spread_values(rng, (8, 160, 3, 3)), spread_values(rng, 8))
+    assert (1 + 9 * 160) * 8 * 21 * 40 >= tensor_core.SPLIT_MIN_MACS
+    return x, k, conv3x3_loop(x, k)
+
+
+def run_with_timeout(call, seconds=60.0):
+    """call() in a daemon thread; (finished, result or exception)."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except Exception as err:
+            outcome["result"] = err
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    return not thread.is_alive(), outcome.get("result")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestSplitCalls:
+    """A large conv3x3 call runs its chunks on the caller and one helper thread."""
+
+    def test_the_chunks_the_helper_runs_land_in_their_own_rows(self, monkeypatch, two_cpus):
+        x, k, want = split_case(44)
+        helper = tensor_core._the_helper().thread
+        helper_started = threading.Event()
+        runners = []
+        real = tensor_core.as_strided
+
+        def waiting(*args, **kwargs):
+            runners.append(threading.current_thread())
+            if threading.current_thread() is helper:
+                helper_started.set()
+            else:
+                helper_started.wait(timeout=30)  # the caller's first chunk waits for the helper's
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor_core, "as_strided", waiting)
+        finished, result = run_with_timeout(lambda: conv3x3(x, k).data)
+        assert finished and helper in runners and len(set(runners)) == 2
+        assert_same_bits(result, want)
+
+    def test_an_error_in_a_helper_chunk_reaches_the_caller(self, monkeypatch, two_cpus):
+        x, k, want = split_case(40)
+        helper = tensor_core._the_helper().thread
+        helper_failed = threading.Event()
+        real = tensor_core.as_strided
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is helper:
+                helper_failed.set()
+                raise RuntimeError("chunk failed on the helper")
+            helper_failed.wait(timeout=30)  # the caller's first chunk waits for the helper's
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor_core, "as_strided", failing)
+        finished, result = run_with_timeout(lambda: conv3x3(x, k))
+        monkeypatch.setattr(tensor_core, "as_strided", real)
+        assert finished
+        assert isinstance(result, RuntimeError) and str(result) == "chunk failed on the helper"
+        assert helper.is_alive()
+        assert_same_bits(conv3x3(x, k).data, want)
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_convolves_on_its_own_helper(self, two_cpus):
+        x, k, want = split_case(41)
+        assert_same_bits(conv3x3(x, k).data, want)  # the parent's helper is running
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report, then leave without running pytest's exit code
+            try:
+                exact = conv3x3(x, k).data.tobytes() == want.tobytes()
+                alive = tensor_core._helper is not None and tensor_core._helper.thread.is_alive()
+                os.write(write_end, f"{exact} {alive}".encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        deadline = time.monotonic() + 60
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung")
+            time.sleep(0.01)
+        with os.fdopen(read_end, "rb") as fh:
+            assert fh.read() == b"True True"
+
+    def test_one_cpu_starts_no_helper(self, monkeypatch):
+        x, k, want = split_case(42)
+        monkeypatch.setattr(tensor_core, "_helper", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        threads = threading.active_count()
+        got = conv3x3(x, k).data
+        assert tensor_core._helper is None and threading.active_count() == threads
+        assert_same_bits(got, want)
+
+    def test_a_helper_that_gets_no_cpu_leaves_every_chunk_to_the_caller(self, monkeypatch, two_cpus):
+        x, k, want = split_case(43)
+        helper = tensor_core._the_helper().thread
+        release = threading.Event()
+        work = tensor_core._RowChunks.work
+
+        def late(chunks):
+            if threading.current_thread() is helper:
+                release.wait(timeout=30)  # asleep before it takes its first chunk
+            work(chunks)
+
+        monkeypatch.setattr(tensor_core._RowChunks, "work", late)
+        runners = []
+        real = tensor_core.as_strided
+
+        def recording(*args, **kwargs):
+            runners.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor_core, "as_strided", recording)
+        try:
+            finished, result = run_with_timeout(lambda: conv3x3(x, k).data, seconds=20)
+        finally:
+            release.set()
+        assert finished and len(runners) > 1 and helper not in runners
+        assert_same_bits(result, want)
 
 
 class TestRelu:
@@ -547,6 +703,10 @@ class TestExactnessProbe:
         assert any(h == w == 1 and cout == 1 for _, cout, h, w in PROBE_SHAPES)
         assert any(h == w == 1 and cout > 1 for _, cout, h, w in PROBE_SHAPES)
         assert any(h % 2 and w % 2 and h > 1 for _, _, h, w in PROBE_SHAPES)
+
+    def test_probe_covers_a_split_call(self):
+        assert any(h > 1 and (1 + 9 * cin) * cout * h * w >= tensor_core.SPLIT_MIN_MACS
+                   for cin, cout, h, w in PROBE_SHAPES)
 
     @settings(deadline=None, max_examples=20)
     @given(
