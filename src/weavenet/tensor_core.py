@@ -10,8 +10,8 @@ rows, ``np.einsum("ko,kp->op", wt, cols, optimize=False)``, where ``wt`` is
 the kernel as a (1 + 9*cin, cout) matrix with the bias in row 0 and
 ``cols`` holds a row of ones over the 9*cin shifted input windows, one
 column per output pixel. ``cols`` is a view of one float64 workspace per
-thread, at most CONV_CHUNK_BYTES, that every chunk and call reuses: a
-fresh buffer per chunk cost page faults, not arithmetic. The unoptimised
+thread, CONV_CHUNK_BYTES long, that every chunk and call reuses: a fresh
+buffer per chunk cost page faults, not arithmetic. The unoptimised
 einsum keeps the documented summation order bit for bit:
 
 - NumPy's iterator puts the spatial axis ``p`` innermost (only ``cols``
@@ -36,25 +36,33 @@ einsum keeps the documented summation order bit for bit:
   contraction to tensordot, i.e. BLAS, whose blocked and fused sums change
   the bits (and break the stacked-kernel identity the weave relies on).
 
-A call of at least SPLIT_MIN_MACS multiply-adds runs on two threads when
-``os.sched_getaffinity`` lets the process use two or more CPUs. The caller
-and one long-lived daemon helper thread take its row chunks one at a time
-from a shared counter (both the column copy and the einsum release the
-GIL); whoever takes a chunk builds its columns in its own workspace and
-runs the chunk's einsum there, into a (cout, n*w) block after the columns,
-then copies the block into the chunk's slice of the output. Accumulating
-straight into the shared output had both threads writing the cache lines
-where two chunks meet once per tap, and a 10x10 call ran 7x slower. The
-bits do not depend on which thread runs a chunk: every output element is
-still one einsum over the same columns in the same tap order, and the copy
-moves finished values. The caller returns when every chunk has finished
-and raises the first exception any chunk raised; the helper lives on. A
-helper that gets no CPU costs the caller at most the chunk it has taken,
-since the caller runs every chunk nobody has taken. The helper starts with
-the first split call, so importing this module and calls that are never
-split (a single CPU, or a platform without ``sched_getaffinity``) start no
-thread, and a forked child forgets its parent's helper
-(``os.register_at_fork``) and starts its own.
+conv3x3_many runs a batch of independent convolutions as one queue of row
+chunks, and conv3x3 is the batch of one pair. The fusion core and the
+heads make one batch per stage: weave.block_naive and
+weave.block_simplified convolve one iteration's emitting scales together,
+weave.precompute_sources all scales, and detect.head_forward every scale's
+head. A batch of at least SPLIT_MIN_MACS multiply-adds in total runs on
+two threads when ``os.sched_getaffinity`` lets the process use two or more
+CPUs. The caller and one long-lived daemon helper thread take its chunks
+one at a time from a shared counter, larger calls first (both the column
+copy and the einsum release the GIL), so the small calls of a batch fill
+in beside the large ones and one hand-off serves the whole stage. Whoever
+takes a chunk copies the chunk's input rows into a zero-bordered slab and
+builds its columns, both in its own workspace, and runs the chunk's einsum
+there, into a (cout, n*w) block after the columns, then copies the block
+into the chunk's rows of the output. Accumulating straight into the shared
+output had both threads writing the cache lines where two chunks meet once
+per tap, and a 10x10 call ran 7x slower. The bits do not depend on which
+thread runs a chunk, nor on which other calls share its batch: every
+output element is still one einsum over the same columns in the same tap
+order, and the copy moves finished values. The caller returns when every
+chunk has finished and raises the first exception any chunk raised; the
+helper lives on. A helper that gets no CPU costs the caller at most the
+chunk it has taken, since the caller runs every chunk nobody has taken.
+The helper starts with the first split batch, so importing this module
+and batches that are never split (a single CPU, or a platform without
+``sched_getaffinity``) start no thread, and a forked child forgets its
+parent's helper (``os.register_at_fork``) and starts its own.
 """
 
 from __future__ import annotations
@@ -184,59 +192,157 @@ _columns = threading.local()
 def _column_workspace(size: int) -> np.ndarray:
     """A float64 buffer of at least `size` elements for conv3x3's columns.
 
-    Up to CONV_CHUNK_BYTES it is the calling thread's workspace, grown to
-    `size` if smaller; a larger request (one output row wider than the cap)
-    gets a buffer of its own.
+    Up to CONV_CHUNK_BYTES it is the calling thread's workspace, allocated
+    at the cap on the thread's first call, so that it never grows: each
+    growth freed a smaller buffer, and one freed in the helper thread's
+    malloc arena is reused only by the helper. A larger request (one
+    output row wider than the cap) gets a buffer of its own.
     """
     if size * 8 > CONV_CHUNK_BYTES:
         return np.empty(size, dtype=np.float64)
     workspace = getattr(_columns, "workspace", None)
     if workspace is None or workspace.size < size:
-        workspace = _columns.workspace = np.empty(size, dtype=np.float64)
+        workspace = _columns.workspace = np.empty(CONV_CHUNK_BYTES // 8, dtype=np.float64)
     return workspace
 
 
-class _RowChunks:
-    """The row chunks of one conv3x3 call, taken one at a time by each thread on it.
+class _Call:
+    """One convolution of a conv3x3_many batch, cut into row chunks.
 
-    A thread that comes late finds fewer chunks left, or none, so the caller
-    waits only for chunks another thread has already started.
+    Its weight matrix is allocated by the thread that runs the batch, filled
+    by the first of its chunks to run, whichever thread takes it, and
+    dropped when its last chunk finishes. An array the helper thread
+    allocated would come from its own malloc arena, whose freed memory only
+    it reuses: peak RSS rose by about 1 MB.
     """
 
-    def __init__(self, run, count: int, size: int):
-        self._run = run  # run(i, workspace) computes chunk i
-        self._count = count
-        self._size = size  # workspace elements one chunk needs
+    def __init__(self, x: Tensor, kernel: ConvKernel, split: bool):
+        cin, h, w = x.shape
+        cout = kernel.out_channels
+        self.x, self.kernel, self.split = x, kernel, split
+        self.taps = 1 + 9 * cin
+        self.macs = self.taps * cout * h * w
+        # workspace elements of a chunk of n rows: per_row * n + edge, its
+        # columns (and block) of n*w pixels and its (cin, n + 2, w + 2) slab
+        per_row = (self.taps + (cout if split else 0)) * w + cin * (w + 2)
+        edge = 2 * cin * (w + 2)
+        fit = max(1, (CONV_CHUNK_BYTES // 8 - edge) // per_row)
+        count = max(-(-h // fit), 2 if split else 1)
+        self.rows = -(-h // count)
+        self.count = self.left = -(-h // self.rows)  # left: chunks not yet finished
+        self.size = per_row * self.rows + edge  # workspace elements one chunk needs
+        self.out = np.empty((cout, h * w), dtype=np.float64)
+        self._wt: np.ndarray | None = np.empty((self.taps, cout), dtype=np.float64)
+        self._filled = False
+        self._filling = threading.Lock()
+
+    def weight_matrix(self) -> np.ndarray:
+        """The (taps, cout) kernel, bias in row 0, filled by the first chunk that asks."""
+        with self._filling:
+            if not self._filled:
+                cout = self.kernel.out_channels
+                self._wt[0] = self.kernel.bias
+                self._wt[1:] = self.kernel.weights.reshape(cout, self.taps - 1).T
+                self._filled = True
+            return self._wt
+
+    def finished(self) -> None:
+        """One more chunk has finished; after the last, drop the weight matrix."""
+        self.left -= 1
+        if not self.left:
+            self._wt = None
+
+    def run(self, i: int, workspace: np.ndarray) -> None:
+        """Compute row chunk i into its rows of the output."""
+        wt = self.weight_matrix()
+        x = self.x.data
+        cin, h, w = x.shape
+        cout, taps = self.kernel.out_channels, self.taps
+        y0 = i * self.rows
+        n = min(self.rows, h - y0)
+        span = n * w
+        cols = workspace[: taps * span].reshape(taps, span)
+        end = (taps + cout) * span if self.split else taps * span
+        # slab row r is input row y0 - 1 + r, zero outside the input and in the two pad columns
+        slab = workspace[end : end + cin * (n + 2) * (w + 2)].reshape(cin, n + 2, w + 2)
+        slab[:, :, 0] = 0.0
+        slab[:, :, w + 1] = 0.0
+        top, bottom = max(y0 - 1, 0), min(y0 + n + 1, h)
+        slab[:, top - y0 + 1 : bottom - y0 + 1, 1 : w + 1] = x[:, top:bottom]
+        if y0 == 0:
+            slab[:, 0] = 0.0
+        if y0 + n == h:
+            slab[:, n + 1] = 0.0
+        step = slab.itemsize
+        windows = as_strided(
+            slab,
+            shape=(cin, 3, 3, n, w),
+            strides=((n + 2) * (w + 2) * step, (w + 2) * step, step, (w + 2) * step, step),
+            writeable=False,
+        )
+        cols[0] = 1.0
+        cols[1:].reshape(cin, 3, 3, n, w)[...] = windows
+        target = self.out[:, y0 * w : y0 * w + span]
+        # a split chunk accumulates away from the cache lines it shares with its neighbours
+        part = workspace[taps * span : end].reshape(cout, span) if self.split else target
+        if span > 1:
+            np.einsum("ko,kp->op", wt, cols, out=part, optimize=False)
+        else:
+            two = np.pad(cols, ((0, 0), (0, 1)))
+            part[...] = np.einsum("ko,kp->op", wt, two, optimize=False)[:, :1]
+        if self.split:
+            target[...] = part
+
+
+class _RowChunks:
+    """The row chunks of one conv3x3_many batch, taken one at a time by each thread on it.
+
+    Chunks are queued call by call, larger calls first, so that the small
+    calls fill in at the end. A thread that comes late finds fewer chunks
+    left, or none, so the caller waits only for chunks another thread has
+    already started.
+    """
+
+    def __init__(self, calls: list[_Call]):
+        self._queue = [(call, i) for call in sorted(calls, key=lambda c: -c.macs) for i in range(call.count)]
         self._next = 0  # first chunk no thread has taken
         self._running = 0  # chunks taken and not finished
         self._error: BaseException | None = None
         self._idle = threading.Condition(threading.Lock())
+
+    def __len__(self) -> int:
+        return len(self._queue)
 
     def work(self) -> None:
         """Take and run chunks in this thread's workspace until none is left.
 
         An exception is kept for join(), and no more chunks are taken.
         """
+        helper = _helper if _helper is not None and threading.current_thread() is _helper.thread else None
         workspace = None
         while True:
             with self._idle:
-                i = self._next
-                if i >= self._count:
+                if self._next >= len(self._queue):
                     return
-                self._next = i + 1
+                call, i = self._queue[self._next]
+                self._next += 1
                 self._running += 1
             error = None
             try:
-                if workspace is None:
-                    workspace = _column_workspace(self._size)
-                self._run(i, workspace)
+                if workspace is None or workspace.size < call.size:
+                    workspace = _column_workspace(call.size)
+                call.run(i, workspace)
             except BaseException as err:  # raised again in the caller by join()
                 error = err
             with self._idle:
                 self._running -= 1
-                if error is not None and self._error is None:
-                    self._error = error
-                    self._next = self._count
+                call.finished()
+                if error is not None:
+                    if self._error is None:
+                        self._error = error
+                        self._next = len(self._queue)
+                elif helper is not None:
+                    helper.chunks += 1
                 if not self._running:
                     self._idle.notify_all()
 
@@ -249,11 +355,16 @@ class _RowChunks:
 
 
 class _Helper:
-    """A daemon thread that works on the chunks of each split conv3x3 call."""
+    """A daemon thread that works on the chunks of each split conv3x3_many batch."""
 
     def __init__(self):
         self._posted = threading.Condition(threading.Lock())
         self._chunks: _RowChunks | None = None
+        # chunks finished, counted before the batch's caller can return:
+        # exactness_probe reads it to tell whether a split call reached the
+        # helper. An attribute, not a module global, so that running the
+        # package rebinds no module name (a --trace 1 benchmark run checks).
+        self.chunks = 0
         self.thread = threading.Thread(target=self._serve, name="conv3x3-helper", daemon=True)
         self.thread.start()
 
@@ -270,7 +381,7 @@ class _Helper:
 
     def _serve(self) -> None:
         while True:
-            # no reference outlives the call: it would keep the call's padded input alive
+            # no reference outlives the batch: it would keep the batch's outputs alive
             self._take().work()
 
 
@@ -279,7 +390,7 @@ _helper_start = threading.Lock()
 
 
 def _the_helper() -> _Helper:
-    """The process's helper thread, started by the first split call."""
+    """The process's helper thread, started by the first split batch."""
     global _helper
     with _helper_start:
         if _helper is None:
@@ -298,11 +409,55 @@ if hasattr(os, "register_at_fork"):  # no fork, and so no helper to forget, on W
     os.register_at_fork(after_in_child=_forget_helper)
 
 
+def _helped() -> int:
+    """Chunks the helper thread has finished; 0 before it starts."""
+    return 0 if _helper is None else _helper.chunks
+
+
 def _cpus() -> int:
     """The CPUs this process may run on, or 1 where the OS cannot say."""
     if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _splits(macs: int) -> bool:
+    """Whether a batch of `macs` multiply-adds runs on the caller and the helper."""
+    return macs >= SPLIT_MIN_MACS and _cpus() > 1
+
+
+def conv3x3_many(pairs: Sequence[tuple[Tensor, ConvKernel]]) -> list[Tensor]:
+    """conv3x3 of every (x, kernel) pair, run as one batch of row chunks.
+
+    Every pair is checked before any chunk runs. The result of each pair is
+    bit-identical to conv3x3 on that pair alone.
+
+    The batch is split when its multiply-adds (taps x cout x pixels, summed
+    over the pairs) reach SPLIT_MIN_MACS and os.sched_getaffinity offers two
+    or more CPUs. Then every call with more than one row is cut into at
+    least two chunks, the chunks of all calls go into one queue, larger
+    calls first, and the caller and the helper thread take them one at a
+    time until none is left. Each such chunk's einsum writes a (cout, n*w)
+    block right after its columns in the workspace (which counts towards
+    the cap), and the block is copied into the chunk's rows of its call's
+    (cout, h*w) output. The caller returns once every chunk has finished,
+    raising the first exception any chunk raised. A batch that is not
+    split runs its chunks on the caller, in the same queue order, each
+    einsum written straight into its output rows.
+    """
+    for x, kernel in pairs:
+        if x.channels != kernel.in_channels:
+            raise ValidationError(
+                f"input has {x.channels} channels but kernel expects {kernel.in_channels}"
+            )
+    split = _splits(sum((1 + 9 * x.channels) * k.out_channels * x.height * x.width for x, k in pairs))
+    calls = [_Call(x, kernel, split) for x, kernel in pairs]
+    chunks = _RowChunks(calls)
+    if split and len(chunks) > 1:
+        _the_helper().post(chunks)
+    chunks.work()
+    chunks.join()
+    return [Tensor._adopt(call.out.reshape(-1, *call.x.shape[1:])) for call in calls]
 
 
 def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
@@ -313,93 +468,28 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
     are computed independently of one another, so stacking kernels along
     the output axis is bit-exact with concatenating separate results.
 
-    The input is zero-padded into flat per-channel planes of hp = h + 2
-    rows of wp = w + 2 values. Output pixel (y, x) reads the taps at flat
-    offsets (y + dy)*wp + x + dx, so the windows of a chunk of n output
-    rows starting at y0 are one as_strided view of shape (cin, 3, 3, n, w)
-    with strides (plane, wp, 1, wp, 1), and a chunk's columns are exactly
-    its n*w output pixels. The last read in a plane is at
-    (y0 + n + 1)*wp + w + 1 <= (h + 1)*wp + wp - 1 = hp*wp - 1, because
-    y0 + n <= h, so the view stays inside each plane. The rows are cut
-    into as few equal chunks (the last may be shorter) as keep each
-    chunk's workspace within CONV_CHUNK_BYTES, at least one row each. A
-    chunk's columns are the contiguous (taps, n*w) prefix of the running
-    thread's workspace, which every chunk and call reuses and which never
-    grows past CONV_CHUNK_BYTES; only an output row wider than that gets a
-    buffer of its own, per thread and call. Each chunk is one unoptimised
-    einsum. A chunk of one pixel gets a zero pad column, dropped
-    afterwards, so that NumPy keeps the pixel axis innermost; the module
-    docstring gives the argument that the sums follow the reference order.
+    The rows are cut into as few equal chunks (the last may be shorter) as
+    keep each chunk's workspace within CONV_CHUNK_BYTES, at least one row
+    each. A chunk of n output rows starting at y0 copies input rows
+    y0 - 1 .. y0 + n into a slab of n + 2 rows of wp = w + 2 values per
+    channel, zero where a row lies outside the input and in the first and
+    last column. Output pixel (y, x) reads the taps at slab offsets
+    (y - y0 + dy)*wp + x + dx, so the chunk's windows are one as_strided
+    view of shape (cin, 3, 3, n, w) with strides (slab plane, wp, 1, wp,
+    1), and its columns are exactly its n*w output pixels. The last read in
+    a plane is at (n + 1)*wp + w + 1 = (n + 2)*wp - 1, the plane's last
+    value. The columns are the contiguous (taps, n*w) prefix of the running
+    thread's workspace, the slab follows them (in a split batch, after the
+    output block); the workspace is reused by every chunk and call, and
+    only an output row too wide for the cap gets a buffer of its own, per
+    thread and batch. Each chunk is one unoptimised einsum. A chunk of one
+    pixel gets a zero pad column, dropped afterwards, so that NumPy keeps
+    the pixel axis innermost; the module docstring gives the argument that
+    the sums follow the reference order.
 
-    A call of at least SPLIT_MIN_MACS multiply-adds, when
-    os.sched_getaffinity offers two or more CPUs, is split: it is cut into
-    at least two chunks, and the caller and the helper thread take them
-    one at a time until none is left. Each such chunk's einsum writes a
-    (cout, n*w) block right after its columns in the workspace (which
-    counts towards the cap), and the block is copied into the chunk's slice
-    of the (cout, h*w) output. The caller returns once every chunk has
-    finished, raising the first exception any chunk raised. Any other call
-    runs its chunks on the caller, each einsum written straight into its
-    output slice.
+    This is conv3x3_many of the one pair, split under the same rule.
     """
-    if x.channels != kernel.in_channels:
-        raise ValidationError(
-            f"input has {x.channels} channels but kernel expects {kernel.in_channels}"
-        )
-    cin, h, w = x.shape
-    cout = kernel.out_channels
-    hp, wp = h + 2, w + 2
-    taps = 1 + 9 * cin
-    padded = np.zeros((cin, hp, wp), dtype=np.float64)
-    padded[:, 1 : h + 1, 1 : w + 1] = x.data
-    flat = padded.reshape(-1)
-    step = flat.itemsize
-
-    wt = np.empty((taps, cout), dtype=np.float64)
-    wt[0] = kernel.bias
-    wt[1:] = kernel.weights.reshape(cout, taps - 1).T
-
-    split = h > 1 and taps * cout * h * w >= SPLIT_MIN_MACS and _cpus() > 1
-    per_row = (taps + (cout if split else 0)) * w  # workspace elements per output row
-    count = max(-(-h // max(1, CONV_CHUNK_BYTES // (per_row * step))), 2 if split else 1)
-    rows = -(-h // count)
-    count = -(-h // rows)
-    out = np.empty((cout, h * w), dtype=np.float64)
-
-    def run(i: int, workspace: np.ndarray) -> None:
-        y0 = i * rows
-        n = min(rows, h - y0)
-        span = n * w
-        windows = as_strided(
-            flat[y0 * wp :],
-            shape=(cin, 3, 3, n, w),
-            strides=(hp * wp * step, wp * step, step, wp * step, step),
-            writeable=False,
-        )
-        cols = workspace[: taps * span].reshape(taps, span)
-        cols[0] = 1.0
-        cols[1:].reshape(cin, 3, 3, n, w)[...] = windows
-        target = out[:, y0 * w : y0 * w + span]
-        # a split chunk accumulates away from the cache lines it shares with its neighbours
-        part = workspace[taps * span : (taps + cout) * span].reshape(cout, span) if split else target
-        if span > 1:
-            np.einsum("ko,kp->op", wt, cols, out=part, optimize=False)
-        else:
-            two = np.pad(cols, ((0, 0), (0, 1)))
-            part[...] = np.einsum("ko,kp->op", wt, two, optimize=False)[:, :1]
-        if split:
-            target[...] = part
-
-    if split:
-        chunks = _RowChunks(run, count, per_row * rows)
-        _the_helper().post(chunks)
-        chunks.work()
-        chunks.join()
-    else:
-        workspace = _column_workspace(per_row * rows)
-        for i in range(count):
-            run(i, workspace)
-    return Tensor._adopt(out.reshape(cout, h, w))
+    return conv3x3_many([(x, kernel)])[0]
 
 
 def conv3x3_taps(x: Tensor, kernel: ConvKernel) -> np.ndarray:
@@ -427,22 +517,29 @@ def conv3x3_taps(x: Tensor, kernel: ConvKernel) -> np.ndarray:
 # caller and the helper thread when the process may use two CPUs.
 PROBE_SHAPES = ((3, 5, 7, 5), (5, 4, 1, 1), (63, 1, 1, 1), (2, 3, 9, 1), (160, 8, 11, 40))
 
+# Most times exactness_probe runs a split call while waiting for the helper
+# thread to take one of its chunks.
+PROBE_ATTEMPTS = 100
+
 
 def exactness_probe() -> str | None:
     """Whether conv3x3 equals conv3x3_taps bit for bit on this NumPy build.
 
-    Runs PROBE_SHAPES on fixed random inputs, each ten times, so that
-    the helper thread a first split call starts takes chunks in the later
-    ones; returns None when every output matches, otherwise a one-line
-    description of the first input that does not. It fails on a build
-    whose einsum loops fuse or reorder the multiply-adds.
+    Runs PROBE_SHAPES on fixed random inputs and returns None when every
+    output matches, otherwise a one-line description of the first input
+    that does not. A call that is split runs again until the helper thread
+    has finished one of its chunks, at most PROBE_ATTEMPTS times: in a
+    fresh process the caller often runs every chunk before the helper
+    wakes. It fails on a build whose einsum loops fuse or reorder the
+    multiply-adds.
     """
     rng = np.random.default_rng(0)
     for cin, cout, h, w in PROBE_SHAPES:
         x = Tensor._adopt(rng.normal(size=(cin, h, w)))
         kernel = ConvKernel(rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
         want = conv3x3_taps(x, kernel)
-        for _ in range(10):
+        for _ in range(PROBE_ATTEMPTS if _splits((1 + 9 * cin) * cout * h * w) else 1):
+            helped = _helped()
             differ = conv3x3(x, kernel).data.view(np.uint64) != want.view(np.uint64)
             if differ.any():
                 c, y, xx = (int(i) for i in np.argwhere(differ)[0])
@@ -451,6 +548,8 @@ def exactness_probe() -> str | None:
                     f" and {cout} output channel(s) differ from the tap loop,"
                     f" first at channel {c}, y {y}, x {xx}"
                 )
+            if _helped() > helped:
+                break
     return None
 
 

@@ -32,14 +32,20 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import MismatchLocation, Record, ValidationError, shown
+from . import tensor_core
 from .tensor_core import (
     ConvKernel,
     Tensor,
-    conv3x3,
+    conv3x3_many,
     maxpool_2x2_s2,
     relu,
     upsample_bilinear_x2,
 )
+
+# Not called here: the blocks and the precompute run conv3x3_many. But
+# benchmark/tracing.py wraps conv3x3 in every weavenet module that binds it,
+# and benchmark/tests/test_benchmark.py checks that this module does.
+conv3x3 = tensor_core.conv3x3
 
 MODES = ("naive", "simplified")
 
@@ -275,31 +281,51 @@ def _check_params(params: Params, config: WeaveConfig) -> None:
                 )
 
 
-def block_naive(state: ScaleState, kernel: ConvKernel) -> Tensor:
-    """One block step (iteration state.t + 1) over the full state, both
-    emitted directions in one grouped convolution: down-message rows, then
-    up-message rows."""
-    return relu(conv3x3(state.full(), kernel))
+def block_naive(states: dict[int, ScaleState], kernels: dict[int, ConvKernel]) -> dict[int, Tensor]:
+    """One iteration's block step (iteration t + 1 of states at t) for every
+    scale in kernels, over its full state, both emitted directions in one
+    grouped convolution: down-message rows, then up-message rows. The
+    scales' convolutions run as one conv3x3_many batch."""
+    convs = conv3x3_many([(states[i].full(), kernel) for i, kernel in kernels.items()])
+    convs.reverse()
+    return {i: relu(convs.pop()) for i in kernels}  # each convolution freed once rectified
 
 
-def block_simplified(state: ScaleState, source: np.ndarray, kernel: ConvKernel, config: WeaveConfig) -> Tensor:
-    """One block step (iteration state.t + 1) from the state's message
-    channels plus the precomputed raw source; rows as in block_naive.
+def block_simplified(
+    states: dict[int, ScaleState],
+    sources: dict[int, np.ndarray],
+    kernels: dict[int, ConvKernel],
+    config: WeaveConfig,
+) -> dict[int, Tensor]:
+    """One iteration's block step for every scale in kernels, from each
+    state's message channels plus the precomputed raw source; rows as in
+    block_naive.
 
     Computes relu(messages * message_columns + bias + source). Removing the
-    raw group of config.state_layout(state.scale, state.t) from the state
-    leaves the messages, and from the kernel's columns the message columns;
-    at t=1 there are none and the result is relu(bias + source).
+    raw group of config.state_layout(scale, t) from a state leaves the
+    messages, and from the kernel's columns the message columns; at t=1
+    there are none and the result is relu(bias + source). The scales that
+    have messages convolve them as one conv3x3_many batch.
     """
-    up, raw, down = config.state_layout(state.scale, state.t)
-    if up + down == 0:
-        pre = kernel.bias[:, None, None] + source
-    else:
-        raw_group = slice(up, up + raw)
-        messages = Tensor._adopt(np.delete(state.data, raw_group, axis=0))
-        columns = np.delete(kernel.weights, raw_group, axis=1)
-        pre = conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source
-    return relu(Tensor._adopt(pre))
+    scales, pairs = [], []  # the scales that have messages, and their (messages, columns)
+    for i, kernel in kernels.items():
+        up, raw, down = config.state_layout(i, states[i].t)
+        if up + down:
+            raw_group = slice(up, up + raw)
+            if up and down:
+                messages = np.delete(states[i].data, raw_group, axis=0)
+            else:  # the raw group is at one end, so the messages are one slice: a view
+                messages = states[i].data[:up] if up else states[i].data[raw:]
+            columns = np.delete(kernel.weights, raw_group, axis=1)
+            scales.append(i)
+            pairs.append((Tensor._adopt(messages), ConvKernel(columns, kernel.bias)))
+    convolved = dict(zip(scales, conv3x3_many(pairs)))
+    del pairs  # frees the gathered messages before the outputs are built
+    outputs = {}
+    for i, kernel in kernels.items():
+        pre = convolved.pop(i).data if i in convolved else kernel.bias[:, None, None]
+        outputs[i] = relu(Tensor._adopt(pre + sources[i]))
+    return outputs
 
 
 def precompute_sources(
@@ -307,26 +333,27 @@ def precompute_sources(
     params: Params,
     config: WeaveConfig,
 ) -> dict[int, np.ndarray]:
-    """Grouped raw-feature products, one convolution per scale.
+    """Grouped raw-feature products, one convolution per scale, all scales
+    in one conv3x3_many batch.
 
     Each scale's raw-column kernels of all its iterations run stacked along
     the output axis as one convolution, whose read-only result is viewed,
     not copied, as a (T, out rows, h, w) array: entry t-1 is the raw
     features convolved with iteration t's raw-column kernel, bias excluded.
     """
-    sources: dict[int, np.ndarray] = {}
-    for scale, kernels in params.items():
-        if not kernels:
-            continue
+    scales = [scale for scale, kernels in params.items() if kernels]
+    pairs = []
+    for scale in scales:
         raw_columns = []
-        for t, kernel in enumerate(kernels):
+        for t, kernel in enumerate(params[scale]):
             up, width, _ = config.state_layout(scale, t)
             raw_columns.append(kernel.weights[:, up : up + width])
         stacked = np.concatenate(raw_columns, axis=0)
-        grouped = ConvKernel(stacked, np.zeros(stacked.shape[0]))
-        out = conv3x3(raw[scale], grouped)
-        sources[scale] = out.data.reshape(len(kernels), -1, *out.shape[1:])
-    return sources
+        pairs.append((raw[scale], ConvKernel(stacked, np.zeros(stacked.shape[0]))))
+    return {
+        scale: out.data.reshape(len(params[scale]), -1, *out.shape[1:])
+        for scale, out in zip(scales, conv3x3_many(pairs))
+    }
 
 
 def _validate_pyramid(pyramid: list[Tensor], config: WeaveConfig) -> None:
@@ -391,12 +418,12 @@ def weave_states(
 
     history: list[dict[int, ScaleState]] = []
     for t in range(1, iterations + 1):
-        outputs: dict[int, Tensor] = {}  # rows: down-messages, then up-messages
-        for i, kernels in params.items():
-            if mode == "naive":
-                outputs[i] = block_naive(states[i], kernels[t - 1])
-            else:
-                outputs[i] = block_simplified(states[i], sources[i][t - 1], kernels[t - 1], config)
+        kernels = {i: scale_kernels[t - 1] for i, scale_kernels in params.items()}
+        # rows: down-messages, then up-messages
+        if mode == "naive":
+            outputs = block_naive(states, kernels)
+        else:
+            outputs = block_simplified(states, {i: sources[i][t - 1] for i in kernels}, kernels, config)
 
         # every block has read the t-1 views; the writes land outside them
         for i in config.woven_scales:

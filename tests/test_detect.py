@@ -166,11 +166,14 @@ class TestHeadForward:
 
     def test_rejects_channel_mismatch(self):
         state = Tensor(np.zeros((8, 4, 4)))
-        with pytest.raises(ValidationError, match="emits 20 channels, expected"):
-            head_forward(state, ConvKernel(np.zeros((20, 8, 3, 3)), np.zeros(20)), 3, 5)
-        with pytest.raises(ValidationError, match="emits 19 channels, expected"):
-            head_forward(state, ConvKernel(np.zeros((19, 8, 3, 3)), np.zeros(19)), 2, 5)
-        head_forward(state, ConvKernel(np.zeros((20, 8, 3, 3)), np.zeros(20)), 2, 5)
+        good = ConvKernel(np.zeros((20, 8, 3, 3)), np.zeros(20))
+        with pytest.raises(ValidationError, match="^scale 0: head kernel emits 20 channels, expected"):
+            head_forward([state], [good], [3], 5)
+        with pytest.raises(ValidationError, match="^scale 1: head kernel emits 19 channels, expected"):
+            head_forward([state, state], [good, ConvKernel(np.zeros((19, 8, 3, 3)), np.zeros(19))], [2, 2], 5)
+        with pytest.raises(ValidationError, match="one of each per scale"):
+            head_forward([state, state], [good], [2, 2], 5)
+        head_forward([state], [good], [2], 5)
 
     def test_stacked_conv_equals_separate_convs(self):
         rng = np.random.default_rng(21)
@@ -180,7 +183,7 @@ class TestHeadForward:
         ((loc, conf),) = two_kernel_head_params([24], [a], classes, seed=9)
         assert kernel.weights.tobytes() == np.concatenate([loc.weights, conf.weights]).tobytes()
         assert kernel.bias.tobytes() == np.concatenate([loc.bias, conf.bias]).tobytes()
-        offsets, scores = head_forward(state, kernel, a, classes)
+        offsets, scores = head_forward([state], [kernel], [a], classes)
         loc_out = conv3x3(state, loc).data
         conf_out = conv3x3(state, conf).data
         want_offsets = loc_out.reshape(a, 4, 5, 7).transpose(2, 3, 0, 1).reshape(-1, 4)
@@ -188,6 +191,19 @@ class TestHeadForward:
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         assert offsets.tobytes() == want_offsets.tobytes()
         assert scores.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+    def test_scales_stack_in_order_and_equal_each_scale_alone(self):
+        rng = np.random.default_rng(22)
+        shapes, anchors, classes = [(6, 8, 8), (6, 4, 4), (5, 1, 1)], [4, 6, 2], 3
+        states = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        kernels = init_head_params([c for c, _, _ in shapes], anchors, classes, seed=4)
+        offsets, scores = head_forward(states, kernels, anchors, classes)
+        alone = [head_forward([s], [k], [a], classes) for s, k, a in zip(states, kernels, anchors)]
+        assert offsets.tobytes() == np.vstack([o for o, _ in alone]).tobytes()
+        assert scores.tobytes() == np.vstack([p for _, p in alone]).tobytes()
+        assert len(offsets) == sum(h * w * a for (_, h, w), a in zip(shapes, anchors))
+        empty = head_forward([], [], [], classes)
+        assert [e.shape for e in empty] == [(0, 4), (0, classes + 1)]
 
     def test_draws_match_the_former_two_kernel_params(self):
         kernels = init_head_params([32, 64, 16], [4, 6, 4], 20, seed=3)
@@ -199,7 +215,7 @@ class TestHeadForward:
         state = Tensor(np.random.default_rng(0).normal(size=(4, 3, 3)))
         a, classes = 2, 20
         out = (4 + classes + 1) * a
-        offsets, scores = head_forward(state, ConvKernel(np.zeros((out, 4, 3, 3)), np.zeros(out)), a, classes)
+        offsets, scores = head_forward([state], [ConvKernel(np.zeros((out, 4, 3, 3)), np.zeros(out))], [a], classes)
         assert offsets.shape == (9 * a, 4)
         assert scores.shape == (9 * a, classes + 1)
         assert np.allclose(scores, 1.0 / 21.0, atol=1e-15)
@@ -211,7 +227,7 @@ class TestHeadForward:
         state = Tensor(np.random.default_rng(1).normal(size=(2, 2, 2)))
         bias = np.arange(4 * a, dtype=float)
         kernel = head_kernel(np.zeros((4 * a, 2, 3, 3)), bias, np.zeros((2 * a, 2, 3, 3)), np.zeros(2 * a))
-        offsets, _ = head_forward(state, kernel, a, 1)
+        offsets, _ = head_forward([state], [kernel], [a], 1)
         for cell in range(4):
             for anchor in range(a):
                 row = offsets[cell * a + anchor]
@@ -226,7 +242,7 @@ class TestHeadForward:
         weights = np.zeros((4 * a, 1, 3, 3))
         weights[:, 0, 1, 1] = 1.0
         kernel = head_kernel(weights, np.zeros(4 * a), np.zeros((2 * a, 1, 3, 3)), np.zeros(2 * a))
-        offsets, _ = head_forward(state, kernel, a, 1)
+        offsets, _ = head_forward([state], [kernel], [a], 1)
         for y in range(h):
             for x in range(w):
                 for anchor in range(a):

@@ -251,29 +251,45 @@ import json, os, sys, threading
 import numpy as np
 from weavenet.cli import main
 counts = [threading.active_count()]
-code = main(sys.argv[1:])
-counts.append(threading.active_count())
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(main(argv))
+    counts.append(threading.active_count())
 from weavenet import tensor_core
 rng = np.random.default_rng(0)
 for cin, cout, h, w in ((32, 48, 5, 5), (80, 32, 40, 40), (32, 96, 20, 20)):
     x = tensor_core.Tensor(rng.normal(size=(cin, h, w)))
     tensor_core.conv3x3(x, tensor_core.ConvKernel(rng.normal(size=(cout, cin, 3, 3)), np.zeros(cout)))
     counts.append(threading.active_count())
-print(json.dumps([code, len(os.sched_getaffinity(0)), tensor_core.SPLIT_MIN_MACS, counts]))
+print(json.dumps([codes, len(os.sched_getaffinity(0)), tensor_core.SPLIT_MIN_MACS, counts]))
 """
 
 
-def test_only_a_split_convolution_starts_a_thread(tmp_path):
-    """Importing the CLI and a whole `eval` start no thread; the first split
-    conv3x3 (on two or more CPUs) starts the helper, and later calls reuse it."""
+def thread_counts(tmp_path, commands: list[list[str]]) -> tuple[list[int], int, int, list[int]]:
+    """(exit codes, CPUs, SPLIT_MIN_MACS, threads after `import weavenet.cli`,
+    after each command and after each of three conv3x3 calls), in a fresh
+    interpreter."""
     (tmp_path / "gt.jsonl").write_text('{"image_id": "a", %s}\n' % BOX)
     (tmp_path / "dets.jsonl").write_text('{"image_id": "a", "score": 0.5, %s}\n' % BOX)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", THREADS, "eval", "dets.jsonl", "gt.jsonl", "--out", "report.csv"],
+        [sys.executable, "-c", THREADS, json.dumps(commands)],
         capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
     )
-    code, cpus, split_min, counts = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+EVAL = ["eval", "dets.jsonl", "gt.jsonl", "--out", "report.csv"]
+
+
+def test_only_a_split_convolution_starts_a_thread(tmp_path):
+    """Importing the CLI and a whole `eval` start no thread; the first split
+    conv3x3 (on two or more CPUs) starts the helper, and later calls reuse it.
+    A whole default `demo`, whose batches are split, leaves exactly the one
+    helper."""
+    codes, cpus, split_min, counts = thread_counts(tmp_path, [EVAL])
     assert (1 + 9 * 32) * 48 * 5 * 5 < split_min <= (1 + 9 * 80) * 32 * 40 * 40
     helper = 1 if cpus > 1 else 0
-    assert code == 0 and counts == [1, 1, 1, 1 + helper, 1 + helper]
+    assert codes == [0] and counts == [1, 1, 1, 1 + helper, 1 + helper]
+    codes, _, _, counts = thread_counts(tmp_path, [EVAL, ["demo", "--out", "d.jsonl"]])
+    assert codes == [0, 0] and counts == [1, 1, 1 + helper, 1 + helper, 1 + helper, 1 + helper]

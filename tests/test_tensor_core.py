@@ -5,11 +5,14 @@ elementwise loop it replaced, both accumulating in the same documented
 order, so agreement is expected to be bit-exact.
 """
 
+import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from weavenet.tensor_core import (
     Tensor,
     concat_channels,
     conv3x3,
+    conv3x3_many,
     conv3x3_taps,
     exactness_probe,
     maxpool_2x2_s2,
@@ -244,7 +248,7 @@ class TestConv3x3MatchesLoop:
     @example(cin=1, cout=1, h=1, w=1, seed=0)
     @example(cin=3, cout=2, h=1, w=37, seed=1)
     @example(cin=3, cout=2, h=37, w=1, seed=2)
-    @example(cin=160, cout=16, h=41, w=40, seed=3)  # many row chunks, the last one partial
+    @example(cin=160, cout=16, h=41, w=30, seed=3)  # many row chunks, the last one partial
     def test_bytes_equal_loop(self, cin, cout, h, w, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(spread_values(rng, (cin, h, w)))
@@ -253,7 +257,7 @@ class TestConv3x3MatchesLoop:
 
     def test_example_spans_several_chunks_with_a_partial_last(self, monkeypatch):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(160, 41, 40)))
+        x = Tensor(rng.normal(size=(160, 41, 30)))  # two rows a chunk, split or not
         # either thread may take any chunk, so the order the chunks start in is not fixed
         rows = sorted(chunk_rows(monkeypatch, x, ConvKernel(rng.normal(size=(16, 160, 3, 3)), np.zeros(16))), reverse=True)
         assert len(rows) > 1 and sum(rows) == 41
@@ -360,6 +364,31 @@ class TestColumnWorkspace:
         for i, (_, _, want) in enumerate(jobs):
             for got in outputs[i]:
                 assert_same_bits(got, want)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# A fresh process whose helper thread, given chunk i of a call, computes a
+# neighbouring chunk and puts its rows where chunk i's belong; it prints the
+# probe's message. Two CPUs are reported whatever the host has.
+MISPLACING_HELPER = """
+import json, os, threading
+from weavenet import tensor_core
+os.sched_getaffinity = lambda pid: {0, 1}
+run = tensor_core._Call.run
+
+def misplacing(call, i, workspace):
+    if threading.current_thread() is threading.main_thread() or call.count < 2:
+        return run(call, i, workspace)
+    j = i - 1 if i else 1
+    run(call, j, workspace)
+    rows, w = call.rows, call.x.width
+    n = min(rows, call.x.height - i * rows)
+    call.out[:, i * rows * w : (i * rows + n) * w] = call.out[:, j * rows * w : (j * rows + n) * w]
+
+tensor_core._Call.run = misplacing
+print(json.dumps(tensor_core.exactness_probe()))
+"""
 
 
 def split_case(seed: int):
@@ -496,6 +525,91 @@ class TestSplitCalls:
             release.set()
         assert finished and len(runners) > 1 and helper not in runners
         assert_same_bits(result, want)
+
+
+class TestConv3x3Many:
+    """A batch of convolutions shares one queue of row chunks."""
+
+    def test_an_empty_batch_is_an_empty_list(self, two_cpus):
+        assert conv3x3_many([]) == []
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_a_channel_mismatch_in_any_pair_raises_before_any_chunk_is_posted(self, monkeypatch, two_cpus, bad):
+        rng = np.random.default_rng(50)
+        x, k, _ = split_case(50)
+        pairs = [(x, k), (random_tensor(rng, 3, 5, 5), random_kernel(rng, 2, 3)), (x, k)]
+        pairs[bad] = (random_tensor(rng, 4, 6, 6), random_kernel(rng, 2, 5))
+        runs = []
+        monkeypatch.setattr(tensor_core, "as_strided", lambda *a, **kw: runs.append("chunk"))
+        monkeypatch.setattr(tensor_core._Helper, "post", lambda helper, chunks: runs.append("post"))
+        with pytest.raises(ValidationError, match="^input has 4 channels but kernel expects 5$"):
+            conv3x3_many(pairs)
+        assert runs == []
+
+    def test_an_error_in_one_calls_chunk_reaches_the_caller_and_the_next_batch_is_exact(self, monkeypatch, two_cpus):
+        rng = np.random.default_rng(51)
+        x, k, want = split_case(51)
+        small = (Tensor(spread_values(rng, (7, 10, 10))), ConvKernel(spread_values(rng, (3, 7, 3, 3)), spread_values(rng, 3)))
+        real = tensor_core.as_strided
+
+        def failing(base, shape, strides, writeable):
+            if shape[0] == 7:  # the small call's input channels
+                raise RuntimeError("chunk of the small call failed")
+            return real(base, shape=shape, strides=strides, writeable=writeable)
+
+        monkeypatch.setattr(tensor_core, "as_strided", failing)
+        finished, result = run_with_timeout(lambda: conv3x3_many([(x, k), small, (x, k)]))
+        monkeypatch.setattr(tensor_core, "as_strided", real)
+        assert finished
+        assert isinstance(result, RuntimeError) and str(result) == "chunk of the small call failed"
+        got = conv3x3_many([small, (x, k)])
+        assert_same_bits(got[0].data, conv3x3_taps(*small))
+        assert_same_bits(got[1].data, want)
+
+    def test_larger_calls_are_queued_first_and_outputs_keep_the_pair_order(self, monkeypatch, two_cpus):
+        rng = np.random.default_rng(52)
+        pairs = [
+            (Tensor(spread_values(rng, (cin, s, s))), ConvKernel(spread_values(rng, (4, cin, 3, 3)), spread_values(rng, 4)))
+            for cin, s in ((3, 5), (40, 40), (9, 10), (2, 1))
+        ]
+        queue = tensor_core._RowChunks([tensor_core._Call(x, k, split=True) for x, k in pairs])._queue
+        calls = list(dict.fromkeys(call for call, _ in queue))  # in queue order
+        assert [call.x.width for call in calls] == [40, 10, 5, 1]
+        for call in calls:
+            assert [i for queued, i in queue if queued is call] == list(range(call.count))
+        for (x, k), got in zip(pairs, conv3x3_many(pairs)):
+            assert_same_bits(got.data, conv3x3_taps(x, k))
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        shapes=st.lists(
+            st.tuples(
+                st.sampled_from(["40x40", "20x20", "10x10", "1x1", "one pixel wide", "one row", "any"]),
+                st.integers(1, 40),  # cin
+                st.sampled_from([1, 2, 5, 16]),  # cout
+                st.integers(1, 12),  # the free side of the narrow maps
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_output_equals_the_tap_loop_on_one_cpu_and_on_two(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        sides = {"40x40": (40, 40), "20x20": (20, 20), "10x10": (10, 10), "1x1": (1, 1)}
+        pairs = []
+        for kind, cin, cout, side in shapes:
+            h, w = sides.get(kind) or {"one pixel wide": (side, 1), "one row": (1, side)}.get(kind, (side, 13 - side))
+            x = Tensor(spread_values(rng, (cin, h, w)))
+            pairs.append((x, ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))))
+        wants = [conv3x3_taps(x, k) for x, k in pairs]
+        for cpus in ({0}, {0, 1}):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                got = conv3x3_many(pairs)
+            assert len(got) == len(pairs)
+            for out, want in zip(got, wants):
+                assert_same_bits(out.data, want)
 
 
 class TestRelu:
@@ -721,6 +835,37 @@ class TestExactnessProbe:
         x = Tensor(spread_values(rng, (cin, h, w)))
         k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
         assert_same_bits(conv3x3_taps(x, k), conv3x3_loop(x, k))
+
+    def test_a_split_call_runs_until_the_helper_takes_a_chunk(self, monkeypatch, two_cpus):
+        helped = []
+        real = tensor_core.conv3x3
+
+        def counting(x, k):
+            before = tensor_core._helped()
+            out = real(x, k)
+            helped.append(tensor_core._helped() > before)
+            return out
+
+        monkeypatch.setattr(tensor_core, "conv3x3", counting)
+        assert exactness_probe() is None
+        splits = sum(1 for cin, cout, h, w in PROBE_SHAPES if (1 + 9 * cin) * cout * h * w >= tensor_core.SPLIT_MIN_MACS)
+        assert len(helped) >= len(PROBE_SHAPES) and helped.count(True) == splits and helped[-1]
+        assert len(helped) <= len(PROBE_SHAPES) - splits + splits * tensor_core.PROBE_ATTEMPTS
+
+    def test_a_helper_that_misplaces_rows_fails_the_probe_in_every_fresh_process(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        messages = []
+        for start in range(0, 20, 4):  # four processes at a time
+            procs = [
+                subprocess.Popen([sys.executable, "-c", MISPLACING_HELPER], stdout=subprocess.PIPE, text=True, env=env)
+                for _ in range(start, start + 4)
+            ]
+            for proc in procs:
+                out, _ = proc.communicate(timeout=120)
+                assert proc.returncode == 0
+                messages.append(json.loads(out.splitlines()[-1]))
+        assert len(messages) == 20
+        assert all(message and "differ from the tap loop" in message for message in messages)
 
     def test_one_ulp_off_is_reported(self, monkeypatch):
         exact = tensor_core.conv3x3

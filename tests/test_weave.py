@@ -96,22 +96,26 @@ def shifted_partition(pyramid, cfg, params, block):
     blocks run as usual."""
     real = weave.block_simplified
 
-    def shifted_block(state, source, kernel, config):
-        if (state.scale, state.t + 1) != tuple(block):
-            return real(state, source, kernel, config)
-        up, raw, down = config.state_layout(state.scale, state.t)
+    def shifted_blocks(states, sources, kernels, config):
+        outputs = real(states, sources, kernels, config)
+        scale, t = block
+        if scale not in kernels or states[scale].t + 1 != t:
+            return outputs
+        state, kernel = states[scale], kernels[scale]
+        up, raw, down = config.state_layout(scale, state.t)
         if up + down == 0:
-            raise ValidationError(f"scale {state.scale} iteration {state.t + 1}: no message columns")
+            raise ValidationError(f"scale {scale} iteration {t}: no message columns")
         lo = up + (1 if down >= 1 else -1)
         w = kernel.weights
         messages = Tensor(np.concatenate([state.data[:up], state.data[up + raw :]]))
         columns = np.concatenate([w[:, :lo], w[:, lo + raw :]], axis=1)
         features = Tensor(state.data[up : up + raw])
         source = conv3x3(features, ConvKernel(w[:, lo : lo + raw], np.zeros(len(w))))
-        return relu(Tensor(conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source.data))
+        outputs[scale] = relu(Tensor(conv3x3(messages, ConvKernel(columns, kernel.bias)).data + source.data))
+        return outputs
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(weave, "block_simplified", shifted_block)
+        patch.setattr(weave, "block_simplified", shifted_blocks)
         return weave_forward(pyramid, cfg, params, "simplified")
 
 
@@ -381,7 +385,7 @@ class TestEquivalence:
         params = init_params(cfg)
         kern = params[1][0]
         state = Tensor(np.random.default_rng(4).normal(size=(6, 4, 4)))
-        out = block_naive(ScaleState(scale=1, t=0, data=state.data), kern)
+        out = block_naive({1: ScaleState(scale=1, t=0, data=state.data)}, {1: kern})[1]
         down_kernel = ConvKernel(kern.weights[: cfg.k], kern.bias[: cfg.k])
         up_kernel = ConvKernel(kern.weights[cfg.k :], kern.bias[cfg.k :])
         assert np.array_equal(out.data[: cfg.k], relu(conv3x3(state, down_kernel)).data)
@@ -488,7 +492,7 @@ class TestPrecomputedSources:
         sources = precompute_sources({1: pyramid[1]}, {1: params[1]}, cfg)
         state = ScaleState(scale=1, t=0, data=pyramid[1].data)
         kern = params[1][0]
-        out = block_simplified(state, sources[1][0], kern, cfg)
+        out = block_simplified({1: state}, {1: sources[1][0]}, {1: kern}, cfg)[1]
         expected = np.maximum(kern.bias[:, None, None] + sources[1][0], 0.0)
         assert np.array_equal(out.data, expected)
 
