@@ -462,9 +462,9 @@ def refine_boxes(
     kept_boxes, kept_scores, kept_classes = _columns(kept)
     own = [np.flatnonzero([c is b for c in candidates]) for b in kept]
     coords = refine_rows(kept_boxes, kept_scores, kept_classes, own, *_columns(candidates), iou_threshold)
-    refined = []
-    for b, row in zip(kept, coords.tolist()):
-        if tuple(row) != b.box.coords():
-            b = Detection(box=BBox(*row), score=b.score, class_id=b.class_id)
-        refined.append(b)
-    return refined
+    # compared bit for bit: == would keep a -0.0 that refine_rows turned into +0.0
+    same = (coords.view(np.uint64) == kept_boxes.view(np.uint64)).all(axis=1)
+    return [
+        b if keep else Detection(box=BBox(*row), score=b.score, class_id=b.class_id)
+        for b, row, keep in zip(kept, coords.tolist(), same.tolist())
+    ]

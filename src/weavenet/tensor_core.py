@@ -7,7 +7,7 @@ tolerances. Tensors are immutable after construction.
 
 conv3x3 lowers the convolution to one matrix product per chunk of output
 rows, ``np.einsum("ko,kp->op", wt, cols, optimize=False)``, where ``wt`` is
-the kernel as a (1 + 9*cin, cout) matrix with the bias in row 0 and
+the (1 + 9*cin, cout) ``matrix`` a ConvKernel stores, bias in row 0, and
 ``cols`` holds a row of ones over the 9*cin shifted input windows, one
 column per output pixel. ``cols`` is a view of one float64 workspace per
 thread, CONV_CHUNK_BYTES long, that every chunk and call reuses: a fresh
@@ -136,15 +136,19 @@ class Tensor:
 class ConvKernel:
     """3x3 convolution weights (out x in x 3 x 3) with a per-output bias.
 
-    A -0.0 bias is stored as +0.0: conv3x3 starts every sum at +0.0, so the
-    two would otherwise give differently signed zeros.
+    Stored as the one read-only float64 ``matrix`` conv3x3 multiplies by, of
+    shape (1 + 9*in, out): the bias in row 0, then the weights in (channel,
+    kernel row, kernel column) order, one column per output channel.
+    ``weights`` and ``bias`` are read-only views of it. A -0.0 bias is
+    stored as +0.0: conv3x3 starts every sum at +0.0, so the two would
+    otherwise give differently signed zeros.
     """
 
-    __slots__ = ("weights", "bias")
+    __slots__ = ("matrix",)
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         w = np.ascontiguousarray(weights, dtype=np.float64)
-        b = np.ascontiguousarray(bias, dtype=np.float64) + 0.0  # a new array, -0.0 -> +0.0
+        b = np.ascontiguousarray(bias, dtype=np.float64)
         if w.ndim != 4 or w.shape[2:] != (3, 3):
             raise ValidationError(f"kernel weights must be (out, in, 3, 3), got {w.shape}")
         if w.shape[0] < 1 or w.shape[1] < 1:
@@ -153,20 +157,27 @@ class ConvKernel:
             raise ValidationError(f"bias shape {b.shape} does not match {w.shape[0]} output channels")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValidationError("kernel contains non-finite values")
-        if w is weights:
-            w = w.copy()
-        w.flags.writeable = False
-        b.flags.writeable = False
-        self.weights = w
-        self.bias = b
+        matrix = np.empty((1 + 9 * w.shape[1], w.shape[0]), dtype=np.float64)
+        matrix[0] = b + 0.0  # -0.0 -> +0.0
+        matrix[1:] = w.reshape(w.shape[0], -1).T
+        matrix.flags.writeable = False
+        self.matrix = matrix
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.matrix[1:].T.reshape(self.out_channels, self.in_channels, 3, 3)
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.matrix[0]
 
     @property
     def out_channels(self) -> int:
-        return self.weights.shape[0]
+        return self.matrix.shape[1]
 
     @property
     def in_channels(self) -> int:
-        return self.weights.shape[1]
+        return (self.matrix.shape[0] - 1) // 9
 
     def __repr__(self) -> str:
         return f"ConvKernel(out={self.out_channels}, in={self.in_channels})"
@@ -207,14 +218,7 @@ def _column_workspace(size: int) -> np.ndarray:
 
 
 class _Call:
-    """One convolution of a conv3x3_many batch, cut into row chunks.
-
-    Its weight matrix is allocated by the thread that runs the batch, filled
-    by the first of its chunks to run, whichever thread takes it, and
-    dropped when its last chunk finishes. An array the helper thread
-    allocated would come from its own malloc arena, whose freed memory only
-    it reuses: peak RSS rose by about 1 MB.
-    """
+    """One convolution of a conv3x3_many batch, cut into row chunks."""
 
     def __init__(self, x: Tensor, kernel: ConvKernel, split: bool):
         cin, h, w = x.shape
@@ -229,32 +233,13 @@ class _Call:
         fit = max(1, (CONV_CHUNK_BYTES // 8 - edge) // per_row)
         count = max(-(-h // fit), 2 if split else 1)
         self.rows = -(-h // count)
-        self.count = self.left = -(-h // self.rows)  # left: chunks not yet finished
+        self.count = -(-h // self.rows)
         self.size = per_row * self.rows + edge  # workspace elements one chunk needs
         self.out = np.empty((cout, h * w), dtype=np.float64)
-        self._wt: np.ndarray | None = np.empty((self.taps, cout), dtype=np.float64)
-        self._filled = False
-        self._filling = threading.Lock()
-
-    def weight_matrix(self) -> np.ndarray:
-        """The (taps, cout) kernel, bias in row 0, filled by the first chunk that asks."""
-        with self._filling:
-            if not self._filled:
-                cout = self.kernel.out_channels
-                self._wt[0] = self.kernel.bias
-                self._wt[1:] = self.kernel.weights.reshape(cout, self.taps - 1).T
-                self._filled = True
-            return self._wt
-
-    def finished(self) -> None:
-        """One more chunk has finished; after the last, drop the weight matrix."""
-        self.left -= 1
-        if not self.left:
-            self._wt = None
 
     def run(self, i: int, workspace: np.ndarray) -> None:
         """Compute row chunk i into its rows of the output."""
-        wt = self.weight_matrix()
+        wt = self.kernel.matrix
         x = self.x.data
         cin, h, w = x.shape
         cout, taps = self.kernel.out_channels, self.taps
@@ -336,7 +321,6 @@ class _RowChunks:
                 error = err
             with self._idle:
                 self._running -= 1
-                call.finished()
                 if error is not None:
                     if self._error is None:
                         self._error = error
@@ -504,10 +488,11 @@ def conv3x3_taps(x: Tensor, kernel: ConvKernel) -> np.ndarray:
     padded[:, 1 : h + 1, 1 : w + 1] = x.data
     acc = np.empty((kernel.out_channels, h, w), dtype=np.float64)
     acc[...] = kernel.bias[:, None, None]
+    weights = kernel.weights
     for c in range(cin):
         for dy in range(3):
             for dx in range(3):
-                acc += kernel.weights[:, c, dy, dx, None, None] * padded[c, dy : dy + h, dx : dx + w]
+                acc += weights[:, c, dy, dx, None, None] * padded[c, dy : dy + h, dx : dx + w]
     return acc
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weavenet import detect
@@ -634,6 +634,16 @@ def scalar_decode(anchor: BBox, offsets, input_size):
     return clip(cx - w / 2), clip(cy - h / 2), clip(cx + w / 2), clip(cy + h / 2)
 
 
+class Drawn:
+    """Stands in for st.data() in an @example: draw() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self._values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self._values.pop(0)
+
+
 def scalar_refine(kept, candidates, iou_threshold):
     out = []
     for b in kept:
@@ -687,6 +697,12 @@ class TestArrayProperties:
 
     @settings(deadline=None)
     @given(dets=detections(), data=st.data(), thr=st.floats(0.0, 1.0) | st.floats(0.0, 0.3))
+    # a kept -0.0 coordinate that refinement turns into +0.0
+    @example(
+        dets=[Detection(BBox(0.0, 0.0, 5.0, 5.0), 0.0, 0)],
+        data=Drawn([], [Detection(BBox(0.0, -0.0, 1.0, 1.0), 0.25, 0)]),
+        thr=0.0,
+    )
     def test_refine_matches_scalar_loop_bit_for_bit(self, dets, data, thr):
         assume(dets)
         kept = data.draw(st.lists(st.sampled_from(dets), max_size=5))

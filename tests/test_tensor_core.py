@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,56 @@ class TestConvKernel:
     def test_malformed_kernels_rejected(self, weights, bias, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             ConvKernel(weights, bias)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        out=st.integers(1, 6),
+        cin=st.integers(1, 6),
+        form=st.sampled_from(["contiguous", "strided view", "np.delete", "nested lists"]),
+        negative_zero_bias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_is_bias_then_taps_and_weights_and_bias_are_read_only_views(
+        self, out, cin, form, negative_zero_bias, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if form == "strided view":
+            weights = spread_values(rng, (out, cin, 3, 3))[:, ::-1]
+        elif form == "np.delete":
+            weights = np.delete(spread_values(rng, (out, cin + 1, 3, 3)), int(rng.integers(cin + 1)), axis=1)
+        else:
+            weights = spread_values(rng, (out, cin, 3, 3))
+        bias = spread_values(rng, out)
+        if negative_zero_bias:
+            bias[rng.integers(out)] = -0.0
+        w, b = np.array(weights), np.array(bias)
+        callers = (weights, bias)
+        if form == "nested lists":
+            weights, bias = weights.tolist(), bias.tolist()
+        k = ConvKernel(weights, bias)
+
+        assert_same_bits(k.weights, w)
+        assert_same_bits(k.bias, b + 0.0)  # -0.0 -> +0.0
+        expected = np.empty((1 + 9 * cin, out))
+        expected[0] = b + 0.0
+        for o, c, dy, dx in np.ndindex(out, cin, 3, 3):
+            expected[1 + 9 * c + 3 * dy + dx, o] = w[o, c, dy, dx]
+        assert k.matrix.dtype == np.float64 and k.matrix.shape == (1 + 9 * cin, out)
+        assert_same_bits(k.matrix, expected)
+        assert (k.out_channels, k.in_channels) == (out, cin)
+        for view in (k.weights, k.bias):
+            assert np.shares_memory(view, k.matrix)
+        for array in (k.matrix, k.weights, k.bias):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
+            for caller in callers:
+                assert not np.shares_memory(array, caller)
+
+    def test_a_scalar_bias_on_a_one_output_kernel_is_accepted(self):
+        k = ConvKernel(np.ones((1, 2, 3, 3)), 0.5)
+        assert k.bias.shape == (1,) and k.bias[0] == 0.5
+        assert (k.out_channels, k.in_channels) == (1, 2)
 
 
 class TestConv3x3MatchesLoop:
@@ -588,28 +639,73 @@ class TestConv3x3Many:
                 st.integers(1, 40),  # cin
                 st.sampled_from([1, 2, 5, 16]),  # cout
                 st.integers(1, 12),  # the free side of the narrow maps
+                st.booleans(),  # convolve with the previous pair's kernel
             ),
             min_size=1,
             max_size=6,
         ),
+        batches=st.integers(1, 3),  # the same kernels, batch after batch
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_every_output_equals_the_tap_loop_on_one_cpu_and_on_two(self, shapes, seed):
+    def test_every_output_equals_the_tap_loop_on_one_cpu_and_on_two(self, shapes, batches, seed):
         rng = np.random.default_rng(seed)
         sides = {"40x40": (40, 40), "20x20": (20, 20), "10x10": (10, 10), "1x1": (1, 1)}
         pairs = []
-        for kind, cin, cout, side in shapes:
+        for kind, cin, cout, side, shared in shapes:
             h, w = sides.get(kind) or {"one pixel wide": (side, 1), "one row": (1, side)}.get(kind, (side, 13 - side))
-            x = Tensor(spread_values(rng, (cin, h, w)))
-            pairs.append((x, ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))))
+            if shared and pairs:  # two calls of the batch read one kernel matrix
+                kernel = pairs[-1][1]
+                cin = kernel.in_channels
+            else:
+                kernel = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
+            pairs.append((Tensor(spread_values(rng, (cin, h, w))), kernel))
         wants = [conv3x3_taps(x, k) for x, k in pairs]
         for cpus in ({0}, {0, 1}):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-                got = conv3x3_many(pairs)
-            assert len(got) == len(pairs)
-            for out, want in zip(got, wants):
-                assert_same_bits(out.data, want)
+            for _ in range(batches):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                    got = conv3x3_many(pairs)
+                assert len(got) == len(pairs)
+                for out, want in zip(got, wants):
+                    assert_same_bits(out.data, want)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one cpu", "two cpus"])
+    def test_a_warm_batch_allocates_its_outputs_and_no_weight_matrix(self, monkeypatch, cpus):
+        rng = np.random.default_rng(53)
+        pairs = [
+            (random_tensor(rng, cin, side, side), random_kernel(rng, cout, cin))
+            for cin, side, cout in ((80, 40, 32), (128, 20, 48))
+        ]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if len(cpus) > 1:  # the helper must have its workspace before the measured batch
+            helper = tensor_core._the_helper().thread
+            helper_started = threading.Event()
+            real = tensor_core.as_strided
+
+            def waiting(*args, **kwargs):
+                if threading.current_thread() is helper:
+                    helper_started.set()
+                else:
+                    helper_started.wait(timeout=30)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(tensor_core, "as_strided", waiting)
+            conv3x3_many(pairs)
+            monkeypatch.setattr(tensor_core, "as_strided", real)
+            assert helper_started.is_set()
+        conv3x3_many(pairs)
+        outputs = sum(k.out_channels * x.height * x.width * 8 for x, k in pairs)
+        matrices = sum((1 + 9 * k.in_channels) * k.out_channels * 8 for _, k in pairs)
+        tracemalloc.start()
+        try:
+            got = conv3x3_many(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (outputs, matrices) == (563_200, 627_328)
+        assert outputs <= peak and peak - outputs < matrices // 2
+        for (x, k), out in zip(pairs, got):
+            assert_same_bits(out.data, conv3x3_taps(x, k))
 
 
 class TestRelu:
