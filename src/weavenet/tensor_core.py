@@ -41,27 +41,28 @@ chunks, and conv3x3 is the batch of one pair. The fusion core and the
 heads make one batch per stage: weave.block_naive and
 weave.block_simplified convolve one iteration's emitting scales together,
 weave.precompute_sources all scales, and detect.head_forward every scale's
-head. A batch of at least SPLIT_MIN_MACS multiply-adds in total runs on
-two threads when ``os.sched_getaffinity`` lets the process use two or more
-CPUs. The caller and one long-lived daemon helper thread take its chunks
-one at a time from a shared counter, larger calls first (both the column
-copy and the einsum release the GIL), so the small calls of a batch fill
-in beside the large ones and one hand-off serves the whole stage. Whoever
-takes a chunk copies the chunk's input rows into a zero-bordered slab and
-builds its columns, both in its own workspace, and runs the chunk's einsum
-there, into a (cout, n*w) block after the columns, then copies the block
-into the chunk's rows of the output. Accumulating straight into the shared
-output had both threads writing the cache lines where two chunks meet once
-per tap, and a 10x10 call ran 7x slower. The bits do not depend on which
-thread runs a chunk, nor on which other calls share its batch: every
-output element is still one einsum over the same columns in the same tap
-order, and the copy moves finished values. The caller returns when every
-chunk has finished and raises the first exception any chunk raised; the
-helper lives on. A helper that gets no CPU costs the caller at most the
-chunk it has taken, since the caller runs every chunk nobody has taken.
-The helper starts with the first split batch, so importing this module
-and batches that are never split (a single CPU, or a platform without
-``sched_getaffinity``) start no thread, and a forked child forgets its
+head. Every call of two or more rows is cut into at least two chunks, and
+a batch of more than one chunk runs on two threads when the process may
+use two or more CPUs (``os.sched_getaffinity``): the caller and one
+long-lived daemon helper thread take its chunks one at a time from a
+shared counter, larger calls first (both the column copy and the einsum
+release the GIL), so the small calls of a batch fill in beside the large
+ones and one hand-off serves the whole stage. Whoever takes a chunk, on
+one CPU or two, copies the chunk's input rows into a zero-bordered slab
+and builds its columns, both in its own workspace, and runs the chunk's
+einsum there, into a (cout, n*w) block after the columns, then copies the
+block into the chunk's rows of the output. Accumulating straight into the
+shared output had both threads writing the cache lines where two chunks
+meet once per tap, and a 10x10 call ran 7x slower. The bits do not depend
+on which thread runs a chunk, nor on which other calls share its batch:
+every output element is still one einsum over the same columns in the
+same tap order, and the copy moves finished values. The caller returns
+when every chunk has finished and raises the first exception any chunk
+raised; the helper lives on. A helper that gets no CPU costs the caller at
+most the chunk it has taken, since the caller runs every chunk nobody has
+taken. The helper starts with the first batch posted to it, so importing
+this module, a single CPU (or a platform without ``sched_getaffinity``)
+and batches of one chunk start no thread, and a forked child forgets its
 parent's helper (``os.register_at_fork``) and starts its own.
 """
 
@@ -187,13 +188,6 @@ class ConvKernel:
 # however wide the input; a single output row may exceed it.
 CONV_CHUNK_BYTES = 1 << 20
 
-# Multiply-adds (taps x cout x pixels) from which a conv3x3 call runs on two
-# threads. Calls from 4.6M up ran about twice as fast split. Smaller ones
-# (5x5 and 10x10 maps) gained 14-30% back to back but lost 26-44% when the
-# helper's CPU had idled 0.5 ms between calls (2-vCPU x86-64 VM); 2^20, 2^21
-# and 2^22 read alike on the benchmark's detect-stream and fusion-t5.
-SPLIT_MIN_MACS = 1 << 21
-
 # Each thread's column workspace, reused by every chunk of every conv3x3 call
 # it runs. A fresh buffer per chunk went back to the OS when freed, so each
 # new one cost up to 256 first-touch page faults on zeroed pages.
@@ -220,18 +214,18 @@ def _column_workspace(size: int) -> np.ndarray:
 class _Call:
     """One convolution of a conv3x3_many batch, cut into row chunks."""
 
-    def __init__(self, x: Tensor, kernel: ConvKernel, split: bool):
+    def __init__(self, x: Tensor, kernel: ConvKernel):
         cin, h, w = x.shape
         cout = kernel.out_channels
-        self.x, self.kernel, self.split = x, kernel, split
+        self.x, self.kernel = x, kernel
         self.taps = 1 + 9 * cin
         self.macs = self.taps * cout * h * w
         # workspace elements of a chunk of n rows: per_row * n + edge, its
-        # columns (and block) of n*w pixels and its (cin, n + 2, w + 2) slab
-        per_row = (self.taps + (cout if split else 0)) * w + cin * (w + 2)
+        # columns and block of n*w pixels and its (cin, n + 2, w + 2) slab
+        per_row = (self.taps + cout) * w + cin * (w + 2)
         edge = 2 * cin * (w + 2)
         fit = max(1, (CONV_CHUNK_BYTES // 8 - edge) // per_row)
-        count = max(-(-h // fit), 2 if split else 1)
+        count = max(-(-h // fit), 2)
         self.rows = -(-h // count)
         self.count = -(-h // self.rows)
         self.size = per_row * self.rows + edge  # workspace elements one chunk needs
@@ -247,7 +241,9 @@ class _Call:
         n = min(self.rows, h - y0)
         span = n * w
         cols = workspace[: taps * span].reshape(taps, span)
-        end = (taps + cout) * span if self.split else taps * span
+        # the einsum accumulates away from the cache lines the chunk's rows share with its neighbours
+        end = (taps + cout) * span
+        block = workspace[taps * span : end].reshape(cout, span)
         # slab row r is input row y0 - 1 + r, zero outside the input and in the two pad columns
         slab = workspace[end : end + cin * (n + 2) * (w + 2)].reshape(cin, n + 2, w + 2)
         slab[:, :, 0] = 0.0
@@ -267,16 +263,12 @@ class _Call:
         )
         cols[0] = 1.0
         cols[1:].reshape(cin, 3, 3, n, w)[...] = windows
-        target = self.out[:, y0 * w : y0 * w + span]
-        # a split chunk accumulates away from the cache lines it shares with its neighbours
-        part = workspace[taps * span : end].reshape(cout, span) if self.split else target
         if span > 1:
-            np.einsum("ko,kp->op", wt, cols, out=part, optimize=False)
+            np.einsum("ko,kp->op", wt, cols, out=block, optimize=False)
         else:
             two = np.pad(cols, ((0, 0), (0, 1)))
-            part[...] = np.einsum("ko,kp->op", wt, two, optimize=False)[:, :1]
-        if self.split:
-            target[...] = part
+            block[...] = np.einsum("ko,kp->op", wt, two, optimize=False)[:, :1]
+        self.out[:, y0 * w : y0 * w + span] = block
 
 
 class _RowChunks:
@@ -339,13 +331,13 @@ class _RowChunks:
 
 
 class _Helper:
-    """A daemon thread that works on the chunks of each split conv3x3_many batch."""
+    """A daemon thread that works on the chunks of each conv3x3_many batch posted to it."""
 
     def __init__(self):
         self._posted = threading.Condition(threading.Lock())
         self._chunks: _RowChunks | None = None
         # chunks finished, counted before the batch's caller can return:
-        # exactness_probe reads it to tell whether a split call reached the
+        # exactness_probe reads it to tell whether a two-thread call reached the
         # helper. An attribute, not a module global, so that running the
         # package rebinds no module name (a --trace 1 benchmark run checks).
         self.chunks = 0
@@ -374,7 +366,7 @@ _helper_start = threading.Lock()
 
 
 def _the_helper() -> _Helper:
-    """The process's helper thread, started by the first split batch."""
+    """The process's helper thread, started by the first batch posted to it."""
     global _helper
     with _helper_start:
         if _helper is None:
@@ -405,39 +397,31 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _splits(macs: int) -> bool:
-    """Whether a batch of `macs` multiply-adds runs on the caller and the helper."""
-    return macs >= SPLIT_MIN_MACS and _cpus() > 1
-
-
 def conv3x3_many(pairs: Sequence[tuple[Tensor, ConvKernel]]) -> list[Tensor]:
     """conv3x3 of every (x, kernel) pair, run as one batch of row chunks.
 
     Every pair is checked before any chunk runs. The result of each pair is
     bit-identical to conv3x3 on that pair alone.
 
-    The batch is split when its multiply-adds (taps x cout x pixels, summed
-    over the pairs) reach SPLIT_MIN_MACS and os.sched_getaffinity offers two
-    or more CPUs. Then every call with more than one row is cut into at
-    least two chunks, the chunks of all calls go into one queue, larger
-    calls first, and the caller and the helper thread take them one at a
-    time until none is left. Each such chunk's einsum writes a (cout, n*w)
-    block right after its columns in the workspace (which counts towards
-    the cap), and the block is copied into the chunk's rows of its call's
-    (cout, h*w) output. The caller returns once every chunk has finished,
-    raising the first exception any chunk raised. A batch that is not
-    split runs its chunks on the caller, in the same queue order, each
-    einsum written straight into its output rows.
+    Every call with more than one row is cut into at least two chunks, and
+    the chunks of all calls go into one queue, larger calls first. When the
+    batch has more than one chunk and os.sched_getaffinity offers two or
+    more CPUs, the caller posts the queue to the helper thread, and the two
+    take chunks one at a time until none is left; otherwise the caller runs
+    them all. Each chunk's einsum writes a (cout, n*w) block right after its
+    columns in the workspace (which counts towards the cap), and the block
+    is copied into the chunk's rows of its call's (cout, h*w) output. The
+    caller returns once every chunk has finished, raising the first
+    exception any chunk raised.
     """
     for x, kernel in pairs:
         if x.channels != kernel.in_channels:
             raise ValidationError(
                 f"input has {x.channels} channels but kernel expects {kernel.in_channels}"
             )
-    split = _splits(sum((1 + 9 * x.channels) * k.out_channels * x.height * x.width for x, k in pairs))
-    calls = [_Call(x, kernel, split) for x, kernel in pairs]
+    calls = [_Call(x, kernel) for x, kernel in pairs]
     chunks = _RowChunks(calls)
-    if split and len(chunks) > 1:
+    if len(chunks) > 1 and _cpus() > 1:
         _the_helper().post(chunks)
     chunks.work()
     chunks.join()
@@ -454,24 +438,24 @@ def conv3x3(x: Tensor, kernel: ConvKernel) -> Tensor:
 
     The rows are cut into as few equal chunks (the last may be shorter) as
     keep each chunk's workspace within CONV_CHUNK_BYTES, at least one row
-    each. A chunk of n output rows starting at y0 copies input rows
-    y0 - 1 .. y0 + n into a slab of n + 2 rows of wp = w + 2 values per
-    channel, zero where a row lies outside the input and in the first and
-    last column. Output pixel (y, x) reads the taps at slab offsets
-    (y - y0 + dy)*wp + x + dx, so the chunk's windows are one as_strided
-    view of shape (cin, 3, 3, n, w) with strides (slab plane, wp, 1, wp,
-    1), and its columns are exactly its n*w output pixels. The last read in
-    a plane is at (n + 1)*wp + w + 1 = (n + 2)*wp - 1, the plane's last
-    value. The columns are the contiguous (taps, n*w) prefix of the running
-    thread's workspace, the slab follows them (in a split batch, after the
-    output block); the workspace is reused by every chunk and call, and
-    only an output row too wide for the cap gets a buffer of its own, per
-    thread and batch. Each chunk is one unoptimised einsum. A chunk of one
-    pixel gets a zero pad column, dropped afterwards, so that NumPy keeps
-    the pixel axis innermost; the module docstring gives the argument that
-    the sums follow the reference order.
+    each, and at least two when there are two rows. A chunk of n output
+    rows starting at y0 copies input rows y0 - 1 .. y0 + n into a slab of
+    n + 2 rows of wp = w + 2 values per channel, zero where a row lies
+    outside the input and in the first and last column. Output pixel (y, x)
+    reads the taps at slab offsets (y - y0 + dy)*wp + x + dx, so the
+    chunk's windows are one as_strided view of shape (cin, 3, 3, n, w) with
+    strides (slab plane, wp, 1, wp, 1), and its columns are exactly its n*w
+    output pixels. The last read in a plane is at (n + 1)*wp + w + 1 =
+    (n + 2)*wp - 1, the plane's last value. The columns are the contiguous
+    (taps, n*w) prefix of the running thread's workspace, and the output
+    block and then the slab follow them; the workspace is reused by every
+    chunk and call, and only an output row too wide for the cap gets a
+    buffer of its own, per thread and batch. Each chunk is one unoptimised
+    einsum. A chunk of one pixel gets a zero pad column, dropped afterwards,
+    so that NumPy keeps the pixel axis innermost; the module docstring
+    gives the argument that the sums follow the reference order.
 
-    This is conv3x3_many of the one pair, split under the same rule.
+    This is conv3x3_many of the one pair.
     """
     return conv3x3_many([(x, kernel)])[0]
 
@@ -498,12 +482,12 @@ def conv3x3_taps(x: Tensor, kernel: ConvKernel) -> np.ndarray:
 
 # (cin, cout, h, w) of the probe's inputs: odd sizes, a one-pixel-wide map,
 # two 1x1 inputs, one with a single output channel (the one-column case
-# conv3x3 pads), and a call of six row chunks that is split between the
-# caller and the helper thread when the process may use two CPUs.
+# conv3x3 pads), and last the two-thread call: one-row chunks that the
+# caller and the helper thread share when the process may use two CPUs.
 PROBE_SHAPES = ((3, 5, 7, 5), (5, 4, 1, 1), (63, 1, 1, 1), (2, 3, 9, 1), (160, 8, 11, 40))
 
-# Most times exactness_probe runs a split call while waiting for the helper
-# thread to take one of its chunks.
+# Most times exactness_probe runs its two-thread call while waiting for the
+# helper thread to take one of its chunks.
 PROBE_ATTEMPTS = 100
 
 
@@ -512,22 +496,22 @@ def exactness_probe() -> str | None:
 
     Runs PROBE_SHAPES on fixed random inputs and returns None when every
     output matches, otherwise a one-line description of the first input
-    that does not. A call that is split runs again until the helper thread
-    has finished one of its chunks, at most PROBE_ATTEMPTS times: in a
-    fresh process the caller often runs every chunk before the helper
-    wakes. It fails on a build whose einsum loops fuse or reorder the
-    multiply-adds.
+    that does not. On two or more CPUs the last shape, the two-thread call,
+    runs again until the helper thread has finished one of its chunks, at
+    most PROBE_ATTEMPTS times: in a fresh process the caller often runs
+    every chunk before the helper wakes. It fails on a build whose einsum
+    loops fuse or reorder the multiply-adds.
     """
     rng = np.random.default_rng(0)
-    for cin, cout, h, w in PROBE_SHAPES:
+    for i, (cin, cout, h, w) in enumerate(PROBE_SHAPES):
         x = Tensor._adopt(rng.normal(size=(cin, h, w)))
         kernel = ConvKernel(rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
         want = conv3x3_taps(x, kernel)
-        for _ in range(PROBE_ATTEMPTS if _splits((1 + 9 * cin) * cout * h * w) else 1):
+        for _ in range(PROBE_ATTEMPTS if i == len(PROBE_SHAPES) - 1 and _cpus() > 1 else 1):
             helped = _helped()
             differ = conv3x3(x, kernel).data.view(np.uint64) != want.view(np.uint64)
             if differ.any():
-                c, y, xx = (int(i) for i in np.argwhere(differ)[0])
+                c, y, xx = (int(v) for v in np.argwhere(differ)[0])
                 return (
                     f"{int(differ.sum())} of {differ.size} outputs of a ({cin}, {h}, {w}) input"
                     f" and {cout} output channel(s) differ from the tap loop,"

@@ -261,12 +261,12 @@ for cin, cout, h, w in ((32, 48, 5, 5), (80, 32, 40, 40), (32, 96, 20, 20)):
     x = tensor_core.Tensor(rng.normal(size=(cin, h, w)))
     tensor_core.conv3x3(x, tensor_core.ConvKernel(rng.normal(size=(cout, cin, 3, 3)), np.zeros(cout)))
     counts.append(threading.active_count())
-print(json.dumps([codes, len(os.sched_getaffinity(0)), tensor_core.SPLIT_MIN_MACS, counts]))
+print(json.dumps([codes, len(os.sched_getaffinity(0)), counts]))
 """
 
 
-def thread_counts(tmp_path, commands: list[list[str]]) -> tuple[list[int], int, int, list[int]]:
-    """(exit codes, CPUs, SPLIT_MIN_MACS, threads after `import weavenet.cli`,
+def thread_counts(tmp_path, commands: list[list[str]]) -> tuple[list[int], int, list[int]]:
+    """(exit codes, CPUs, threads after `import weavenet.cli`,
     after each command and after each of three conv3x3 calls), in a fresh
     interpreter."""
     (tmp_path / "gt.jsonl").write_text('{"image_id": "a", %s}\n' % BOX)
@@ -283,13 +283,12 @@ EVAL = ["eval", "dets.jsonl", "gt.jsonl", "--out", "report.csv"]
 
 
 def test_only_a_split_convolution_starts_a_thread(tmp_path):
-    """Importing the CLI and a whole `eval` start no thread; the first split
-    conv3x3 (on two or more CPUs) starts the helper, and later calls reuse it.
-    A whole default `demo`, whose batches are split, leaves exactly the one
-    helper."""
-    codes, cpus, split_min, counts = thread_counts(tmp_path, [EVAL])
-    assert (1 + 9 * 32) * 48 * 5 * 5 < split_min <= (1 + 9 * 80) * 32 * 40 * 40
+    """Importing the CLI and a whole `eval` start no thread; the first conv3x3
+    split into row chunks (on two or more CPUs), even the small 5x5 one,
+    starts the helper, and later calls reuse it. A whole default `demo`
+    leaves exactly the one helper."""
+    codes, cpus, counts = thread_counts(tmp_path, [EVAL])
     helper = 1 if cpus > 1 else 0
-    assert codes == [0] and counts == [1, 1, 1, 1 + helper, 1 + helper]
-    codes, _, _, counts = thread_counts(tmp_path, [EVAL, ["demo", "--out", "d.jsonl"]])
+    assert codes == [0] and counts == [1, 1, 1 + helper, 1 + helper, 1 + helper]
+    codes, _, counts = thread_counts(tmp_path, [EVAL, ["demo", "--out", "d.jsonl"]])
     assert codes == [0, 0] and counts == [1, 1, 1 + helper, 1 + helper, 1 + helper, 1 + helper]

@@ -371,9 +371,12 @@ class TestColumnWorkspace:
         wide_kernel = ConvKernel(spread_values(rng, (2, cin, 3, 3)), spread_values(rng, 2))
         x = Tensor(rng.normal(size=(160, 41, 40)))
         k = ConvKernel(rng.normal(size=(16, 160, 3, 3)), np.zeros(16))
-        before = column_operands(monkeypatch, x, k)
-        own = column_operands(monkeypatch, wide, wide_kernel)
-        after = column_operands(monkeypatch, x, k)
+        # one CPU, so that the caller runs every chunk; column_operands undoes its own monkeypatch
+        with pytest.MonkeyPatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            before = column_operands(monkeypatch, x, k)
+            own = column_operands(monkeypatch, wide, wide_kernel)
+            after = column_operands(monkeypatch, x, k)
         assert len(own) == 3 and all(np.shares_memory(cols, own[0]) for cols in own)
         assert not any(np.shares_memory(cols, after[0]) for cols in own)
         assert np.shares_memory(after[0], before[0])
@@ -442,12 +445,17 @@ print(json.dumps(tensor_core.exactness_probe()))
 """
 
 
+def zero_call(cin: int, cout: int, h: int, w: int):
+    """The _Call conv3x3 makes of a (cin, h, w) input and a kernel of cout outputs."""
+    return tensor_core._Call(Tensor(np.zeros((cin, h, w))), ConvKernel(np.zeros((cout, cin, 3, 3)), np.zeros(cout)))
+
+
 def split_case(seed: int):
     """An input, kernel and loop output that conv3x3 splits into many chunks."""
     rng = np.random.default_rng(seed)
     x = Tensor(spread_values(rng, (160, 21, 40)))
     k = ConvKernel(spread_values(rng, (8, 160, 3, 3)), spread_values(rng, 8))
-    assert (1 + 9 * 160) * 8 * 21 * 40 >= tensor_core.SPLIT_MIN_MACS
+    assert tensor_core._Call(x, k).count > 2  # more chunks than threads
     return x, k, conv3x3_loop(x, k)
 
 
@@ -623,13 +631,32 @@ class TestConv3x3Many:
             (Tensor(spread_values(rng, (cin, s, s))), ConvKernel(spread_values(rng, (4, cin, 3, 3)), spread_values(rng, 4)))
             for cin, s in ((3, 5), (40, 40), (9, 10), (2, 1))
         ]
-        queue = tensor_core._RowChunks([tensor_core._Call(x, k, split=True) for x, k in pairs])._queue
+        queue = tensor_core._RowChunks([tensor_core._Call(x, k) for x, k in pairs])._queue
         calls = list(dict.fromkeys(call for call, _ in queue))  # in queue order
         assert [call.x.width for call in calls] == [40, 10, 5, 1]
         for call in calls:
             assert [i for queued, i in queue if queued is call] == list(range(call.count))
         for (x, k), got in zip(pairs, conv3x3_many(pairs)):
             assert_same_bits(got.data, conv3x3_taps(x, k))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        cin=st.integers(1, 300),
+        cout=st.integers(1, 64),
+        h=st.integers(1, 60),
+        w=st.integers(1, 60),
+        cap=st.one_of(st.integers(1, 1 << 16), st.just(CONV_CHUNK_BYTES)),
+    )
+    def test_a_calls_chunks_tile_its_rows_and_fit_the_workspace_cap(self, cin, cout, h, w, cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor_core, "CONV_CHUNK_BYTES", cap)
+            call = zero_call(cin, cout, h, w)
+        rows, count = call.rows, call.count
+        assert rows * (count - 1) < h <= rows * count
+        assert count >= 2 or h == 1  # every call of two or more rows is shared out
+        assert call.size * 8 <= cap or rows == 1  # only a single row may pass the cap
+        # the columns, the block and the slab of the largest chunk
+        assert call.size >= (1 + 9 * cin) * rows * w + cout * rows * w + cin * (rows + 2) * (w + 2)
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -915,8 +942,9 @@ class TestExactnessProbe:
         assert any(h % 2 and w % 2 and h > 1 for _, _, h, w in PROBE_SHAPES)
 
     def test_probe_covers_a_split_call(self):
-        assert any(h > 1 and (1 + 9 * cin) * cout * h * w >= tensor_core.SPLIT_MIN_MACS
-                   for cin, cout, h, w in PROBE_SHAPES)
+        cin, cout, h, w = PROBE_SHAPES[-1]  # the two-thread call: one row a chunk
+        call = zero_call(cin, cout, h, w)
+        assert (call.rows, call.count) == (1, h) and h > 2
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -944,9 +972,9 @@ class TestExactnessProbe:
 
         monkeypatch.setattr(tensor_core, "conv3x3", counting)
         assert exactness_probe() is None
-        splits = sum(1 for cin, cout, h, w in PROBE_SHAPES if (1 + 9 * cin) * cout * h * w >= tensor_core.SPLIT_MIN_MACS)
-        assert len(helped) >= len(PROBE_SHAPES) and helped.count(True) == splits and helped[-1]
-        assert len(helped) <= len(PROBE_SHAPES) - splits + splits * tensor_core.PROBE_ATTEMPTS
+        once = len(PROBE_SHAPES) - 1  # every shape but the two-thread call runs once
+        assert len(helped) > once and helped[-1] and not any(helped[once:-1])
+        assert len(helped) <= once + tensor_core.PROBE_ATTEMPTS
 
     def test_a_helper_that_misplaces_rows_fails_the_probe_in_every_fresh_process(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
