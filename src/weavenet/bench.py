@@ -16,6 +16,7 @@ from .fixtures import make_raw_pyramid
 from .tensor_core import ConvKernel, Tensor
 from .weave import (
     DIRECTION_MASKS,
+    Kernels,
     Params,
     WeaveConfig,
     WeaveFlops,
@@ -107,9 +108,10 @@ def corrupt_partition(
     or (params, why block cannot be corrupted under config).
 
     Iteration t's kernel of scale `block = (scale, t)` gets its columns
-    permuted so that the ordinary message/raw split moves the raw group one
-    column right (the first raw column joins the messages), or one column
-    left when the scale receives no down-messages. The naive pass reads the
+    permuted so that the message/raw split Kernels makes of them moves the
+    raw group one column right (the first raw column joins the messages),
+    or one column left when the scale receives no down-messages; the
+    scale's kernels are then split again. The naive pass reads the
     full state in canonical order and so is unaffected. A block cannot be
     corrupted when the direction masks never run it, when t is not one of
     the iterations 1..T, or when it reads no message columns because the
@@ -131,7 +133,7 @@ def corrupt_partition(
     else:
         cols[up - 1 : up + raw] = [up + raw - 1] + cols[up - 1 : up + raw - 1]
     corrupted = ConvKernel(kernel.weights[:, cols], kernel.bias)
-    return {**params, scale: kernels[: t - 1] + (corrupted,) + kernels[t:]}, None
+    return {**params, scale: Kernels(kernels[: t - 1] + (corrupted,) + kernels[t:], config, scale)}, None
 
 
 def check_modes(

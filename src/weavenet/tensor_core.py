@@ -295,7 +295,6 @@ class _RowChunks:
 
         An exception is kept for join(), and no more chunks are taken.
         """
-        helper = _helper if _helper is not None and threading.current_thread() is _helper.thread else None
         workspace = None
         while True:
             with self._idle:
@@ -313,19 +312,17 @@ class _RowChunks:
                 error = err
             with self._idle:
                 self._running -= 1
-                if error is not None:
-                    if self._error is None:
-                        self._error = error
-                        self._next = len(self._queue)
-                elif helper is not None:
-                    helper.chunks += 1
+                if error is not None and self._error is None:
+                    self._error = error
+                    self._next = len(self._queue)
                 if not self._running:
                     self._idle.notify_all()
 
     def join(self) -> None:
-        """Wait until no chunk is running; raise the first exception a chunk raised."""
+        """Wait until every chunk has been taken and none is running; raise
+        the first exception a chunk raised."""
         with self._idle:
-            self._idle.wait_for(lambda: not self._running)
+            self._idle.wait_for(lambda: self._next >= len(self._queue) and not self._running)
         if self._error is not None:
             raise self._error
 
@@ -336,11 +333,6 @@ class _Helper:
     def __init__(self):
         self._posted = threading.Condition(threading.Lock())
         self._chunks: _RowChunks | None = None
-        # chunks finished, counted before the batch's caller can return:
-        # exactness_probe reads it to tell whether a two-thread call reached the
-        # helper. An attribute, not a module global, so that running the
-        # package rebinds no module name (a --trace 1 benchmark run checks).
-        self.chunks = 0
         self.thread = threading.Thread(target=self._serve, name="conv3x3-helper", daemon=True)
         self.thread.start()
 
@@ -383,11 +375,6 @@ def _forget_helper() -> None:
 
 if hasattr(os, "register_at_fork"):  # no fork, and so no helper to forget, on Windows
     os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _helped() -> int:
-    """Chunks the helper thread has finished; 0 before it starts."""
-    return 0 if _helper is None else _helper.chunks
 
 
 def _cpus() -> int:
@@ -486,10 +473,6 @@ def conv3x3_taps(x: Tensor, kernel: ConvKernel) -> np.ndarray:
 # caller and the helper thread share when the process may use two CPUs.
 PROBE_SHAPES = ((3, 5, 7, 5), (5, 4, 1, 1), (63, 1, 1, 1), (2, 3, 9, 1), (160, 8, 11, 40))
 
-# Most times exactness_probe runs its two-thread call while waiting for the
-# helper thread to take one of its chunks.
-PROBE_ATTEMPTS = 100
-
 
 def exactness_probe() -> str | None:
     """Whether conv3x3 equals conv3x3_taps bit for bit on this NumPy build.
@@ -497,19 +480,25 @@ def exactness_probe() -> str | None:
     Runs PROBE_SHAPES on fixed random inputs and returns None when every
     output matches, otherwise a one-line description of the first input
     that does not. On two or more CPUs the last shape, the two-thread call,
-    runs again until the helper thread has finished one of its chunks, at
-    most PROBE_ATTEMPTS times: in a fresh process the caller often runs
-    every chunk before the helper wakes. It fails on a build whose einsum
-    loops fuse or reorder the multiply-adds.
+    runs once more with every chunk posted to the helper thread while the
+    caller only joins, so the helper's path is checked whether or not the
+    first run reached it. It fails on a build whose einsum loops fuse or
+    reorder the multiply-adds.
     """
     rng = np.random.default_rng(0)
     for i, (cin, cout, h, w) in enumerate(PROBE_SHAPES):
         x = Tensor._adopt(rng.normal(size=(cin, h, w)))
         kernel = ConvKernel(rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
         want = conv3x3_taps(x, kernel)
-        for _ in range(PROBE_ATTEMPTS if i == len(PROBE_SHAPES) - 1 and _cpus() > 1 else 1):
-            helped = _helped()
-            differ = conv3x3(x, kernel).data.view(np.uint64) != want.view(np.uint64)
+        outputs = [conv3x3(x, kernel).data]
+        if i == len(PROBE_SHAPES) - 1 and _cpus() > 1:
+            call = _Call(x, kernel)
+            chunks = _RowChunks([call])
+            _the_helper().post(chunks)
+            chunks.join()
+            outputs.append(call.out.reshape(cout, h, w))
+        for got in outputs:
+            differ = got.view(np.uint64) != want.view(np.uint64)
             if differ.any():
                 c, y, xx = (int(v) for v in np.argwhere(differ)[0])
                 return (
@@ -517,8 +506,6 @@ def exactness_probe() -> str | None:
                     f" and {cout} output channel(s) differ from the tap loop,"
                     f" first at channel {c}, y {y}, x {xx}"
                 )
-            if _helped() > helped:
-                break
     return None
 
 

@@ -16,7 +16,8 @@ Newest up-messages are prepended, newest down-messages appended, and
 directions a scale never receives contribute nothing.
 WeaveConfig.state_layout gives the three group widths; it alone decides
 where the raw features sit, both in the state buffers and in the kernel
-columns that the simplified path splits into a raw and a message group.
+columns that Kernels splits once, when params are built, into a raw and a
+message group for the simplified path.
 Each woven scale keeps one buffer at its final width in this order, and
 the state after t iterations is a read-only view of the buffer's middle.
 A block returns one tensor, its down-message rows first, then its
@@ -185,22 +186,42 @@ class WeaveConfig:
 
 
 class Kernels(tuple):
-    """One scale's block kernels: entry t-1 is the kernel of iteration t.
+    """One scale's block kernels, entry t-1 the full kernel of iteration t,
+    with their columns split once for the simplified pass.
 
-    A tuple in every other respect; `kernels` is the tuple itself, the
-    field through which benchmark/tests/test_benchmark.py reads a scale's
-    params.
+    `raw` stacks every iteration's raw columns (config.state_layout's raw
+    group) along the output axis with a zero bias, None when there are no
+    iterations; `messages[t-1]` holds iteration t's other columns with its
+    bias, None when the state it reads has no messages. `layouts[t-1]` is
+    that state's layout. A tuple in every other respect; `kernels` is the
+    tuple itself, the field through which benchmark/tests/test_benchmark.py
+    reads a scale's params.
     """
 
-    __slots__ = ()
+    def __new__(cls, kernels, config: WeaveConfig, scale: int):
+        self = super().__new__(cls, kernels)
+        self.layouts = tuple(config.state_layout(scale, t) for t in range(len(self)))
+        raw, messages = [], []
+        for kernel, (up, width, down) in zip(self, self.layouts):
+            raw_group = slice(up, up + width)
+            raw.append(kernel.weights[:, raw_group])
+            columns = np.delete(kernel.weights, raw_group, axis=1) if up + down else None
+            messages.append(None if columns is None else ConvKernel(columns, kernel.bias))
+        self.messages = tuple(messages)
+        stacked = np.concatenate(raw, axis=0) if raw else None
+        self.raw = None if stacked is None else ConvKernel(stacked, np.zeros(stacked.shape[0]))
+        return self
+
+    def __reduce__(self):  # copy and pickle keep the groups as split, without the config
+        return tuple.__new__, (Kernels, tuple(self)), self.__dict__
 
     @property
     def kernels(self) -> tuple[ConvKernel, ...]:
         return self
 
 
-# Block kernels by scale: params[i][t-1] is scale i's kernel of iteration t.
-Params = dict[int, tuple[ConvKernel, ...]]
+# Block kernels by scale: params[i][t-1] is scale i's full kernel of iteration t.
+Params = dict[int, Kernels]
 
 
 class ScaleState(Record):
@@ -251,7 +272,7 @@ def init_params(config: WeaveConfig) -> Params:
             weights = rng.uniform(-s, s, size=(out_channels, in_channels, 3, 3))
             bias = rng.uniform(-s, s, size=out_channels)
             kernels.append(ConvKernel(weights, bias))
-        params[scale] = Kernels(kernels)
+        params[scale] = Kernels(kernels, config, scale)
     return params
 
 
@@ -279,6 +300,10 @@ def _check_params(params: Params, config: WeaveConfig) -> None:
                     f"scale {i} iteration {t}: kernel has shape {kernel.weights.shape}, "
                     f"config expects {want}"
                 )
+        if not isinstance(params[i], Kernels):
+            raise ValidationError(f"scale {i}: params hold a {type(params[i]).__name__}, not a weave.Kernels")
+        if params[i].layouts != tuple(config.state_layout(i, t) for t in range(iterations)):
+            raise ValidationError(f"scale {i}: params split their kernel columns for another state layout")
 
 
 def block_naive(states: dict[int, ScaleState], kernels: dict[int, ConvKernel]) -> dict[int, Tensor]:
@@ -294,65 +319,52 @@ def block_naive(states: dict[int, ScaleState], kernels: dict[int, ConvKernel]) -
 def block_simplified(
     states: dict[int, ScaleState],
     sources: dict[int, np.ndarray],
-    kernels: dict[int, ConvKernel],
+    kernels: Params,
     config: WeaveConfig,
 ) -> dict[int, Tensor]:
-    """One iteration's block step for every scale in kernels, from each
-    state's message channels plus the precomputed raw source; rows as in
-    block_naive.
+    """One iteration's block step (iteration t + 1 of states at t) for every
+    scale in kernels, from each state's message channels plus the
+    precomputed raw source; rows as in block_naive.
 
-    Computes relu(messages * message_columns + bias + source). Removing the
-    raw group of config.state_layout(scale, t) from a state leaves the
-    messages, and from the kernel's columns the message columns; at t=1
-    there are none and the result is relu(bias + source). The scales that
-    have messages convolve them as one conv3x3_many batch.
+    Computes relu(messages * kernels[i].messages[t] + bias + source), the
+    messages being the state less the raw group of config.state_layout(i, t);
+    at t=0 there are none: relu(kernels[i][0].bias + source). The scales
+    that have messages convolve them as one conv3x3_many batch.
     """
     scales, pairs = [], []  # the scales that have messages, and their (messages, columns)
-    for i, kernel in kernels.items():
-        up, raw, down = config.state_layout(i, states[i].t)
-        if up + down:
-            raw_group = slice(up, up + raw)
+    for i, scale_kernels in kernels.items():
+        t = states[i].t
+        if scale_kernels.messages[t] is not None:
+            up, raw, down = config.state_layout(i, t)
             if up and down:
-                messages = np.delete(states[i].data, raw_group, axis=0)
+                messages = np.delete(states[i].data, slice(up, up + raw), axis=0)
             else:  # the raw group is at one end, so the messages are one slice: a view
                 messages = states[i].data[:up] if up else states[i].data[raw:]
-            columns = np.delete(kernel.weights, raw_group, axis=1)
             scales.append(i)
-            pairs.append((Tensor._adopt(messages), ConvKernel(columns, kernel.bias)))
+            pairs.append((Tensor._adopt(messages), scale_kernels.messages[t]))
     convolved = dict(zip(scales, conv3x3_many(pairs)))
     del pairs  # frees the gathered messages before the outputs are built
     outputs = {}
-    for i, kernel in kernels.items():
-        pre = convolved.pop(i).data if i in convolved else kernel.bias[:, None, None]
+    for i, scale_kernels in kernels.items():
+        pre = convolved.pop(i).data if i in convolved else scale_kernels[states[i].t].bias[:, None, None]
         outputs[i] = relu(Tensor._adopt(pre + sources[i]))
     return outputs
 
 
-def precompute_sources(
-    raw: dict[int, Tensor],
-    params: Params,
-    config: WeaveConfig,
-) -> dict[int, np.ndarray]:
+def precompute_sources(raw: dict[int, Tensor], params: Params) -> dict[int, np.ndarray]:
     """Grouped raw-feature products, one convolution per scale, all scales
     in one conv3x3_many batch.
 
-    Each scale's raw-column kernels of all its iterations run stacked along
-    the output axis as one convolution, whose read-only result is viewed,
-    not copied, as a (T, out rows, h, w) array: entry t-1 is the raw
-    features convolved with iteration t's raw-column kernel, bias excluded.
+    Each scale's Kernels.raw, the raw columns of all its iterations stacked
+    along the output axis, runs as one convolution, whose read-only result
+    is viewed, not copied, as a (T, out rows, h, w) array: entry t-1 is the
+    raw features convolved with iteration t's raw columns, bias excluded.
     """
-    scales = [scale for scale, kernels in params.items() if kernels]
-    pairs = []
-    for scale in scales:
-        raw_columns = []
-        for t, kernel in enumerate(params[scale]):
-            up, width, _ = config.state_layout(scale, t)
-            raw_columns.append(kernel.weights[:, up : up + width])
-        stacked = np.concatenate(raw_columns, axis=0)
-        pairs.append((raw[scale], ConvKernel(stacked, np.zeros(stacked.shape[0]))))
+    scales = [scale for scale, kernels in params.items() if kernels.raw is not None]
+    convolved = conv3x3_many([(raw[scale], params[scale].raw) for scale in scales])
     return {
         scale: out.data.reshape(len(params[scale]), -1, *out.shape[1:])
-        for scale, out in zip(scales, conv3x3_many(pairs))
+        for scale, out in zip(scales, convolved)
     }
 
 
@@ -414,16 +426,15 @@ def weave_states(
     states = snapshot(0)
     sources = None
     if mode == "simplified":
-        sources = precompute_sources({i: pyramid[i] for i in params}, params, config)
+        sources = precompute_sources({i: pyramid[i] for i in params}, params)
 
     history: list[dict[int, ScaleState]] = []
     for t in range(1, iterations + 1):
-        kernels = {i: scale_kernels[t - 1] for i, scale_kernels in params.items()}
         # rows: down-messages, then up-messages
         if mode == "naive":
-            outputs = block_naive(states, kernels)
+            outputs = block_naive(states, {i: kernels[t - 1] for i, kernels in params.items()})
         else:
-            outputs = block_simplified(states, {i: sources[i][t - 1] for i in kernels}, kernels, config)
+            outputs = block_simplified(states, {i: sources[i][t - 1] for i in params}, params, config)
 
         # every block has read the t-1 views; the writes land outside them
         for i in config.woven_scales:

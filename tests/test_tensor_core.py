@@ -879,7 +879,7 @@ def _tiny_sources():
     params = init_params(cfg)
     rng = np.random.default_rng(15)
     raw = {i: Tensor(rng.normal(size=(3, s, s))) for i, s in enumerate(cfg.pyramid_sizes) if i in params}
-    return precompute_sources(raw, params, cfg)
+    return precompute_sources(raw, params)
 
 
 class TestFreshTensorsAreSealed:
@@ -960,21 +960,29 @@ class TestExactnessProbe:
         k = ConvKernel(spread_values(rng, (cout, cin, 3, 3)), spread_values(rng, cout))
         assert_same_bits(conv3x3_taps(x, k), conv3x3_loop(x, k))
 
-    def test_a_split_call_runs_until_the_helper_takes_a_chunk(self, monkeypatch, two_cpus):
-        helped = []
-        real = tensor_core.conv3x3
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_on_two_cpus_the_last_shape_runs_again_on_the_helper_alone(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        ran = []  # (call, chunk, thread) of every chunk the probe runs
+        real = tensor_core._Call.run
 
-        def counting(x, k):
-            before = tensor_core._helped()
-            out = real(x, k)
-            helped.append(tensor_core._helped() > before)
-            return out
+        def recording(call, i, workspace):
+            ran.append((call, i, threading.current_thread()))
+            return real(call, i, workspace)
 
-        monkeypatch.setattr(tensor_core, "conv3x3", counting)
+        monkeypatch.setattr(tensor_core._Call, "run", recording)
         assert exactness_probe() is None
-        once = len(PROBE_SHAPES) - 1  # every shape but the two-thread call runs once
-        assert len(helped) > once and helped[-1] and not any(helped[once:-1])
-        assert len(helped) <= once + tensor_core.PROBE_ATTEMPTS
+        calls = list({id(call): call for call, _, _ in ran}.values())
+        assert len(calls) == len(PROBE_SHAPES) + (cpus > 1)
+        if cpus == 1:
+            assert {thread for _, _, thread in ran} == {threading.current_thread()}
+            return
+        last = calls[-1]
+        cin, _, h, w = PROBE_SHAPES[-1]
+        assert last.x.shape == (cin, h, w)
+        chunks = [(i, thread) for call, i, thread in ran if call is last]
+        assert sorted(i for i, _ in chunks) == list(range(last.count))
+        assert {thread for _, thread in chunks} == {tensor_core._helper.thread}
 
     def test_a_helper_that_misplaces_rows_fails_the_probe_in_every_fresh_process(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))

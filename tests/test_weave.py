@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from weavenet.tensor_core import (
     upsample_bilinear_x2,
 )
 from weavenet.weave import (
+    Kernels,
     ScaleState,
     WeaveConfig,
     block_naive,
@@ -101,7 +104,7 @@ def shifted_partition(pyramid, cfg, params, block):
         scale, t = block
         if scale not in kernels or states[scale].t + 1 != t:
             return outputs
-        state, kernel = states[scale], kernels[scale]
+        state, kernel = states[scale], kernels[scale][t - 1]
         up, raw, down = config.state_layout(scale, state.t)
         if up + down == 0:
             raise ValidationError(f"scale {scale} iteration {t}: no message columns")
@@ -296,8 +299,9 @@ class TestScaleState:
         pyramid = random_pyramid(cfg)
         history = weave_states(pyramid, cfg, params, mode)
         for t, states in enumerate(history, start=1):
-            # the first t kernels of each scale, as a T=t config wants them
-            prefix = {i: kernels[:t] for i, kernels in params.items()}
+            # the first t kernels of each scale, as a T=t config wants them; a
+            # state's layout does not depend on T, so they split as before
+            prefix = {i: Kernels(kernels[:t], cfg, i) for i, kernels in params.items()}
             shorter = weave_states(pyramid, replace(cfg, iterations=t), prefix, mode)[-1]
             assert sorted(states) == sorted(shorter) == list(cfg.woven_scales)
             for i, state in states.items():
@@ -468,7 +472,7 @@ class TestPrecomputedSources:
         params = init_params(cfg)
         pyramid = random_pyramid(cfg)
         raw = {i: pyramid[i] for i in params}
-        sources = precompute_sources(raw, params, cfg)
+        sources = precompute_sources(raw, params)
         assert sorted(sources) == sorted(params)
         for i, kernels in params.items():
             # one stacked convolution, entry t-1 holding iteration t's rows
@@ -483,18 +487,81 @@ class TestPrecomputedSources:
     def test_no_iterations_no_sources(self):
         cfg = small_config(iterations=0)
         pyramid = random_pyramid(cfg)
-        assert precompute_sources({i: pyramid[i] for i in range(3)}, init_params(cfg), cfg) == {}
+        assert precompute_sources({i: pyramid[i] for i in range(3)}, init_params(cfg)) == {}
 
     def test_first_iteration_block_is_bias_plus_source(self):
         cfg = small_config(iterations=1)
         params = init_params(cfg)
         pyramid = random_pyramid(cfg)
-        sources = precompute_sources({1: pyramid[1]}, {1: params[1]}, cfg)
+        sources = precompute_sources({1: pyramid[1]}, {1: params[1]})
         state = ScaleState(scale=1, t=0, data=pyramid[1].data)
         kern = params[1][0]
-        out = block_simplified({1: state}, {1: sources[1][0]}, {1: kern}, cfg)[1]
+        out = block_simplified({1: state}, {1: sources[1][0]}, {1: params[1]}, cfg)[1]
         expected = np.maximum(kern.bias[:, None, None] + sources[1][0], 0.0)
         assert np.array_equal(out.data, expected)
+
+
+class TestColumnGroups:
+    """Kernels splits each scale's kernel columns once, when params are built."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(cfg=random_geometries())
+    def test_groups_rebuild_every_full_kernel_bitwise(self, cfg):
+        for i, kernels in init_params(cfg).items():
+            assert isinstance(kernels, Kernels) and len(kernels.messages) == len(kernels)
+            if not kernels:
+                assert kernels.raw is None
+                continue
+            rows = kernels[0].out_channels
+            assert kernels.raw.out_channels == rows * len(kernels)
+            assert not kernels.raw.bias.view(np.uint64).any()  # +0.0 everywhere
+            for t, kernel in enumerate(kernels, start=1):
+                up, raw, down = cfg.state_layout(i, t - 1)
+                rebuilt = np.full_like(kernel.weights, np.nan)
+                rebuilt[:, up : up + raw] = kernels.raw.weights[(t - 1) * rows : t * rows]
+                columns = kernels.messages[t - 1]
+                assert (columns is None) == (up + down == 0)
+                if columns is not None:
+                    rebuilt[:, :up] = columns.weights[:, :up]
+                    rebuilt[:, up + raw :] = columns.weights[:, up:]
+                    assert columns.bias.tobytes() == kernel.bias.tobytes()
+                assert rebuilt.tobytes() == kernel.weights.tobytes()
+
+    @pytest.mark.parametrize("copied", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_copies_keep_the_groups_as_split(self, copied):
+        cfg = small_config()
+        params = init_params(cfg)
+        again = copied(params)
+        for i, kernels in params.items():
+            assert type(again[i]) is Kernels and again[i].layouts == kernels.layouts
+            groups = zip((*kernels, kernels.raw, *kernels.messages), (*again[i], again[i].raw, *again[i].messages))
+            for a, b in groups:
+                assert (a is None and b is None) or a.matrix.tobytes() == b.matrix.tobytes()
+        pyramid = random_pyramid(cfg)
+        for a, b in zip(weave_forward(pyramid, cfg, params), weave_forward(pyramid, cfg, again)):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_a_simplified_pass_builds_no_kernel_and_deletes_no_columns(self, monkeypatch):
+        cfg = small_config(iterations=3)
+        params = init_params(cfg)
+        pyramid = random_pyramid(cfg)
+        built, deleted = [], []
+        real_init, real_delete = ConvKernel.__init__, np.delete
+
+        def counting_init(kernel, weights, bias):
+            built.append(np.shape(weights))
+            real_init(kernel, weights, bias)
+
+        def counting_delete(arr, *args, **kwargs):
+            deleted.append(np.ndim(arr))
+            return real_delete(arr, *args, **kwargs)
+
+        monkeypatch.setattr(ConvKernel, "__init__", counting_init)
+        monkeypatch.setattr(np, "delete", counting_delete)
+        weave_forward(pyramid, cfg, params, "simplified")
+        assert built == []
+        # scale 1 gathers its messages from both sides of the raw group: states only
+        assert deleted and set(deleted) == {3}
 
 
 class TestForwardShapes:
@@ -583,6 +650,26 @@ class TestParamsMatchConfig:
             weave_forward(pyramid, cfg, short)
         with pytest.raises(ValidationError, match="^scale 1: config runs a block there, params hold no kernels$"):
             weave_forward(pyramid, replace(cfg, iterations=0), {0: ()})
+
+    @pytest.mark.parametrize("mode", ["naive", "simplified"])
+    @pytest.mark.parametrize(
+        "scale_kernels,message",
+        [
+            (lambda cfg: tuple(init_params(cfg)[1]), "params hold a tuple, not a weave.Kernels"),
+            # the same shapes under the other one-way mask, but the raw group
+            # sits at the other end of the state
+            (
+                lambda cfg: init_params(replace(cfg, enable_top_down=False, enable_bottom_up=True))[1],
+                "params split their kernel columns for another state layout",
+            ),
+        ],
+        ids=["plain-tuple", "other-layout"],
+    )
+    def test_kernels_without_matching_column_groups_are_rejected(self, scale_kernels, message, mode):
+        cfg = small_config(enable_bottom_up=False)
+        params = {**init_params(cfg), 1: scale_kernels(cfg)}
+        with pytest.raises(ValidationError, match=f"^scale 1: {message}$"):
+            weave_forward(random_pyramid(cfg), cfg, params, mode)
 
 
 class TestPropagationSpeed:
