@@ -1,10 +1,10 @@
 """The single-image detection pipeline behind `weavenet demo`.
 
 Weave the synthetic pyramid, run the per-scale heads, then post-process:
-decode the candidate anchors, per-class greedy NMS, a global top-k, and
-optional score-weighted refinement. Boxes stay (N, 4) float64 arrays of
-(xmin, ymin, xmax, ymax) throughout; DetectionRecords are built only for
-the rows that are returned.
+decode the candidate anchors, per-class greedy NMS that stops at the
+global top-k, and optional score-weighted refinement. Boxes stay (N, 4)
+float64 arrays of (xmin, ymin, xmax, ymax) throughout; DetectionRecords
+are built only for the rows that are returned.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ def postprocess(
     keep_top_k. Refinement averages each survivor with its same-class
     neighbors in the pool of cut candidates.
 
+    The suppression runs once over the whole pool in that output order,
+    within each class, and stops at the keep_top_k-th survivor: a box's
+    fate depends only on the higher-priority boxes of its class, so the
+    result is the same, and the pool rows past the last output are never
+    compared.
+
     Only anchors that can make some class's cut are decoded: per class,
     those scoring at least its pre_nms_top_k-th highest score, ties
     included, since decoded coordinates break ties. Non-finite offsets
@@ -84,24 +90,15 @@ def postprocess(
     boxes = np.full_like(anchors, np.nan)
     boxes[rows] = decode_boxes(anchors, offsets, config.input_size, rows)
 
-    pool_rows, pool_classes, kept = [], [], []
-    start = 0
-    for cls, idx in enumerate(cut):
-        col = foreground[:, cls]
-        idx = idx[priority_order(boxes[idx], col[idx])][:k]
-        kept.append(start + nms_rows(boxes[idx], config.nms_iou_threshold))
-        pool_rows.append(idx)
-        pool_classes.append(np.full(len(idx), cls))
-        start += len(idx)
-
+    pool_rows = [idx[priority_order(boxes[idx], foreground[idx, cls])][:k] for cls, idx in enumerate(cut)]
+    pool_classes = np.concatenate([np.full(len(idx), cls) for cls, idx in enumerate(pool_rows)])
     pool_rows = np.concatenate(pool_rows)
-    pool_classes = np.concatenate(pool_classes)
     pool_boxes = boxes[pool_rows]
     pool_scores = foreground[pool_rows, pool_classes]
-    kept = np.concatenate(kept)
-    k_boxes = pool_boxes[kept]
-    top = np.lexsort((k_boxes[:, 1], k_boxes[:, 0], pool_classes[kept], -pool_scores[kept]))
-    kept = kept[top[: config.keep_top_k]]
+    order = np.lexsort((pool_boxes[:, 1], pool_boxes[:, 0], pool_classes, -pool_scores))
+    kept = order[
+        nms_rows(pool_boxes[order], config.nms_iou_threshold, pool_classes[order], config.keep_top_k)
+    ]
 
     out_boxes = pool_boxes[kept]
     if refine and len(kept):

@@ -164,6 +164,22 @@ class ConvKernel:
         matrix.flags.writeable = False
         self.matrix = matrix
 
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> "ConvKernel":
+        """A kernel over `matrix` itself, neither checked nor copied.
+
+        For package code only, and only for a C-contiguous float64 matrix it
+        has just built from rows of checked kernels' matrices, which no one
+        else can write.
+        """
+        matrix.flags.writeable = False
+        kernel = cls.__new__(cls)
+        kernel.matrix = matrix
+        return kernel
+
+    def __reduce__(self):  # copy and pickle rebuild the read-only matrix through __init__
+        return type(self), (self.weights, self.bias)
+
     @property
     def weights(self) -> np.ndarray:
         return self.matrix[1:].T.reshape(self.out_channels, self.in_channels, 3, 3)

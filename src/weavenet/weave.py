@@ -201,15 +201,19 @@ class Kernels(tuple):
     def __new__(cls, kernels, config: WeaveConfig, scale: int):
         self = super().__new__(cls, kernels)
         self.layouts = tuple(config.state_layout(scale, t) for t in range(len(self)))
+        # groups are row slices of the checked matrices: input channel c owns
+        # rows 1 + 9c to 10 + 9c, below the bias row
         raw, messages = [], []
         for kernel, (up, width, down) in zip(self, self.layouts):
-            raw_group = slice(up, up + width)
-            raw.append(kernel.weights[:, raw_group])
-            columns = np.delete(kernel.weights, raw_group, axis=1) if up + down else None
-            messages.append(None if columns is None else ConvKernel(columns, kernel.bias))
+            m, lo, hi = kernel.matrix, 1 + 9 * up, 1 + 9 * (up + width)
+            raw.append(m[lo:hi])
+            messages.append(ConvKernel._adopt(np.concatenate((m[:lo], m[hi:]))) if up + down else None)
         self.messages = tuple(messages)
-        stacked = np.concatenate(raw, axis=0) if raw else None
-        self.raw = None if stacked is None else ConvKernel(stacked, np.zeros(stacked.shape[0]))
+        self.raw = None
+        if raw:
+            stacked = np.zeros((1 + len(raw[0]), sum(r.shape[1] for r in raw)))  # a +0.0 bias row
+            np.concatenate(raw, axis=1, out=stacked[1:])
+            self.raw = ConvKernel._adopt(stacked)
         return self
 
     def __reduce__(self):  # copy and pickle keep the groups as split, without the config

@@ -24,10 +24,13 @@ from weavenet.detect import (
     iou_matrix,
     nms_greedy,
     nms_rows,
+    priority_order,
     refine_boxes,
+    refine_rows,
 )
 from weavenet.errors import ValidationError
-from weavenet.pipeline import postprocess
+from weavenet.evaluation import DetectionRecord
+from weavenet.pipeline import IMAGE_ID, postprocess
 from weavenet.tensor_core import ConvKernel, Tensor, conv3x3
 
 SIZES = (40, 20, 10, 5, 3, 1)
@@ -679,6 +682,38 @@ def scalar_anchors(mode, pyramid_sizes, input_size):
     return out
 
 
+def per_class_postprocess(anchors, offsets, scores, config, refine):
+    """postprocess as it was before its NMS stopped at keep_top_k: each
+    class's cut candidates suppressed on their own, then the survivors of
+    all classes sorted and cut to keep_top_k."""
+    k = config.pre_nms_top_k
+    foreground = scores[:, 1 : config.num_classes + 1]
+    pool_rows, pool_classes, kept = [], [], []
+    for cls in range(config.num_classes):
+        idx = np.flatnonzero(foreground[:, cls] > config.score_floor)
+        boxes = decode_boxes(anchors, offsets, config.input_size, idx)
+        order = priority_order(boxes, foreground[idx, cls])[:k]
+        kept.append(sum(map(len, pool_rows)) + nms_rows(boxes[order], config.nms_iou_threshold))
+        pool_rows.append(idx[order])
+        pool_classes.append(np.full(len(order), cls))
+    pool_rows, pool_classes, kept = map(np.concatenate, (pool_rows, pool_classes, kept))
+    pool_boxes = decode_boxes(anchors, offsets, config.input_size, pool_rows)
+    pool_scores = foreground[pool_rows, pool_classes]
+    k_boxes = pool_boxes[kept]
+    top = np.lexsort((k_boxes[:, 1], k_boxes[:, 0], pool_classes[kept], -pool_scores[kept]))
+    kept = kept[top[: config.keep_top_k]]
+    out_boxes = pool_boxes[kept]
+    if refine and len(kept):
+        out_boxes = refine_rows(
+            out_boxes, pool_scores[kept], pool_classes[kept], kept,
+            pool_boxes, pool_scores, pool_classes, config.refine_iou_threshold,
+        )
+    return [
+        DetectionRecord(image_id=IMAGE_ID, box=BBox(*box), score=score, class_id=cls)
+        for box, score, cls in zip(out_boxes.tolist(), pool_scores[kept].tolist(), pool_classes[kept].tolist())
+    ]
+
+
 class TestArrayProperties:
     @settings(deadline=None)
     @given(
@@ -756,6 +791,64 @@ class TestArrayProperties:
                 pool = data.draw(st.lists(st.sampled_from(dets), max_size=6))
                 got = [d.box.coords() for d in refine_boxes(pool, dets, thr)]
                 assert bits(got) == bits(scalar_refine(pool, dets, thr))
+
+    @settings(deadline=None)
+    @given(
+        dets=detections(max_size=30),
+        data=st.data(),
+        block=st.one_of(st.integers(1, 64), st.just(1 << 14)),
+        thr=st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 0.5]), st.floats(0.0, 1.0)),
+        per_class=st.booleans(),
+    )
+    def test_a_limited_nms_returns_the_first_rows_of_the_full_one(self, dets, data, block, thr, per_class):
+        boxes = np.array([d.box.coords() for d in dets], dtype=np.float64).reshape(-1, 4)
+        classes = np.array([d.class_id for d in dets], dtype=np.int64) if per_class else None
+        limit = data.draw(st.integers(0, len(dets) + 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "IOU_BLOCK_ELEMENTS", block)
+            full = nms_rows(boxes, thr, classes)
+            got = nms_rows(boxes, thr, classes, limit)
+        assert got.tolist() == full[:limit].tolist()
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 90),
+        clusters=st.integers(1, 8),
+        num_classes=st.integers(1, 4),
+        pre_nms_top_k=st.integers(1, 40),
+        past_pool=st.sampled_from([-5, -1, 0, 1, 5]),
+        nms_thr=st.one_of(st.sampled_from([0.0, 0.2, 0.45, 1.0]), st.floats(0.0, 1.0)),
+        refine=st.booleans(),
+        block=st.one_of(st.integers(1, 64), st.just(1 << 14)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_postprocess_matches_per_class_nms_then_the_cut(
+        self, n, clusters, num_classes, pre_nms_top_k, past_pool, nms_thr, refine, block, seed
+    ):
+        # jittered copies of a few anchors for heavy suppression, and scores
+        # drawn half from a few levels, so that ties reach every sort key
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0.0, 280.0, size=(clusters, 2))
+        sides = rng.uniform(8.0, 80.0, size=(clusters, 2))
+        pick = rng.integers(clusters, size=n)
+        corners = centers[pick] + rng.choice([0.0, 0.5, 3.0], size=(n, 1)) * rng.normal(size=(n, 2))
+        anchors = np.hstack([corners, corners + sides[pick]])
+        offsets = np.where(rng.random((n, 4)) < 0.5, 0.0, rng.normal(scale=0.5, size=(n, 4)))
+        scores = rng.random((n, num_classes + 1))
+        levels = rng.random((n, num_classes + 1)) < 0.5
+        scores[levels] = rng.choice([0.0, 0.3, 0.5], size=levels.sum())
+        pool = int(np.minimum((scores[:, 1:] > RunConfig().score_floor).sum(axis=0), pre_nms_top_k).sum())
+        config = RunConfig(
+            num_classes=num_classes, pre_nms_top_k=pre_nms_top_k,
+            keep_top_k=max(pool + past_pool, 1), nms_iou_threshold=nms_thr,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "IOU_BLOCK_ELEMENTS", block)
+            got = postprocess(anchors, offsets, scores, config, refine)
+        want = per_class_postprocess(anchors, offsets, scores, config, refine)
+        assert len(got) == len(want) <= config.keep_top_k
+        assert [(r.score, r.class_id) for r in got] == [(r.score, r.class_id) for r in want]
+        assert bits([r.box.coords() for r in got]) == bits([r.box.coords() for r in want])
 
     @settings(deadline=None)
     @given(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weavenet import detect
 from weavenet.bench import EQUIVALENCE_TOL
 from weavenet.cli import main
 from weavenet.config import RunConfig
@@ -91,3 +92,20 @@ def test_naive_and_simplified_demo_give_the_same_detections(seed, iterations, an
         assert abs(a.score - b.score) <= EQUIVALENCE_TOL, (i, a.score, b.score)
         for field, x, y in zip(("xmin", "ymin", "xmax", "ymax"), a.box.coords(), b.box.coords()):
             assert abs(x - y) <= EQUIVALENCE_TOL * config.input_size, (i, field, x, y)
+
+
+def test_nms_stops_at_the_keep_top_k_th_survivor(monkeypatch):
+    # seed 0, T=3: 1,200 candidates in the pool, of which the first ~220 in
+    # output order decide all 200 outputs; suppressing every class's 400
+    # candidates in full took 264,000 overlaps
+    overlaps = []
+    real = detect.iou_matrix
+
+    def counting(a, b):
+        overlaps.append(len(a) * len(b))
+        return real(a, b)
+
+    monkeypatch.setattr(detect, "iou_matrix", counting)
+    config = RunConfig(iterations=3, seed=0)
+    assert len(run_demo(config, refine=False)) == config.keep_top_k
+    assert 0 < sum(overlaps) <= 40_000

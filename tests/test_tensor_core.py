@@ -5,8 +5,10 @@ elementwise loop it replaced, both accumulating in the same documented
 order, so agreement is expected to be bit-exact.
 """
 
+import copy
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -283,6 +285,19 @@ class TestConvKernel:
         k = ConvKernel(np.ones((1, 2, 3, 3)), 0.5)
         assert k.bias.shape == (1,) and k.bias[0] == 0.5
         assert (k.out_channels, k.in_channels) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "copied", [copy.deepcopy, lambda k: pickle.loads(pickle.dumps(k))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_rebuild_a_read_only_matrix(self, copied):
+        rng = np.random.default_rng(3)
+        k = ConvKernel(spread_values(rng, (4, 3, 3, 3)), np.array([0.5, -0.0, -1.5, 0.0]))
+        again = copied(k)
+        assert type(again) is ConvKernel and not np.shares_memory(again.matrix, k.matrix)
+        assert again.matrix.flags.c_contiguous
+        assert_same_bits(again.matrix, k.matrix)
+        for array in (again.matrix, again.weights, again.bias):
+            assert not array.flags.writeable
 
 
 class TestConv3x3MatchesLoop:

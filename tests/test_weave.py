@@ -541,6 +541,39 @@ class TestColumnGroups:
         for a, b in zip(weave_forward(pyramid, cfg, params), weave_forward(pyramid, cfg, again)):
             assert a.data.tobytes() == b.data.tobytes()
 
+    @pytest.mark.parametrize(
+        "copied", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_keep_every_matrix_read_only(self, copied):
+        params = init_params(small_config(iterations=3))
+        again = copied(params)
+        for i, kernels in params.items():
+            groups = zip((*kernels, kernels.raw, *kernels.messages), (*again[i], again[i].raw, *again[i].messages))
+            for a, b in groups:
+                if a is None:
+                    assert b is None
+                    continue
+                assert not np.shares_memory(a.matrix, b.matrix) and b.matrix.flags.c_contiguous
+                assert a.matrix.tobytes() == b.matrix.tobytes()
+                for array in (b.matrix, b.weights, b.bias):
+                    assert not array.flags.writeable
+
+    def test_init_params_checks_only_the_full_kernels(self, monkeypatch):
+        cfg = small_config(iterations=3)
+        built = []
+        real_init = ConvKernel.__init__
+
+        def counting_init(kernel, weights, bias):
+            built.append(np.shape(weights))
+            real_init(kernel, weights, bias)
+
+        monkeypatch.setattr(ConvKernel, "__init__", counting_init)
+        params = init_params(cfg)
+        assert len(built) == sum(len(kernels) for kernels in params.values())
+        for kernels in params.values():
+            for group in (kernels.raw, *kernels.messages):
+                assert group is None or (not group.matrix.flags.writeable and group.matrix.flags.c_contiguous)
+
     def test_a_simplified_pass_builds_no_kernel_and_deletes_no_columns(self, monkeypatch):
         cfg = small_config(iterations=3)
         params = init_params(cfg)
