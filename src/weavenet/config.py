@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .detect import anchor_ratios
 from .errors import ValidationError, finite_float, shown
@@ -16,7 +16,7 @@ from .weave import DIRECTION_MASKS, WeaveConfig
 MAX_HEAD_CHANNELS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class RunConfig(WeaveConfig):
     """Everything a command needs to reproduce a run: the weave geometry it
     inherits plus the detection and evaluation settings.
@@ -73,10 +73,10 @@ class RunConfig(WeaveConfig):
                 )
 
     def weave_config(self) -> WeaveConfig:
-        return WeaveConfig(**{f.name: getattr(self, f.name) for f in fields(WeaveConfig)})
+        return WeaveConfig(**{f.name: getattr(self, f.name) for f in WeaveConfig.field_table()})
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_FIELD_NAMES = {f.name for f in RunConfig.field_table()}
 
 
 def config_from_dict(raw: dict) -> RunConfig:

@@ -15,7 +15,7 @@ from .config import RunConfig
 from .detect import BBox
 from .errors import ValidationError
 from .evaluation import DetectionRecord, GroundTruth
-from .formats import write_detections, write_ground_truth
+from .formats import write_array, write_detections, write_ground_truth
 from .tensor_core import Tensor
 from .weave import WeaveConfig
 
@@ -91,7 +91,7 @@ def write_fixtures(config: RunConfig, out_dir: str) -> list[str]:
     paths = []
     for i, tensor in enumerate(pyramid):
         path = os.path.join(out_dir, f"pyramid_scale{i}.npy")
-        np.save(path, tensor.data)
+        write_array(path, tensor.data)
         paths.append(path)
     gt_path = os.path.join(out_dir, "ground_truth.jsonl")
     write_ground_truth(gt_path, gts)

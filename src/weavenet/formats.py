@@ -1,4 +1,5 @@
-"""File interchange: JSON Lines for boxes, CSV and aligned text for reports.
+"""File interchange: JSON Lines for boxes, CSV and aligned text for reports,
+NPY for arrays.
 
 Detections carry keys image_id, class_id, score, xmin, ymin, xmax, ymax;
 ground truth is identical minus score, plus an optional boolean ignored.
@@ -46,10 +47,12 @@ _IGNORED = ("", ', "ignored": true')  # written only when set, so other files ke
 
 
 @contextmanager
-def _rewrite(path: str, newline: str):
-    """open(path, "w") without O_TRUNC, which can wait on ext4's writeback of the
-    last output; a regular file is cut after the bytes written, as O_TRUNC would."""
-    with open(path, "w", encoding="utf-8", newline=newline,
+def _rewrite(path: str, mode: str, newline: str | None = None):
+    """open(path, mode) without O_TRUNC, which can wait on ext4's writeback of the
+    last output; a regular file is cut after the bytes written, as O_TRUNC would.
+    mode is "w" (UTF-8 text, lines ended by newline) or "wb"."""
+    text = {"encoding": "utf-8", "newline": newline} if mode == "w" else {}
+    with open(path, mode, **text,
               opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:  # 0o666 as open() creates
         try:
             yield fh
@@ -58,13 +61,19 @@ def _rewrite(path: str, newline: str):
                 fh.truncate()
 
 
+def write_array(path: str, array: np.ndarray) -> None:
+    """The bytes np.save(path, array) writes (no pickled objects), rewritten in place."""
+    with _rewrite(path, "wb") as fh:
+        np.lib.format.write_array(fh, np.asanyarray(array), allow_pickle=False)
+
+
 def write_detections(path: str, records: list[DetectionRecord]) -> None:
-    with _rewrite(path, "\n") as fh:
+    with _rewrite(path, "w", "\n") as fh:
         fh.writelines(_DETECTION_LINE % (json.dumps(r.image_id), r.class_id, r.score, *r.box.coords()) for r in records)
 
 
 def write_ground_truth(path: str, records: list[GroundTruth]) -> None:
-    with _rewrite(path, "\n") as fh:
+    with _rewrite(path, "w", "\n") as fh:
         fh.writelines(_GROUND_TRUTH_LINE % (json.dumps(r.image_id), r.class_id, *r.box.coords(), _IGNORED[r.ignored])
                       for r in records)
 
@@ -190,7 +199,7 @@ def read_ground_truth_table(path: str) -> BoxTable:
 
 
 def write_csv(path: str, header: tuple[str, ...] | list[str], rows: list[list[str]]) -> None:
-    with _rewrite(path, "") as fh:
+    with _rewrite(path, "w", "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -28,7 +28,7 @@ receiving scale reads its k rows from that tensor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
@@ -98,8 +98,57 @@ def _check_type(key: str, kind: str, value) -> None:
         raise ValidationError(f"config key {key} must be {want}, got {_show(value)}")
 
 
-@dataclass(frozen=True)
-class WeaveConfig:
+class FrozenConfig:
+    """What @dataclass(frozen=True) generates, written once: a subclass is
+    decorated with @dataclass(init=False, repr=False, eq=False), which builds
+    only its field table (for dataclasses.fields, dataclasses.replace and
+    __match_args__) and compiles no method when its module is imported.
+
+    Every field needs a plain default. __init__ takes the fields positionally
+    or by keyword, with the generated one's TypeErrors, sets them and calls
+    __post_init__. Instances show, compare and hash by their fields in
+    order, refuse assignment and deletion with FrozenInstanceError (as
+    errors.Record does), and copy and pickle through the instance dict.
+    """
+
+    __eq__, __hash__ = Record.__eq__, Record.__hash__
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
+
+    @classmethod
+    def field_table(cls) -> tuple[Field, ...]:
+        """dataclasses.fields(cls), built on first use and kept on cls."""
+        table = cls.__dict__.get("_field_table")
+        if table is None:
+            table = cls._field_table = fields(cls)  # a class attribute: no instance is assigned to
+        return table
+
+    def __init__(self, *args, **kwargs):
+        table, name = self.field_table(), type(self).__qualname__
+        if len(args) > len(table):
+            raise TypeError(
+                f"{name}.__init__() takes from 1 to {len(table) + 1} positional arguments "
+                f"but {len(args) + 1} were given"
+            )
+        for f, value in zip(table, args):
+            if f.name in kwargs:
+                raise TypeError(f"{name}.__init__() got multiple values for argument {f.name!r}")
+            object.__setattr__(self, f.name, value)
+        for f in table[len(args):]:
+            object.__setattr__(self, f.name, kwargs.pop(f.name, f.default))
+        if kwargs:
+            raise TypeError(f"{name}.__init__() got an unexpected keyword argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f.name) for f in self.field_table()])
+
+    def __repr__(self) -> str:
+        shown_fields = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self.field_table())
+        return f"{type(self).__qualname__}({shown_fields})"
+
+
+@dataclass(init=False, repr=False, eq=False)
+class WeaveConfig(FrozenConfig):
     """Architecture hyperparameters. k is the per-direction message width."""
 
     k: int = 16
@@ -113,7 +162,7 @@ class WeaveConfig:
 
     def __post_init__(self):
         # type checks cover the fields of subclasses too; lists become tuples
-        for f in fields(self):
+        for f in self.field_table():
             value = getattr(self, f.name)
             if f.type.startswith("tuple") and isinstance(value, list):
                 value = tuple(value)

@@ -5,13 +5,17 @@ the same output would leave it, also when a write fails part-way."""
 import os
 import stat
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from weavenet.config import RunConfig
 from weavenet.detect import BBox
 from weavenet.evaluation import DetectionRecord, GroundTruth
-from weavenet.formats import write_csv, write_detections, write_ground_truth
+from weavenet.fixtures import write_fixtures
+from weavenet.formats import write_array, write_csv, write_detections, write_ground_truth
 
 coords = st.floats(-1e6, 1e6)
 image_ids = st.text(min_size=1, max_size=6)
@@ -124,3 +128,47 @@ def test_pipe_is_written_and_not_truncated(tmp_path, kind):
         finally:
             os.close(write_end)
         assert reader.read() == read_bytes(tmp_path / "fresh")
+
+
+# the examples share tmp_path, as above
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    array=arrays(st.sampled_from([np.float64, np.int64, np.bool_]), array_shapes(min_dims=0, max_dims=3, min_side=0)),
+    fortran=st.booleans(),
+    extra=st.integers(1, 5000),
+)
+def test_array_rewrite_leaves_the_bytes_of_a_fresh_save(tmp_path, array, fortran, extra):
+    array = np.asfortranarray(array) if fortran else array
+    path, fresh = tmp_path / "out.npy", tmp_path / "fresh.npy"
+    np.save(fresh, array)
+    path.write_bytes(b"\x93" * (len(read_bytes(fresh)) + extra))  # a longer old file
+    write_array(str(path), array)
+    assert read_bytes(path) == read_bytes(fresh)
+    loaded = np.load(path, allow_pickle=False)
+    assert loaded.dtype == array.dtype and loaded.shape == array.shape
+    assert loaded.tobytes() == array.tobytes() and loaded.flags.f_contiguous == array.flags.f_contiguous
+
+
+def test_fixtures_open_every_file_without_o_trunc(tmp_path, monkeypatch):
+    """write_fixtures writes each file, the pyramid arrays included, through
+    an open without O_TRUNC, and over longer old files leaves the bytes of a
+    write into an empty directory."""
+    config = RunConfig(seed=5)
+    fresh = write_fixtures(config, str(tmp_path / "fresh"))
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in fresh:
+        (out / os.path.basename(path)).write_bytes(b"x" * (os.path.getsize(path) + 1000))
+    flags, real_open = {}, os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags[path] = flag
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    paths = write_fixtures(config, str(out))
+    monkeypatch.undo()
+    assert sorted(flags) == sorted(paths)
+    assert not any(flag & os.O_TRUNC for flag in flags.values())
+    for path, reference in zip(paths, fresh):
+        assert read_bytes(path) == read_bytes(reference)

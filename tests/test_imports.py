@@ -14,7 +14,8 @@ read is dead code.
 
 A fresh `import weavenet.cli` loads only the modules every command needs:
 `bench`, `pipeline` and `fixtures` load in the commands that run them. Only
-the two config classes are dataclasses.
+the two config classes are dataclasses, and only for their field table: no
+method of theirs is code a dataclass generates on import.
 """
 
 import ast
@@ -25,6 +26,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from weavenet.config import RunConfig
+from weavenet.weave import WeaveConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "weavenet"
@@ -173,8 +177,10 @@ def test_core_imports_only_errors_and_tensor_core(name):
 
 # A dataclass generates and compiles its methods when its module is
 # imported, so records derive from errors.Record instead. The two configs
-# stay dataclasses: `fields()` drives their type checks, and
-# `dataclasses.replace` derives one config from another.
+# keep `@dataclass(init=False, repr=False, eq=False)` only for the field
+# table it builds: `dataclasses.fields` lists their fields and
+# `dataclasses.replace` derives one config from another. Their methods come
+# from weave.FrozenConfig.
 DATACLASSES = {"config.py": ["RunConfig"], "weave.py": ["WeaveConfig"]}
 
 
@@ -201,6 +207,14 @@ def test_a_dataclass_is_found():
 def test_only_the_configs_are_dataclasses():
     found = {path.name: dataclasses_defined(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: classes for name, classes in found.items() if classes} == DATACLASSES
+
+
+@pytest.mark.parametrize("cls", [WeaveConfig, RunConfig], ids=lambda cls: cls.__name__)
+def test_no_config_method_is_generated_code(cls):
+    """A dataclass compiles the methods it generates from text, and their
+    code reports the file name "<string>"."""
+    for name in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+        assert getattr(cls, name).__code__.co_filename != "<string>", name
 
 
 # What importing the CLI loads, and what each command (run in a directory

@@ -812,6 +812,26 @@ class TestFlops:
                 conv_flops(m, k * directions(cfg, i)[1], s, s) for i, (m, s) in enumerate(zip(messages, sizes))
             )
 
+    @settings(deadline=None, max_examples=100)
+    @given(cfg=random_geometries())
+    def test_a_naive_pass_executes_the_naive_formula(self, cfg):
+        """The FLOPs of every convolution a naive pass hands conv3x3_many add
+        up to flops_weave(cfg, "naive"). (The simplified pass executes more
+        than its formula; that gap is not pinned here.)"""
+        executed, real = [], weave.conv3x3_many
+
+        def counting(pairs):
+            for x, kernel in pairs:
+                cin, h, w = x.shape
+                assert kernel.in_channels == cin
+                executed.append(2 * cin * kernel.out_channels * 9 * h * w)
+            return real(pairs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weave, "conv3x3_many", counting)
+            weave_forward(random_pyramid(cfg), cfg, init_params(cfg), "naive")
+        assert sum(executed) == flops_weave(cfg, "naive").total
+
     @settings(deadline=None, max_examples=200)
     @given(cfg=random_geometries())
     def test_simplified_costs_nothing_only_when_naive_does(self, cfg):
